@@ -94,9 +94,6 @@ class LabelledForest:
     def roots(self) -> Tuple[str, ...]:
         return tuple(n for n, p in self.parent.items() if p is None)
 
-    def is_ancestor_or_self(self, low: str, high: str) -> bool:
-        return low in self.ancestry(high)
-
     def is_cascade_safe(self) -> bool:
         """True when no branch jumps a rank above a node of rank >= 2.
 

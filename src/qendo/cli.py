@@ -27,6 +27,14 @@ from .suites import SUITE_NAMES, RunConfig, run_suite
 __all__ = ["main", "build_parser"]
 
 
+def natural(text: str) -> int:
+    """argparse type for a count: an integer >= 0."""
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="qendo",
@@ -35,9 +43,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "actions, and seeded property suites")
     ap.add_argument("--seed", type=int, default=20260816,
                     help="seed for every randomized corpus (default 20260816)")
-    ap.add_argument("--budget", type=int, default=300,
+    ap.add_argument("--budget", type=natural, default=300,
                     help="sample budget for verification loops (default 300)")
-    ap.add_argument("--depth", type=int, default=2048,
+    ap.add_argument("--depth", type=natural, default=2048,
                     help="probe depth for the ultrametric (default 2048)")
     ap.add_argument("--format", choices=("text", "rows"), default="text",
                     dest="fmt", help="report style (default text)")
@@ -58,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generic",
                        help="build a certified generic embedding")
     p.add_argument("variant", choices=VARIANTS)
-    p.add_argument("--points", type=int, default=10,
+    p.add_argument("--points", type=natural, default=10,
                    help="how many image points to display (default 10)")
 
     p = sub.add_parser("act", help="act on an orbit point")
@@ -142,13 +150,21 @@ def cmd_factorize(args, cfg: RunConfig) -> int:
     probe = [nth_rational(i) for i in range(cfg.budget)]
     bad = [x for x in probe if fac.epi.eval(fac.mono.eval(x)) != hc.eval(x)]
     mono_vals = [fac.mono.eval(x) for x in sorted(probe[:40])]
-    strictly = all(a < b for a, b in zip(mono_vals, mono_vals[1:]))
+    checked = len(mono_vals) > 1  # one sample cannot show strict monotonicity
+    strictly = checked and all(a < b for a, b in zip(mono_vals, mono_vals[1:]))
     lines = ["input map:"]
     lines += [f"  {ln}" for ln in str(hc).splitlines()]
-    lines.append("spread part strictly monotone: "
-                 + ("yes (40 sorted samples)" if strictly else "NO"))
+    if not checked:
+        lines.append("spread part strictly monotone: not checked "
+                     f"(needs 2 samples, has {len(mono_vals)})")
+    else:
+        lines.append("spread part strictly monotone: "
+                     + (f"yes ({len(mono_vals)} sorted samples)" if strictly
+                        else "NO"))
     if bad:
         lines.append(f"composite FAILED at {format_rat(bad[0])}")
+    elif not probe:
+        lines.append("composite not verified (0 points)")
     else:
         lines.append(f"composite verified on {len(probe)} points")
     lines.append("memo snapshot:")

@@ -529,15 +529,15 @@ def epi_mono_factorize(h: PiecewiseEndo) -> Factorization:
     theta = build(FullQ(), order)
 
     def mono_fn(x):
-        return theta.eval_bwd(("im", hc.eval(x), x))
+        return theta.eval_bwd((hc.eval(x), x))
 
     def epi_fn(x):
-        return theta.eval_fwd(x)[1]
+        return theta.eval_fwd(x)[0]
 
     def preimage(r):
         r = Fraction(r)
         fibre = hc.point_preimage(r)
-        el = ("pt", r) if fibre is None else ("im", r, fibre.sample_point())
+        el = (r, "pt") if fibre is None else (r, fibre.sample_point())
         return theta.eval_bwd(el)
 
     return Factorization(

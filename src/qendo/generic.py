@@ -33,7 +33,7 @@ from .lazyiso import (
     FullQ,
     LabelConstraint,
     LazyIso,
-    LexProduct,
+    LexSum,
     Marker,
     RedPoints,
     SetStabilization,
@@ -141,9 +141,10 @@ class DirectCert(GenericCert):
             with_min=variant in ("minus", "pm"),
             with_max=variant in ("plus", "pm"),
         )
-        self._product = LexProduct(self.index_order, FullQ())
-        self.index_iso = build(FullQ(), self._product)
-        self.red_iso = build(FullQ(), RedPoints(self.index_order))
+        line = FullQ()
+        self._product = LexSum(self.index_order, lambda q: line)
+        self.index_iso = build(line, self._product)
+        self.red_iso = build(line, RedPoints(self.index_order))
         self.embedding = LazyEndo(self._embed, label=f"generic {variant}")
 
     def _embed(self, x: Rat) -> Rat:

@@ -1,14 +1,19 @@
 """Demand-driven order isomorphisms between countable dense linear orders.
 
 An OrderSpec describes a countable linear order operationally: membership,
-strict comparison, a deterministic enumeration, and enumeration of the
-elements strictly inside a gap in that same canonical order.  A LazyIso
-holds a growing finite partial isomorphism between two specs and extends
-it on demand: evaluating at a fresh point inserts the admissible partner
-of least index in the other spec's own enumeration (back-and-forth, made
-deterministic).  Constraint hooks restrict admissibility — label
-preservation and setwise stabilization — and may route the candidate
-search to a denser sub-stream.
+strict comparison, and `enum_in_gap(lo, hi)`, the elements strictly between
+lo and hi (None = unbounded side) in the order's own deterministic
+enumeration.  `enum()` is that whole enumeration, `enum_in_gap(None, None)`,
+and `index_of(el)`, where defined, is el's position in it, from 0.  A
+LexSum asks index_of of its index order and of each fibre on its own, so
+a fibre's index_of counts positions inside that fibre only.
+
+A LazyIso holds a growing finite partial isomorphism between two specs
+and extends it on demand: evaluating at a fresh point inserts the
+admissible partner of least index in the other spec's own enumeration
+(back-and-forth, made deterministic).  Constraint hooks restrict
+admissibility — label preservation and setwise stabilization — and may
+route the candidate search to a denser sub-stream.
 
 All element values are immutable; a LazyIso mutates only its memo, so one
 instance must not be shared between concurrent evaluations.
@@ -30,9 +35,7 @@ from .ratcore import (
     enumerated_in_interval,
     intersect_intervals,
     interval_rationals,
-    nth_rational,
     rat_index,
-    rationals,
 )
 
 FAULT_CAP = 100_000
@@ -56,7 +59,8 @@ def _cantor(i: int, j: int) -> int:
 # ---------------------------------------------------------------------------
 
 class OrderSpec:
-    """Operational description of a countable linear order."""
+    """Operational description of a countable linear order; the contract
+    is in the module docstring."""
 
     has_min = False
     has_max = False
@@ -70,8 +74,7 @@ class OrderSpec:
         raise NotImplementedError
 
     def enum(self) -> Iterator:
-        """This order's own deterministic enumeration."""
-        raise NotImplementedError
+        return self.enum_in_gap(None, None)
 
     def enum_in_gap(self, lo, hi) -> Iterator:
         """Elements strictly between lo and hi (None = unbounded side), in
@@ -85,7 +88,7 @@ class OrderSpec:
         return str(el)
 
     def index_of(self, el) -> int:
-        """Position in enum() (used by product orders)."""
+        """Position in enum() (used by LexSum)."""
         raise NotImplementedError
 
 
@@ -95,9 +98,6 @@ class FullQ(OrderSpec):
 
     def less(self, a, b):
         return a < b
-
-    def enum(self):
-        return rationals()
 
     def enum_in_gap(self, lo, hi):
         return enumerated_in_interval(lo, hi)
@@ -148,9 +148,6 @@ class ColouredQ(OrderSpec):
             out.append(Marker.MAX)
         return out
 
-    def enum(self):
-        return itertools.chain(self._markers(), rationals())
-
     def enum_in_gap(self, lo, hi):
         for m in self._markers():
             if (lo is None or self.less(lo, m)) and (hi is None or self.less(m, hi)):
@@ -187,254 +184,163 @@ class QMinusFinite(OrderSpec):
     def less(self, a, b):
         return a < b
 
-    def enum(self):
-        return (x for x in rationals() if x not in self.excluded)
-
     def enum_in_gap(self, lo, hi):
         return (x for x in enumerated_in_interval(lo, hi)
                 if x not in self.excluded)
-
-    def index_of(self, el):
-        return rat_index(el) - sum(
-            1 for e in self.excluded if rat_index(e) < rat_index(el))
 
     def __repr__(self):
         return f"QMinusFinite({sorted(self.excluded)})"
 
 
-def _kmerge(*gens):
-    # merge generators of (key, value) pairs, each ascending by key
-    heap = []
-    counter = itertools.count()
-    for g in gens:
-        first = next(g, None)
-        if first is not None:
-            heapq.heappush(heap, (first[0], next(counter), first[1], g))
-    while heap:
-        key, _, val, g = heapq.heappop(heap)
-        yield key, val
-        nxt = next(g, None)
-        if nxt is not None:
-            heapq.heappush(heap, (nxt[0], next(counter), nxt[1], g))
+class IntervalQ(OrderSpec):
+    """The rationals of one RatInterval, in global enumeration order.
+    index_of scans that enumeration once, resuming where it last stopped.
+    The scan starts on first use: most fibres are only asked `contains`."""
+
+    def __init__(self, interval: RatInterval):
+        self.interval = interval
+        self._scan = None
+        self._index = {}
+
+    def contains(self, el):
+        return isinstance(el, Fraction) and self.interval.contains(el)
+
+    def less(self, a, b):
+        return a < b
+
+    def enum_in_gap(self, lo, hi):
+        window = intersect_intervals(self.interval, RatInterval(lo, hi))
+        return iter(()) if window is None else interval_rationals(window)
+
+    def index_of(self, el):
+        if self._scan is None:
+            self._scan = enumerate(interval_rationals(self.interval))
+        index = self._index
+        while el not in index:
+            j, y = next(self._scan)
+            index[y] = j
+        return index[el]
 
 
-class LexProduct(OrderSpec):
-    """Lexicographic product; enumerated by the Cantor diagonal over the
-    component enumerations, so index((a,b)) = cantor(ia, jb)."""
+class PointOrder(OrderSpec):
+    """The one-element order {'pt'}."""
 
-    def __init__(self, first: OrderSpec, second: OrderSpec):
-        self.first = first
-        self.second = second
-        # lex endpoints exist only when both layers bound that side
-        self.has_min = first.has_min and second.has_min
-        self.has_max = first.has_max and second.has_max
-        if self.has_min:
-            self.min_el = (first.min_el, second.min_el)
-        if self.has_max:
-            self.max_el = (first.max_el, second.max_el)
+    def contains(self, el):
+        return el == "pt"
+
+    def less(self, a, b):
+        return False
+
+    def enum_in_gap(self, lo, hi):
+        return iter(("pt",) if lo is None and hi is None else ())
+
+    def index_of(self, el):
+        return 0
+
+
+class LexSum(OrderSpec):
+    """Lexicographic sum of the orders fibre(a) over an index order.
+
+    Elements are pairs (a, b) with b in fibre(a), compared by a first and
+    then inside fibre(a).  The enumeration runs along the Cantor diagonal:
+    index_of((a, b)) = cantor(index.index_of(a), fibre(a).index_of(b)).
+    A lexicographic product is the sum with the same fibre everywhere.
+    The sum is taken to be endpoint-free: where the index order has a
+    least (greatest) element, the fibre over it must have none.
+    """
+
+    def __init__(self, index: OrderSpec, fibre: Callable[[object], OrderSpec]):
+        self.index = index
+        self.fibre = fibre
 
     def contains(self, el):
         return (isinstance(el, tuple) and len(el) == 2
-                and self.first.contains(el[0]) and self.second.contains(el[1]))
+                and self.index.contains(el[0])
+                and self.fibre(el[0]).contains(el[1]))
 
     def less(self, a, b):
-        if self.first.less(a[0], b[0]):
-            return True
-        if self.first.less(b[0], a[0]):
-            return False
-        return self.second.less(a[1], b[1])
+        if a[0] != b[0]:
+            return self.index.less(a[0], b[0])
+        return self.fibre(a[0]).less(a[1], b[1])
 
     def index_of(self, el):
-        return _cantor(self.first.index_of(el[0]), self.second.index_of(el[1]))
+        return _cantor(self.index.index_of(el[0]),
+                       self.fibre(el[0]).index_of(el[1]))
 
-    def enum(self):
-        for _, el in self._stream_over(self.first.enum(), None, None):
-            yield el
+    def _lane(self, a, lo, hi):
+        # (index, element) for the fibre over a, strictly inside (lo, hi)
+        ia = self.index.index_of(a)
+        fibre = self.fibre(a)
+        for b in fibre.enum_in_gap(lo, hi):
+            yield _cantor(ia, fibre.index_of(b)), (a, b)
 
-    def _second_stream(self, a, ia, lo2, hi2):
-        for b in self.second.enum_in_gap(lo2, hi2):
-            yield _cantor(ia, self.second.index_of(b)), (a, b)
-
-    def _stream_over(self, a_iter, lo2, hi2):
-        # all pairs whose first component comes from a_iter (ascending by
-        # first-component index) and second component lies in (lo2, hi2);
-        # spawn the next first-component lane when the current lane's head
-        # is consumed — heads ascend because cantor is monotone in ia.
+    def _merge_lanes(self, index_elements):
+        # whole fibres over index_elements, merged by index.  A whole fibre
+        # starts at fibre index 0, so lane heads ascend: the next lane is
+        # due only once the newest lane's head has been yielded.
         heap = []
-        counter = itertools.count()
 
-        def load_lane():
-            a = next(a_iter, None)
-            if a is None:
-                return
-            ia = self.first.index_of(a)
-            lane = self._second_stream(a, ia, lo2, hi2)
-            first = next(lane, None)
-            if first is None:  # pragma: no cover - gaps in dense specs
-                load_lane()
-                return
-            heapq.heappush(heap, (first[0], next(counter), first[1], True, lane))
+        def spawn():
+            for a in index_elements:
+                lane = self._lane(a, None, None)
+                head = next(lane, None)
+                if head is not None:
+                    heapq.heappush(heap, (head[0], head[1], True, lane))
+                    return
 
-        load_lane()
+        spawn()
         while heap:
-            key, _, val, is_head, lane = heapq.heappop(heap)
-            yield key, val
+            key, el, is_head, lane = heapq.heappop(heap)
+            yield key, el
             if is_head:
-                load_lane()
+                spawn()
             nxt = next(lane, None)
             if nxt is not None:
-                heapq.heappush(heap, (nxt[0], next(counter), nxt[1], False, lane))
+                heapq.heappush(heap, (nxt[0], nxt[1], False, lane))
 
     def enum_in_gap(self, lo, hi):
-        streams = []
-        a1 = lo[0] if lo is not None else None
-        a2 = hi[0] if hi is not None else None
-        same = (lo is not None and hi is not None
-                and not self.first.less(a1, a2) and not self.first.less(a2, a1))
-        if same:
-            ia = self.first.index_of(a1)
-            streams.append(self._second_stream(a1, ia, lo[1], hi[1]))
+        a1 = None if lo is None else lo[0]
+        a2 = None if hi is None else hi[0]
+        if lo is not None and hi is not None and a1 == a2:
+            lanes = [self._lane(a1, lo[1], hi[1])]  # both ends in one fibre
         else:
+            lanes = [self._merge_lanes(self.index.enum_in_gap(a1, a2))]
             if lo is not None:
-                ia = self.first.index_of(a1)
-                streams.append(self._second_stream(a1, ia, lo[1], None))
+                lanes.append(self._lane(a1, lo[1], None))
             if hi is not None:
-                ia = self.first.index_of(a2)
-                streams.append(self._second_stream(a2, ia, None, hi[1]))
-            streams.append(self._stream_over(
-                self.first.enum_in_gap(a1, a2), None, None))
-        for _, el in _kmerge(*streams):
-            yield el
-
-    def colour_label(self, el):
-        return self.first.colour_label(el[0])
+                lanes.append(self._lane(a2, None, hi[1]))
+        # indices are distinct, so the merge never compares elements
+        return (el for _, el in heapq.merge(*lanes))
 
     def format_el(self, el):
-        return f"({self.first.format_el(el[0])},{self.second.format_el(el[1])})"
+        a, b = el
+        return f"({self.index.format_el(a)},{self.fibre(a).format_el(b)})"
 
     def __repr__(self):
-        return f"LexProduct({self.first!r},{self.second!r})"
+        return f"{type(self).__name__}({self.index!r})"
 
 
-class FactorOrder(OrderSpec):
-    """Order-sum refinement used to factor a weakly monotone map: over each
-    rational q sits either the (convex) solution interval of h(y) = q,
-    tagged ('im', q, y), or the single element ('pt', q) when q has no
-    solution.  Ordered lexicographically; enumerated Cantor-style."""
+class FactorOrder(LexSum):
+    """The order that factors a weakly monotone map h: the sum over FullQ
+    whose fibre over q is the (convex) solution interval of h(y) = q, with
+    elements (q, y), or the one element (q, 'pt') when q is never attained.
+    Fibres are built once per q."""
 
     def __init__(self, point_preimage: Callable[[Rat], Optional[RatInterval]]):
         self.point_preimage = point_preimage
-        self._fibre_index_cache = {}
+        self._fibres = {}
+        super().__init__(FullQ(), self._fibre)
 
-    def contains(self, el):
-        if not isinstance(el, tuple):
-            return False
-        if el[0] == "pt":
-            return self.point_preimage(el[1]) is None
-        if el[0] == "im":
-            fibre = self.point_preimage(el[1])
-            return fibre is not None and fibre.contains(el[2])
-        return False
-
-    def less(self, a, b):
-        if a[1] != b[1]:
-            return a[1] < b[1]
-        if a[0] == "im" and b[0] == "im":
-            return a[2] < b[2]
-        return False  # the fibre over one q never mixes tags
-
-    def _fibre_elements(self, q) -> Iterator:
-        fibre = self.point_preimage(q)
+    def _fibre(self, q):
+        fibre = self._fibres.get(q)
         if fibre is None:
-            yield ("pt", q)
-        else:
-            for y in interval_rationals(fibre):
-                yield ("im", q, y)
-
-    def _fibre_index(self, el) -> int:
-        cache = self._fibre_index_cache
-        if el not in cache:
-            q = el[1]
-            for j, cand in enumerate(self._fibre_elements(q)):
-                cache.setdefault(cand, j)
-                if cand == el:
-                    break
-            else:  # pragma: no cover
-                raise ValueError(f"not in order: {el}")
-        return cache[el]
-
-    def index_of(self, el):
-        return _cantor(rat_index(el[1]), self._fibre_index(el))
-
-    def _fibre_stream(self, q, y_lo, y_hi):
-        # fibre elements over q with second coordinate strictly inside
-        # (y_lo, y_hi); for 'pt' fibres only the unbounded query matches
-        iq = rat_index(q)
-        fibre = self.point_preimage(q)
-        if fibre is None:
-            if y_lo is None and y_hi is None:
-                yield _cantor(iq, 0), ("pt", q)
-            return
-        window = intersect_intervals(fibre, RatInterval(y_lo, y_hi))
-        if window is None:
-            return
-        for y in interval_rationals(window):
-            el = ("im", q, y)
-            yield self.index_of(el), el
-
-    def _stream_over(self, q_iter):
-        heap = []
-        counter = itertools.count()
-
-        def load_lane():
-            while True:
-                q = next(q_iter, None)
-                if q is None:
-                    return
-                lane = self._fibre_stream(q, None, None)
-                first = next(lane, None)
-                if first is not None:
-                    heapq.heappush(heap, (first[0], next(counter), first[1], True, lane))
-                    return
-
-        load_lane()
-        while heap:
-            key, _, val, is_head, lane = heapq.heappop(heap)
-            yield key, val
-            if is_head:
-                load_lane()
-            nxt = next(lane, None)
-            if nxt is not None:
-                heapq.heappush(heap, (nxt[0], next(counter), nxt[1], False, lane))
-
-    def enum(self):
-        for _, el in self._stream_over(rationals()):
-            yield el
-
-    def enum_in_gap(self, lo, hi):
-        streams = []
-        q1 = lo[1] if lo is not None else None
-        q2 = hi[1] if hi is not None else None
-        if lo is not None and hi is not None and q1 == q2:
-            y1 = lo[2] if lo[0] == "im" else None
-            y2 = hi[2] if hi[0] == "im" else None
-            streams.append(self._fibre_stream(q1, y1, y2))
-        else:
-            if lo is not None and lo[0] == "im":
-                streams.append(self._fibre_stream(q1, lo[2], None))
-            if hi is not None and hi[0] == "im":
-                streams.append(self._fibre_stream(q2, None, hi[2]))
-            streams.append(self._stream_over(enumerated_in_interval(q1, q2)))
-        for _, el in _kmerge(*streams):
-            yield el
+            iv = self.point_preimage(q)
+            fibre = self._fibres[q] = PointOrder() if iv is None else IntervalQ(iv)
+        return fibre
 
     def format_el(self, el):
-        if el[0] == "pt":
-            return f"pt:{el[1]}"
-        return f"im:{el[1]}@{el[2]}"
-
-    def __repr__(self):
-        return "FactorOrder"
+        q, y = el
+        return f"pt:{q}" if y == "pt" else f"im:{q}@{y}"
 
 
 class RedPoints(OrderSpec):
@@ -449,10 +355,6 @@ class RedPoints(OrderSpec):
 
     def less(self, a, b):
         return self.base.less(a, b)
-
-    def enum(self):
-        return (el for el in self.base.enum()
-                if self.base.colour_label(el) == Colour.RED)
 
     def enum_in_gap(self, lo, hi):
         return (el for el in self.base.enum_in_gap(lo, hi)
@@ -491,9 +393,6 @@ class SuborderOfCert(OrderSpec):
 
     def less(self, a, b):
         return self._less(a, b)
-
-    def enum(self):
-        return self._enum_in_gap(None, None)
 
     def enum_in_gap(self, lo, hi):
         return self._enum_in_gap(lo, hi)

@@ -94,14 +94,6 @@ def rat_index(x: Rat) -> int:
     return 2 * k - 1 if x > 0 else 2 * k
 
 
-def rationals() -> Iterator[Rat]:
-    """All rationals in enumeration order."""
-    n = 0
-    while True:
-        yield nth_rational(n)
-        n += 1
-
-
 # ---------------------------------------------------------------------------
 # density searches
 # ---------------------------------------------------------------------------
@@ -305,10 +297,6 @@ class RatInterval:
 
 
 FULL_LINE = RatInterval(None, None)
-
-
-def interval_contains(interval: RatInterval, x: Rat) -> bool:
-    return interval.contains(x)
 
 
 def point_interval(x: Rat) -> RatInterval:

@@ -66,7 +66,6 @@ __all__ = [
     "SuiteResult",
     "SUITE_NAMES",
     "run_suite",
-    "run_all",
     "random_monotone_endo",
     "random_interval_union",
     "prefix_approximant",
@@ -805,8 +804,3 @@ def run_suite(name: str, cfg: Optional[RunConfig] = None) -> SuiteResult:
         raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or 'all'")
     return _SUITES[name](cfg)
-
-
-def run_all(cfg: Optional[RunConfig] = None) -> List[SuiteResult]:
-    cfg = cfg or RunConfig()
-    return [run_suite(name, cfg) for name in SUITE_NAMES]

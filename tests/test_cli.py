@@ -97,6 +97,35 @@ def test_factorize_respects_budget(files, capsys):
     assert "composite verified on 50 points" in out
 
 
+def test_factorize_reports_real_sample_count(files, capsys):
+    code = main(["--budget", "10", "factorize", files("id.map", IDENTITY_MAP)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "spread part strictly monotone: yes (10 sorted samples)" in out
+    assert "composite verified on 10 points" in out
+
+
+def test_factorize_zero_budget_is_not_verified(files, capsys):
+    code = main(["--budget", "0", "factorize", files("id.map", IDENTITY_MAP)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "spread part strictly monotone: not checked (needs 2 samples, has 0)" in out
+    assert "composite not verified (0 points)" in out
+    assert "verified on 0" not in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["--budget", "-5", "factorize", "id.map"],
+    ["--depth", "-1", "suite", "sim"],
+    ["generic", "core", "--points", "-3"],
+])
+def test_negative_counts_rejected_at_parse_time(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "must be >= 0" in capsys.readouterr().err
+
+
 def test_suite_pass_and_exit_zero(capsys):
     code = main(["suite", "sim"])
     out = capsys.readouterr().out

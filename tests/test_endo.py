@@ -248,6 +248,22 @@ def test_epi_mono_on_injective_map():
         assert fact.epi.eval(fact.preimage(r)) == r
 
 
+def test_factor_order_memo_dump_golden():
+    # plateau at 0 (fibre [0,1]), gap (0,2] never attained (pt fibres)
+    h = PiecewiseEndo.parse("(-inf,0) : 1*x\n[0,1] : 0*x\n(1,+inf) : 1*x + 1\n")
+    fact = epi_mono_factorize(h)
+    for r in (F(0), F(1), F(5), F(-1, 2), F(2)):
+        fact.preimage(r)
+    for x in (F(7), F(-1, 3), F(5, 4)):
+        fact.epi.eval(x)
+    for x in (F(1, 2), F(3), F(-2)):
+        fact.mono.eval(x)
+    assert fact.theta.memo_dump() == (
+        "-2 -> im:-2@-2, -1 -> im:-1/2@-1/2, -1/3 -> im:-1/3@-1/3, "
+        "0 -> im:0@0, 1/2 -> im:0@1/2, 1 -> pt:1, 5/4 -> pt:3/2, "
+        "3/2 -> pt:2, 5/3 -> im:4@3, 2 -> im:5@4, 7 -> im:6@5")
+
+
 # -- randomized structure ----------------------------------------------------
 
 @settings(max_examples=60, deadline=None)

@@ -1,9 +1,12 @@
 """Back-and-forth engine tests."""
 
+import functools
+import itertools
+import math
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qendo.lazyiso import (
@@ -13,14 +16,21 @@ from qendo.lazyiso import (
     FullQ,
     LabelConstraint,
     LazyIso,
-    LexProduct,
+    LexSum,
     Marker,
     QMinusFinite,
     RedPoints,
     SetStabilization,
     build,
 )
-from qendo.ratcore import Colour, RatInterval, colour, nth_rational, rat_index
+from qendo.ratcore import (
+    Colour,
+    RatInterval,
+    colour,
+    interval_rationals,
+    nth_rational,
+    rat_index,
+)
 
 SAMPLE = [nth_rational(i) for i in range(200)]
 
@@ -138,8 +148,13 @@ def test_red_target_only_red_values():
         assert x1 < x2 and y1 < y2
 
 
+def _product():
+    line = FullQ()
+    return LexSum(line, lambda a: line)
+
+
 def test_lex_product_order():
-    prod = LexProduct(FullQ(), FullQ())
+    prod = _product()
     iso = build(prod, prod)
     pts = [(nth_rational(i), nth_rational(j)) for i in range(8) for j in range(8)]
     imgs = {p: iso.eval_fwd(p) for p in pts}
@@ -150,7 +165,7 @@ def test_lex_product_order():
 
 
 def test_lex_product_enum_matches_index():
-    prod = LexProduct(FullQ(), FullQ())
+    prod = _product()
     import itertools
     els = list(itertools.islice(prod.enum(), 30))
     idx = [prod.index_of(e) for e in els]
@@ -159,7 +174,7 @@ def test_lex_product_enum_matches_index():
 
 
 def test_lex_product_gap_enum_respects_bounds():
-    prod = LexProduct(FullQ(), FullQ())
+    prod = _product()
     import itertools
     lo, hi = (F(0), F(0)), (F(1), F(0))
     got = list(itertools.islice(prod.enum_in_gap(lo, hi), 40))
@@ -177,13 +192,13 @@ def _floor_preimage(q):
 
 def test_factor_order_membership_and_order():
     fo = FactorOrder(_floor_preimage)
-    assert fo.contains(("im", F(0), F(1, 2)))
-    assert not fo.contains(("im", F(0), F(3, 2)))
-    assert fo.contains(("pt", F(1, 2)))
-    assert not fo.contains(("pt", F(0)))
-    assert fo.less(("im", F(0), F(1, 2)), ("pt", F(1, 2)))
-    assert fo.less(("pt", F(1, 2)), ("im", F(1), F(1)))
-    assert fo.less(("im", F(0), F(0)), ("im", F(0), F(2, 3)))
+    assert fo.contains((F(0), F(1, 2)))
+    assert not fo.contains((F(0), F(3, 2)))
+    assert fo.contains((F(1, 2), "pt"))
+    assert not fo.contains((F(0), "pt"))
+    assert fo.less((F(0), F(1, 2)), (F(1, 2), "pt"))
+    assert fo.less((F(1, 2), "pt"), (F(1), F(1)))
+    assert fo.less((F(0), F(0)), (F(0), F(2, 3)))
 
 
 def test_factor_order_enum_is_index_sorted():
@@ -199,13 +214,13 @@ def test_factor_order_enum_is_index_sorted():
 def test_factor_order_gap_enum():
     fo = FactorOrder(_floor_preimage)
     import itertools
-    lo = ("im", F(0), F(0))
-    hi = ("im", F(1), F(1))
+    lo = (F(0), F(0))
+    hi = (F(1), F(1))
     got = list(itertools.islice(fo.enum_in_gap(lo, hi), 30))
     for e in got:
         assert fo.less(lo, e) and fo.less(e, hi)
     # the whole fibre column over 1/2 sits in this gap
-    assert ("pt", F(1, 2)) in got
+    assert (F(1, 2), "pt") in got
 
 
 def test_iso_into_factor_order():
@@ -217,6 +232,79 @@ def test_iso_into_factor_order():
     pairs = iso.memo_pairs()
     for (x1, y1), (x2, y2) in zip(pairs, pairs[1:]):
         assert x1 < x2 and fo.less(y1, y2)
+
+
+# -- LexSum gap enumeration against brute force ------------------------------
+
+BRUTE_N = 300  # Cantor indices covered by the brute force
+
+
+def _uncantor(n):
+    w = (math.isqrt(8 * n + 1) - 1) // 2
+    j = n - w * (w + 1) // 2
+    return w - j, j
+
+
+def _product_fibre_element(a, j):
+    return nth_rational(j)
+
+
+def _floor_fibre_element(q, j):
+    iv = _floor_preimage(q)
+    if iv is None:
+        return "pt" if j == 0 else None
+    return next(itertools.islice(interval_rationals(iv), j, None))
+
+
+SUM_CASES = {
+    "product": (_product, _product_fibre_element),
+    "factor": (lambda: FactorOrder(_floor_preimage), _floor_fibre_element),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_elements(case):
+    # (n, (a, b)) for every Cantor index n < BRUTE_N that names an element:
+    # a is the n-th pair's index rational, b the matching fibre element
+    fibre_element = SUM_CASES[case][1]
+    out = []
+    for n in range(BRUTE_N):
+        i, j = _uncantor(n)
+        a = nth_rational(i)
+        b = fibre_element(a, j)
+        if b is not None:
+            out.append((n, (a, b)))
+    return tuple(out)
+
+
+@st.composite
+def _sum_gaps(draw, case):
+    order = SUM_CASES[case][0]()
+    elements = [el for _, el in _brute_elements(case)[:120]]
+    ends = st.one_of(st.none(), st.sampled_from(elements))
+    lo, hi = draw(ends), draw(ends)
+    if lo is not None and draw(st.booleans()):
+        # both ends over the same index element
+        siblings = [el for el in elements if el[0] == lo[0] and el != lo]
+        assume(siblings)
+        hi = draw(st.sampled_from(siblings))
+    assume(lo is None or hi is None or lo != hi)
+    if lo is not None and hi is not None and order.less(hi, lo):
+        lo, hi = hi, lo
+    return order, lo, hi
+
+
+@pytest.mark.parametrize("case", sorted(SUM_CASES))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_lex_sum_gap_enum_matches_brute_force(case, data):
+    order, lo, hi = data.draw(_sum_gaps(case))
+    want = [(n, el) for n, el in _brute_elements(case)
+            if (lo is None or order.less(lo, el))
+            and (hi is None or order.less(el, hi))]
+    stream = ((order.index_of(el), el) for el in order.enum_in_gap(lo, hi))
+    got = list(itertools.takewhile(lambda pair: pair[0] < BRUTE_N, stream))
+    assert got == want
 
 
 def test_determinism_across_sessions():
