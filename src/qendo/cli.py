@@ -8,7 +8,8 @@ Subcommands:
     act ...          push an orbit point through a map over a forest
 
 Global flags (before the subcommand): --seed, --budget, --depth,
---format text|rows.  Exit status is 0 iff nothing failed.
+--format text|rows.  Exit status is 0 iff nothing failed, 2 for a usage
+or parse error, 3 when a bounded search reached its cap.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import List, Optional
 from .actions import ForestError, LabelledForest, OrbitPoint, act
 from .endo import PiecewiseEndo, cancellability_witness, classify, epi_mono_factorize
 from .generic import VARIANTS, generic_embedding
-from .ratcore import format_rat, parse_rat
+from .ratcore import SearchExhausted, format_rat, parse_rat
 from .suites import SUITE_NAMES, RunConfig, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -235,6 +236,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except SearchExhausted as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -187,7 +187,9 @@ class PiecewiseEndo:
         if not parts:
             return None
         merged = merge_intervals(parts)
-        assert len(merged) == 1, "preimage of a point must be convex"
+        if len(merged) != 1:
+            raise AssertionError(f"preimage of {q} is not convex: "
+                                 + " u ".join(map(str, merged)))
         return merged[0]
 
     def __str__(self):

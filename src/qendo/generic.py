@@ -45,6 +45,7 @@ from .ratcore import (
     Colour,
     Rat,
     RatInterval,
+    SearchExhausted,
     format_rat,
     intersect_intervals,
     union_contains,
@@ -117,7 +118,8 @@ class GenericCert:
                 break
             if self.colour_of_index(q) == Colour.RED:
                 return q
-        raise RuntimeError("no red class found in the gap")
+        raise SearchExhausted("red class search", f"SEARCH_CAP={SEARCH_CAP}",
+                              qlo, qhi, self.index_order.format_el)
 
     def blue_index_between(self, qlo, qhi):
         for steps, q in enumerate(self.index_order.enum_in_gap(qlo, qhi)):
@@ -125,7 +127,8 @@ class GenericCert:
                 break
             if self.colour_of_index(q) == Colour.BLUE:
                 return q
-        raise RuntimeError("no blue class found in the gap")
+        raise SearchExhausted("blue class search", f"SEARCH_CAP={SEARCH_CAP}",
+                              qlo, qhi, self.index_order.format_el)
 
 
 class DirectCert(GenericCert):

@@ -31,6 +31,7 @@ from .ratcore import (
     Colour,
     Rat,
     RatInterval,
+    SearchExhausted,
     colour,
     enumerated_in_interval,
     intersect_intervals,
@@ -572,9 +573,10 @@ class LazyIso:
                 self._fwd[pair[0]] = pair[1]
                 self._bwd[pair[1]] = pair[0]
                 return cand
-        raise RuntimeError(
-            "back-and-forth search exhausted; specs are not dense-compatible "
-            "under the given constraints")
+        own = self.source if side == "target" else self.target
+        raise SearchExhausted(
+            f"back-and-forth search for a partner of {own.format_el(el)}",
+            f"FAULT_CAP={FAULT_CAP}", lo, hi, other.format_el)
 
     def eval_fwd(self, x):
         if x in self._fwd:

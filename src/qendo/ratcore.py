@@ -1,10 +1,17 @@
 """Exact rational groundwork: enumeration, two-colouring, intervals.
 
 Everything downstream works over plain `fractions.Fraction` values (aliased
-`Rat`).  The module fixes one global enumeration of the rationals (signed
-breadth-first walk of the mediant tree), a parity two-colouring whose colour
-classes are both dense, and an exact interval type used by the piecewise
-machinery.
+`Rat`).  The module fixes one global enumeration of the rationals (0, then
+the breadth-first Calkin-Wilf order, each positive value followed by its
+negative), a parity two-colouring whose colour classes are both dense, and
+an exact interval type used by the piecewise machinery.
+
+A positive rational's Calkin-Wilf index, in binary, is a leading 1 followed
+by its Stern-Brocot path read backwards (1 for a right move, 0 for a left
+move): the first move from the root is the lowest bit.  So the shallowest
+Stern-Brocot node of a positive interval has the least index in it, and
+the interval searches below are one integer walk down the Stern-Brocot
+tree, `_descend`, that makes Fractions only at the API boundary.
 """
 
 from __future__ import annotations
@@ -42,22 +49,46 @@ def colour(x: Rat) -> Colour:
 # enumeration
 # ---------------------------------------------------------------------------
 
+def _descend(a, b, left, right):
+    """Shallowest Stern-Brocot node strictly between the open bounds a < b.
+
+    The search runs in the subtree (left, right), whose root is their
+    mediant, where left <= a and b <= right.  Values are (p, q) integer
+    pairs, 1/0 being +inf.  Each step takes a whole run of same-direction
+    moves with one floor division (Graham, Knuth and Patashnik, Concrete
+    Mathematics 4.5).  Returns the node, its subtree bounds and the runs
+    taken, top-down, as (is_right, length) pairs.
+    """
+    (an, ad), (bn, bd), (ln, ld), (rn, rd) = a, b, left, right
+    runs = []
+    while True:
+        j = (an * ld - ln * ad) // (rn * ad - an * rd)  # left + j*right <= a
+        if j:
+            ln, ld = ln + j * rn, ld + j * rd
+            runs.append((True, j))
+        j = (rn * bd - bn * rd) // (bn * ld - ln * bd)  # j*left + right >= b
+        if not j:
+            return (ln + rn, ld + rd), (ln, ld), (rn, rd), runs
+        rn, rd = rn + j * ln, rd + j * ld
+        runs.append((False, j))
+
+
 def _positive_index(x: Rat) -> int:
-    # 1-based position of a positive rational in the breadth-first walk of
-    # the mediant tree, via run-length compressed parent steps.
+    # 1-based Calkin-Wilf position of a positive rational: its Stern-Brocot
+    # path, run by run (the continued-fraction terms), each run's bits
+    # going above the bits before it
     p, q = x.numerator, x.denominator
-    runs = []  # bottom-up (bit, count)
-    while (p, q) != (1, 1):
+    k = d = 0
+    while p != q:
         if p > q:
-            k = (p - 1) // q
-            runs.append(("1", k))
-            p -= k * q
+            j = (p - 1) // q
+            p -= j * q
+            k |= ((1 << j) - 1) << d
         else:
-            k = (q - 1) // p
-            runs.append(("0", k))
-            q -= k * p
-    bits = "1" + "".join(bit * k for bit, k in reversed(runs))
-    return int(bits, 2)
+            j = (q - 1) // p
+            q -= j * p
+        d += j
+    return k | 1 << d
 
 
 def _positive_value(k: int) -> Rat:
@@ -74,8 +105,10 @@ def _positive_value(k: int) -> Rat:
 def nth_rational(n: int) -> Rat:
     """The global enumeration: 0, 1, -1, 1/2, -1/2, 2, -2, 1/3, ...
 
-    Index 0 is 0; odd indices walk the positive mediant tree breadth
-    first, even indices mirror them negatively.
+    Index 0 is 0; odd index 2k-1 is the k-th node of the Calkin-Wilf tree
+    in breadth-first order, and even index 2k is its negative.  The bits
+    of k after its leading 1 are the Stern-Brocot path of the value read
+    backwards.
     """
     if n < 0:
         raise ValueError("enumeration index must be >= 0")
@@ -98,12 +131,24 @@ def rat_index(x: Rat) -> int:
 # density searches
 # ---------------------------------------------------------------------------
 
+class SearchExhausted(RuntimeError):
+    """A bounded search reached its cap; the message names the cap and the
+    gap searched, whose bounds are printed by fmt (None is infinite)."""
+
+    def __init__(self, search: str, cap: str, lo, hi, fmt=str):
+        lo = "-inf" if lo is None else fmt(lo)
+        hi = "+inf" if hi is None else fmt(hi)
+        super().__init__(f"{search} found nothing within {cap} in the gap ({lo}, {hi})")
+
+
 def simplest_between(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
     """Smallest-denominator rational strictly inside an open interval.
 
-    None bounds mean the interval is unbounded on that side.  The search
-    is the usual mediant descent, so successive refinements stay on the
-    Stern-Brocot path.
+    None bounds mean the interval is unbounded on that side.  An interval
+    unbounded on one side gives the integer next to its finite bound, and
+    one around 0 gives 0.  Otherwise the answer is the interval's
+    shallowest Stern-Brocot node (reflected for a negative interval), found
+    by one integer walk from the root that takes whole runs of moves.
     """
     if lo is not None and hi is not None and lo >= hi:
         raise ValueError("empty open interval")
@@ -118,14 +163,9 @@ def simplest_between(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
         return Fraction(0)
     if hi <= 0:
         return -simplest_between(-hi, -lo)
-    n = math.floor(lo)
-    if n + 1 < hi:
-        return Fraction(n + 1)
-    if lo == n:
-        # (n, hi) with hi <= n+1: reciprocal of the fractional part is
-        # unbounded above
-        return n + 1 / Fraction(math.floor(1 / (hi - n)) + 1)
-    return n + 1 / simplest_between(1 / (hi - n), 1 / (lo - n))
+    (p, q), _, _, _ = _descend(lo.as_integer_ratio(), hi.as_integer_ratio(),
+                               (0, 1), (1, 0))
+    return Fraction(p, q)
 
 
 DENOMINATOR_BOUND = 10 ** 6
@@ -140,87 +180,73 @@ def colour_witness(lo: Rat, hi: Rat, want: Colour) -> Rat:
     if lo >= hi:
         raise ValueError("need lo < hi")
     queue = deque([(lo, hi)])
-    while queue:
+    while True:  # the queue never empties: each pop adds two gaps
         a, b = queue.popleft()
         m = simplest_between(a, b)
         if m.denominator > DENOMINATOR_BOUND:
-            raise RuntimeError("colour witness search exceeded denominator bound")
+            raise SearchExhausted(f"colour witness search for {want}",
+                                  f"DENOMINATOR_BOUND={DENOMINATOR_BOUND}",
+                                  lo, hi)
         if colour(m) == want:
             return m
         queue.append((a, m))
         queue.append((m, b))
-    raise RuntimeError("unreachable")  # pragma: no cover
-
-
-def _meeting_node(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
-    # shallowest mediant-tree node strictly inside a positive open interval
-    p_lo, q_lo, p_hi, q_hi = 0, 1, 1, 0
-    p, q = 1, 1
-    while True:
-        m = Fraction(p, q)
-        if lo is not None and m <= lo:
-            p_lo, q_lo = p, q
-        elif hi is not None and m >= hi:
-            p_hi, q_hi = p, q
-        else:
-            return m
-        p, q = p_lo + p_hi, q_lo + q_hi
 
 
 def enumerated_in_interval(lo: Optional[Rat], hi: Optional[Rat]) -> Iterator[Rat]:
     """Rationals strictly inside an open interval, in enumeration order.
 
-    Lazy heap walk of the mediant tree: a subinterval's shallowest node has
-    the least enumeration index in it, and splitting at that node covers
-    the rest.  Used for least-index witness selection.
+    0 comes first when it is inside.  Each side of 0 is a lazy heap walk of
+    the Stern-Brocot tree, the negative side reflected: the least-index
+    element of an open subinterval is its shallowest node, `_descend` finds
+    it, and popping it splits the subinterval there, each half walking on
+    from that node within the node's subtree.  A heap entry carries the
+    node's index, extended by the runs of its walk, so no index is ever
+    recomputed from the value.  Used for least-index witness selection.
     """
     heap = []
 
-    def push_value(x):
-        heapq.heappush(heap, (rat_index(x), 0, x, None, None))
-
-    def push_interval(a, b, sign):
-        # positive-side open interval (a, b), emitted values multiplied by sign
-        if a is not None and b is not None and a >= b:
+    def push(sign, k, a, b, left, right):
+        # gap (a, b) of the subtree (left, right) whose root has index k,
+        # times sign; each run goes above the bits so far, below the top 1
+        if a[0] * b[1] >= b[0] * a[1]:
             return
-        m = _meeting_node(a, b)
-        heapq.heappush(heap, (rat_index(sign * m), 1, sign * m, a, b))
+        node, left, right, runs = _descend(a, b, left, right)
+        d = k.bit_length() - 1
+        k ^= 1 << d
+        for is_right, j in runs:
+            if is_right:
+                k |= ((1 << j) - 1) << d
+            d += j
+        k |= 1 << d
+        heapq.heappush(heap, (2 * k - (sign > 0), sign, k, node, left, right, a, b))
 
-    zero = Fraction(0)
-    inside_zero = (lo is None or lo < 0) and (hi is None or hi > 0)
-    if inside_zero:
-        push_value(zero)
-    # positive side: (max(lo,0), hi) intersected with (0, inf)
-    plo = None if (lo is None or lo <= 0) else lo
-    phi = None if hi is None else hi
-    if phi is None or phi > 0:
-        push_interval(plo, phi, 1)
-    # negative side reflected: x in (lo, min(hi,0)) <=> -x in (max(-hi... )
-    nlo = None if (hi is None or hi >= 0) else -hi
-    nhi = None if lo is None else -lo
-    if nhi is None or nhi > 0:
-        push_interval(nlo, nhi, -1)
-
+    if (lo is None or lo < 0) and (hi is None or hi > 0):
+        yield Fraction(0)
+    zero, inf = (0, 1), (1, 0)
+    push(1, 1, zero if lo is None or lo <= 0 else lo.as_integer_ratio(),
+         inf if hi is None else hi.as_integer_ratio(), zero, inf)
+    push(-1, 1, zero if hi is None or hi >= 0 else (-hi).as_integer_ratio(),
+         inf if lo is None else (-lo).as_integer_ratio(), zero, inf)
     while heap:
-        _, tag, x, a, b = heapq.heappop(heap)
-        yield x
-        if tag == 1:
-            sign = 1 if x > 0 else -1
-            m = abs(x)
-            push_interval(a, m, sign)
-            push_interval(m, b, sign)
+        _, sign, k, node, left, right, a, b = heapq.heappop(heap)
+        yield Fraction(sign * node[0], node[1])
+        push(sign, k, a, node, left, right)
+        push(sign, k, node, b, left, right)
 
 
 def least_index_in_interval(lo, hi, pred: Optional[Callable[[Rat], bool]] = None,
                             limit: int = 200000) -> Rat:
     """Least-enumeration-index rational in the open interval (lo, hi)
-    satisfying pred.  Deterministic; raises if the scan cap is hit."""
+    satisfying pred.  Deterministic; raises SearchExhausted when the scan
+    passes `limit` candidates."""
     for i, x in enumerate(enumerated_in_interval(lo, hi)):
         if pred is None or pred(x):
             return x
         if i >= limit:
             break
-    raise RuntimeError("witness search exhausted")
+    raise SearchExhausted("least-index witness search", f"limit={limit}",
+                          lo, hi)
 
 
 # ---------------------------------------------------------------------------

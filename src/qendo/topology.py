@@ -153,7 +153,8 @@ def _piecewise_least_difference(f: PiecewiseEndo, g: PiecewiseEndo) -> Optional[
         # at one crossing point, so the witness scan ends quickly
         offer(least_index_in_interval(
             lo, hi, pred=lambda x: fc.eval(x) != gc.eval(x)))
-    assert best is not None, "distinct canonical forms differ somewhere"
+    if best is None:
+        raise AssertionError("distinct canonical forms differ nowhere")
     return best
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from qendo import lazyiso
 from qendo.cli import main
 
 STEP_MAP = "(-inf,0) : 1*x + 0\n[0,+inf) : 1*x + 1\n"
@@ -225,3 +226,13 @@ def test_generic_deterministic(capsys):
 
 def out_count_red(text: str) -> int:
     return text.count("(red)")
+
+
+def test_exhausted_search_exits_3(monkeypatch, capsys):
+    # with a negative cap the back-and-forth may scan no candidate at all
+    monkeypatch.setattr(lazyiso, "FAULT_CAP", -1)
+    code = main(["generic", "core", "--points", "3"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: back-and-forth search for a partner of ")
+    assert "FAULT_CAP=-1 in the gap" in captured.err

@@ -1,12 +1,14 @@
 """Certified generic embedding tests."""
 
 import itertools
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qendo import generic
 from qendo.endo import affine_map, constant_map, identity_map
 from qendo.generic import (
     EQUAL_VERDICT,
@@ -23,7 +25,7 @@ from qendo.generic import (
 )
 from qendo.lazyiso import Marker
 from qendo.partialmap import EMPTY_MAP, FinitePartialMap
-from qendo.ratcore import Colour, RatInterval, nth_rational
+from qendo.ratcore import Colour, RatInterval, SearchExhausted, nth_rational
 
 SAMPLE = [nth_rational(i) for i in range(40)]
 
@@ -115,6 +117,26 @@ def test_blue_and_red_between_image_classes():
     assert cert.colour_of_index(red) == Colour.RED
     rep = cert.representative(red)
     assert a < rep < b
+
+
+def test_class_search_cap_raises_search_exhausted(monkeypatch):
+    # with a cap of 0 only the first class of the gap is looked at, so the
+    # search for the other colour gives up
+    g, cert = generic_embedding("core")
+    qa, qb = cert.class_of(g.eval(F(0))), cert.class_of(g.eval(F(1)))
+    first = next(iter(cert.index_order.enum_in_gap(qa, qb)))
+    monkeypatch.setattr(generic, "SEARCH_CAP", 0)
+    if cert.colour_of_index(first) == Colour.RED:
+        assert cert.red_index_between(qa, qb) == first
+        search, name = cert.blue_index_between, "blue"
+    else:
+        assert cert.blue_index_between(qa, qb) == first
+        search, name = cert.red_index_between, "red"
+    fmt = cert.index_order.format_el
+    gap = re.escape(f"in the gap ({fmt(qa)}, {fmt(qb)})")
+    with pytest.raises(SearchExhausted,
+                       match=f"{name} class search .*SEARCH_CAP=0 {gap}"):
+        search(qa, qb)
 
 
 def test_bounded_variants():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from qendo import lazyiso
 from qendo.lazyiso import (
     ColouredQ,
     ConstraintViolation,
@@ -26,6 +27,7 @@ from qendo.lazyiso import (
 from qendo.ratcore import (
     Colour,
     RatInterval,
+    SearchExhausted,
     colour,
     interval_rationals,
     nth_rational,
@@ -122,6 +124,20 @@ def _integers_in_gap(lo, hi):
             n += 1
     import itertools
     return itertools.islice(gen(), 10_000)
+
+
+def test_fault_cap_raises_search_exhausted(monkeypatch):
+    # partners must have denominator > 5; the first such candidate comes
+    # after more than 3 others in the enumeration
+    wanted = LabelConstraint("denominator", lambda x: True,
+                             lambda y: y.denominator > 5)
+    assert build(FullQ(), FullQ(), constraints=[wanted]).eval_fwd(F(0)) == F(4, 7)
+    monkeypatch.setattr(lazyiso, "FAULT_CAP", 3)
+    iso = build(FullQ(), FullQ(), constraints=[wanted])
+    with pytest.raises(SearchExhausted,
+                       match=r"partner of 0 .*FAULT_CAP=3 in the gap \(-inf, \+inf\)"):
+        iso.eval_fwd(F(0))
+    assert iso.memo_pairs() == ()
 
 
 def test_set_stabilization_routes_members():

@@ -282,3 +282,154 @@ def test_interval_rationals_order():
     want = [x for n in range(200) for x in [nth_rational(n)]
             if F(0) <= x <= F(1)][:6]
     assert got == want
+
+
+# ---------------------------------------------------------------------------
+# the integer Stern-Brocot walk against the Fraction implementation it
+# replaced
+# ---------------------------------------------------------------------------
+
+import heapq  # noqa: E402
+import itertools  # noqa: E402
+import math  # noqa: E402
+
+from qendo import ratcore  # noqa: E402
+from qendo.ratcore import SearchExhausted  # noqa: E402
+
+
+def _oracle_rat_index(x):
+    # bit-string index: 1, then the parent steps read top-down
+    if x == 0:
+        return 0
+    p, q = abs(x).numerator, abs(x).denominator
+    runs = []
+    while (p, q) != (1, 1):
+        if p > q:
+            k = (p - 1) // q
+            runs.append(("1", k))
+            p -= k * q
+        else:
+            k = (q - 1) // p
+            runs.append(("0", k))
+            q -= k * p
+    k = int("1" + "".join(bit * k for bit, k in reversed(runs)), 2)
+    return 2 * k - 1 if x > 0 else 2 * k
+
+
+def _oracle_simplest(lo, hi):
+    # Fraction reciprocal recursion on the continued fraction
+    if lo is None and hi is None:
+        return F(0)
+    if lo is None:
+        f = math.floor(hi)
+        return F(f if f < hi else f - 1)
+    if hi is None:
+        return F(math.floor(lo) + 1)
+    if lo < 0 < hi:
+        return F(0)
+    if hi <= 0:
+        return -_oracle_simplest(-hi, -lo)
+    n = math.floor(lo)
+    if n + 1 < hi:
+        return F(n + 1)
+    if lo == n:
+        return n + 1 / F(math.floor(1 / (hi - n)) + 1)
+    return n + 1 / _oracle_simplest(1 / (hi - n), 1 / (lo - n))
+
+
+def _oracle_meeting_node(lo, hi):
+    # one mediant step at a time
+    p_lo, q_lo, p_hi, q_hi = 0, 1, 1, 0
+    p, q = 1, 1
+    while True:
+        m = F(p, q)
+        if lo is not None and m <= lo:
+            p_lo, q_lo = p, q
+        elif hi is not None and m >= hi:
+            p_hi, q_hi = p, q
+        else:
+            return m
+        p, q = p_lo + p_hi, q_lo + q_hi
+
+
+def _oracle_enumerated(lo, hi):
+    # heap keyed by an index recomputed from every value
+    heap = []
+
+    def push(a, b, sign):
+        if a is not None and b is not None and a >= b:
+            return
+        m = sign * _oracle_meeting_node(a, b)
+        heapq.heappush(heap, (_oracle_rat_index(m), m, a, b))
+
+    if (lo is None or lo < 0) and (hi is None or hi > 0):
+        heapq.heappush(heap, (0, F(0), None, None))
+    if hi is None or hi > 0:
+        push(None if lo is None or lo <= 0 else lo, hi, 1)
+    if lo is None or lo < 0:
+        push(None if hi is None or hi >= 0 else -hi,
+             None if lo is None else -lo, -1)
+    while heap:
+        _, x, a, b = heapq.heappop(heap)
+        yield x
+        if x != 0:
+            push(a, abs(x), 1 if x > 0 else -1)
+            push(abs(x), b, 1 if x > 0 else -1)
+
+
+def _check_against_oracle(lo, hi):
+    assert simplest_between(lo, hi) == _oracle_simplest(lo, hi)
+    got = list(itertools.islice(enumerated_in_interval(lo, hi), 25))
+    assert got == list(itertools.islice(_oracle_enumerated(lo, hi), 25))
+    indices = [rat_index(x) for x in got]
+    assert all(i < j for i, j in zip(indices, indices[1:]))
+    assert all((lo is None or lo < x) and (hi is None or x < hi) for x in got)
+
+
+_BOUND = st.one_of(st.none(), st.fractions(min_value=-40, max_value=40,
+                                           max_denominator=40))
+
+
+@given(_BOUND, _BOUND)
+@settings(max_examples=300)
+def test_walk_matches_fraction_oracle(a, b):
+    # bounded, one-sided and unbounded intervals
+    if a is not None and b is not None:
+        if a == b:
+            return
+        a, b = min(a, b), max(a, b)
+    _check_against_oracle(a, b)
+
+
+_FIRST_6000 = sorted(nth_rational(n) for n in range(6000))
+
+
+@given(st.integers(0, len(_FIRST_6000) - 2))
+@settings(max_examples=300)
+def test_walk_matches_fraction_oracle_on_adjacent_enumerated_pairs(i):
+    _check_against_oracle(_FIRST_6000[i], _FIRST_6000[i + 1])
+
+
+def test_walk_far_from_zero_frozen():
+    # recorded with the one-mediant-step walk, which needed 10^5 steps here
+    walk = enumerated_in_interval(F(10 ** 5), F(10 ** 5 + 1))
+    assert list(itertools.islice(walk, 5)) == [
+        F(200001, 2), F(300001, 3), F(300002, 3), F(400001, 4), F(500003, 5)]
+
+
+def test_simplest_between_takes_runs_not_steps():
+    # a run of 177033183232 right moves, taken as one floor division
+    assert simplest_between(F(177033183232), F(2200749116387)) == 177033183233
+
+
+def test_least_index_limit_raises_search_exhausted():
+    with pytest.raises(SearchExhausted, match=r"limit=10 in the gap \(0, 1\)"):
+        least_index_in_interval(F(0), F(1), pred=lambda x: False, limit=10)
+
+
+def test_colour_witness_bound_raises_search_exhausted(monkeypatch):
+    # the first candidate in (1/3, 1/2) is 2/5, past a bound of 2
+    monkeypatch.setattr(ratcore, "DENOMINATOR_BOUND", 2)
+    with pytest.raises(SearchExhausted,
+                       match=r"DENOMINATOR_BOUND=2 in the gap \(1/3, 1/2\)"):
+        colour_witness(F(1, 3), F(1, 2), Colour.BLUE)
