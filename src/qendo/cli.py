@@ -7,9 +7,10 @@ Subcommands:
     generic VARIANT  build a certified generic embedding and show its start
     act ...          push an orbit point through a map over a forest
 
-Global flags (before the subcommand): --seed, --budget, --depth,
---format text|rows.  Exit status is 0 iff nothing failed, 2 for a usage
-or parse error, 3 when a bounded search reached its cap.
+Global flags (before the subcommand): --seed, --budget, --format
+text|rows.  Suite headers also print the ultrametric probe depth, which is
+fixed at topology.N_MAX.  Exit status is 0 iff nothing failed, 2 for a
+usage or parse error, 3 when a bounded search reached its cap.
 """
 
 from __future__ import annotations
@@ -46,8 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seed for every randomized corpus (default 20260816)")
     ap.add_argument("--budget", type=natural, default=300,
                     help="sample budget for verification loops (default 300)")
-    ap.add_argument("--depth", type=natural, default=2048,
-                    help="probe depth for the ultrametric (default 2048)")
     ap.add_argument("--format", choices=("text", "rows"), default="text",
                     dest="fmt", help="report style (default text)")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -177,8 +176,8 @@ def cmd_factorize(args, cfg: RunConfig) -> int:
 def cmd_suite(args, cfg: RunConfig) -> int:
     if args.forest is not None:
         forest = LabelledForest.parse(_read(args.forest))
-        cfg = RunConfig(seed=cfg.seed, budget=cfg.budget, depth=cfg.depth,
-                        fmt=cfg.fmt, extra_forest=forest)
+        cfg = RunConfig(seed=cfg.seed, budget=cfg.budget, fmt=cfg.fmt,
+                        extra_forest=forest)
     names: List[str] = list(SUITE_NAMES) if args.name == "all" else [args.name]
     results = [run_suite(n, cfg) for n in names]
     print("\n\n".join(r.render(cfg) for r in results))
@@ -226,8 +225,7 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    cfg = RunConfig(seed=args.seed, budget=args.budget,
-                    depth=args.depth, fmt=args.fmt)
+    cfg = RunConfig(seed=args.seed, budget=args.budget, fmt=args.fmt)
     try:
         return _COMMANDS[args.command](args, cfg)
     except (ForestError, ValueError) as exc:

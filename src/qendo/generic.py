@@ -104,8 +104,10 @@ class GenericCert:
         qhi = self.class_of(hi) if hi is not None else None
         boundary = [q for q in (qlo, qhi) if q is not None]
         if len(boundary) == 2 and not order.less(boundary[0], boundary[1]):
-            boundary = boundary[:1]
-        for q in itertools.chain(boundary, order.enum_in_gap(qlo, qhi)):
+            boundary, between = boundary[:1], ()  # no class lies between
+        else:
+            between = order.enum_in_gap(qlo, qhi)
+        for q in itertools.chain(boundary, between):
             if self.colour_of_index(q) != Colour.RED:
                 continue
             rep = self.representative(q)
@@ -113,21 +115,18 @@ class GenericCert:
                 yield rep
 
     def red_index_between(self, qlo, qhi):
-        for steps, q in enumerate(self.index_order.enum_in_gap(qlo, qhi)):
-            if steps > SEARCH_CAP:
-                break
-            if self.colour_of_index(q) == Colour.RED:
-                return q
-        raise SearchExhausted("red class search", f"SEARCH_CAP={SEARCH_CAP}",
-                              qlo, qhi, self.index_order.format_el)
+        return self._index_between(qlo, qhi, Colour.RED)
 
     def blue_index_between(self, qlo, qhi):
+        return self._index_between(qlo, qhi, Colour.BLUE)
+
+    def _index_between(self, qlo, qhi, want: Colour):
         for steps, q in enumerate(self.index_order.enum_in_gap(qlo, qhi)):
             if steps > SEARCH_CAP:
                 break
-            if self.colour_of_index(q) == Colour.BLUE:
+            if self.colour_of_index(q) == want:
                 return q
-        raise SearchExhausted("blue class search", f"SEARCH_CAP={SEARCH_CAP}",
+        raise SearchExhausted(f"{want} class search", f"SEARCH_CAP={SEARCH_CAP}",
                               qlo, qhi, self.index_order.format_el)
 
 

@@ -35,7 +35,6 @@ from .ratcore import (
     colour,
     enumerated_in_interval,
     intersect_intervals,
-    interval_rationals,
     rat_index,
 )
 
@@ -210,12 +209,16 @@ class IntervalQ(OrderSpec):
         return a < b
 
     def enum_in_gap(self, lo, hi):
-        window = intersect_intervals(self.interval, RatInterval(lo, hi))
-        return iter(()) if window is None else interval_rationals(window)
+        w = intersect_intervals(self.interval, RatInterval(lo, hi))
+        if w is None:
+            return iter(())
+        return enumerated_in_interval(w.lo, w.hi, w.lo_closed, w.hi_closed)
 
     def index_of(self, el):
         if self._scan is None:
-            self._scan = enumerate(interval_rationals(self.interval))
+            iv = self.interval
+            self._scan = enumerate(enumerated_in_interval(
+                iv.lo, iv.hi, iv.lo_closed, iv.hi_closed))
         index = self._index
         while el not in index:
             j, y = next(self._scan)
@@ -275,43 +278,47 @@ class LexSum(OrderSpec):
         for b in fibre.enum_in_gap(lo, hi):
             yield _cantor(ia, fibre.index_of(b)), (a, b)
 
-    def _merge_lanes(self, index_elements):
-        # whole fibres over index_elements, merged by index.  A whole fibre
-        # starts at fibre index 0, so lane heads ascend: the next lane is
-        # due only once the newest lane's head has been yielded.
+    def _merge_lanes(self, index_elements, lanes):
+        # the given lanes and the whole fibres over index_elements, merged
+        # by index.  A whole fibre starts at fibre index 0, so whole-fibre
+        # lane heads ascend: the next one is due only once the newest one's
+        # head has been yielded.  Indices are distinct, so the heap never
+        # compares elements.
         heap = []
+
+        def push(lane, is_head):
+            head = next(lane, None)
+            if head is not None:
+                heapq.heappush(heap, (head[0], head[1], is_head, lane))
+            return head is not None
 
         def spawn():
             for a in index_elements:
-                lane = self._lane(a, None, None)
-                head = next(lane, None)
-                if head is not None:
-                    heapq.heappush(heap, (head[0], head[1], True, lane))
+                if push(self._lane(a, None, None), True):
                     return
 
+        for lane in lanes:
+            push(lane, False)
         spawn()
         while heap:
-            key, el, is_head, lane = heapq.heappop(heap)
-            yield key, el
+            _, el, is_head, lane = heapq.heappop(heap)
+            yield el
             if is_head:
                 spawn()
-            nxt = next(lane, None)
-            if nxt is not None:
-                heapq.heappush(heap, (nxt[0], nxt[1], False, lane))
+            push(lane, False)
 
     def enum_in_gap(self, lo, hi):
         a1 = None if lo is None else lo[0]
         a2 = None if hi is None else hi[0]
         if lo is not None and hi is not None and a1 == a2:
-            lanes = [self._lane(a1, lo[1], hi[1])]  # both ends in one fibre
-        else:
-            lanes = [self._merge_lanes(self.index.enum_in_gap(a1, a2))]
-            if lo is not None:
-                lanes.append(self._lane(a1, lo[1], None))
-            if hi is not None:
-                lanes.append(self._lane(a2, None, hi[1]))
-        # indices are distinct, so the merge never compares elements
-        return (el for _, el in heapq.merge(*lanes))
+            # both ends in one fibre
+            return (el for _, el in self._lane(a1, lo[1], hi[1]))
+        lanes = []
+        if lo is not None:
+            lanes.append(self._lane(a1, lo[1], None))
+        if hi is not None:
+            lanes.append(self._lane(a2, None, hi[1]))
+        return self._merge_lanes(self.index.enum_in_gap(a1, a2), lanes)
 
     def format_el(self, el):
         a, b = el
@@ -521,6 +528,9 @@ class LazyIso:
         if i < len(self._pairs) and not self.target.less(y, self._pairs[i][1]):
             raise ConstraintViolation(
                 f"seed not order-preserving at {self.source.format_el(x)}")
+        self._insert(i, x, y)
+
+    def _insert(self, i, x, y):
         self._pairs.insert(i, (x, y))
         self._fwd[x] = y
         self._bwd[y] = x
@@ -538,13 +548,12 @@ class LazyIso:
     def _extend(self, el, side):
         # side 'target': el is a source point needing an image; 'source':
         # el is a target point needing a preimage
-        if side == "target":
-            key_idx, val_idx = 0, 1
-            less, other = self.source.less, self.target
+        forward = side == "target"
+        if forward:
+            key_idx, val_idx, own, other = 0, 1, self.source, self.target
         else:
-            key_idx, val_idx = 1, 0
-            less, other = self.target.less, self.source
-        i = self._locate(el, key_idx, less)
+            key_idx, val_idx, own, other = 1, 0, self.target, self.source
+        i = self._locate(el, key_idx, own.less)
         lo = self._pairs[i - 1][val_idx] if i > 0 else None
         hi = self._pairs[i][val_idx] if i < len(self._pairs) else None
 
@@ -556,24 +565,15 @@ class LazyIso:
         if stream is None:
             stream = other.enum_in_gap(lo, hi)
 
-        ok = ((lambda x, y: all(c.admissible(x, y) for c in self.constraints))
-              if side == "target"
-              else (lambda y, x: all(c.admissible(x, y) for c in self.constraints)))
         for steps, cand in enumerate(stream):
             if steps > FAULT_CAP:
                 break
             if not other.contains(cand):
                 continue
-            if ok(el, cand):
-                if side == "target":
-                    pair = (el, cand)
-                else:
-                    pair = (cand, el)
-                self._pairs.insert(i, pair)
-                self._fwd[pair[0]] = pair[1]
-                self._bwd[pair[1]] = pair[0]
+            x, y = (el, cand) if forward else (cand, el)
+            if all(c.admissible(x, y) for c in self.constraints):
+                self._insert(i, x, y)
                 return cand
-        own = self.source if side == "target" else self.target
         raise SearchExhausted(
             f"back-and-forth search for a partner of {own.format_el(el)}",
             f"FAULT_CAP={FAULT_CAP}", lo, hi, other.format_el)

@@ -193,24 +193,32 @@ def colour_witness(lo: Rat, hi: Rat, want: Colour) -> Rat:
         queue.append((m, b))
 
 
-def enumerated_in_interval(lo: Optional[Rat], hi: Optional[Rat]) -> Iterator[Rat]:
-    """Rationals strictly inside an open interval, in enumeration order.
+def enumerated_in_interval(lo: Optional[Rat], hi: Optional[Rat],
+                           lo_closed: bool = False,
+                           hi_closed: bool = False) -> Iterator[Rat]:
+    """Rationals in an interval, in enumeration order.
 
+    None bounds are infinite, and a finite end is in the interval where it
+    is closed; [x, x] yields x alone, and an empty interval raises
+    ValueError on the first next().
     0 comes first when it is inside.  Each side of 0 is a lazy heap walk of
     the Stern-Brocot tree, the negative side reflected: the least-index
     element of an open subinterval is its shallowest node, `_descend` finds
     it, and popping it splits the subinterval there, each half walking on
     from that node within the node's subtree.  A heap entry carries the
     node's index, extended by the runs of its walk, so no index is ever
-    recomputed from the value.  Used for least-index witness selection.
+    recomputed from the value.  A closed end other than 0 enters the same
+    heap, keyed by its own index, as an entry whose gap is empty, so
+    popping it pushes nothing.  Used for least-index witness selection.
     """
     heap = []
 
     def push(sign, k, a, b, left, right):
         # gap (a, b) of the subtree (left, right) whose root has index k,
-        # times sign; each run goes above the bits so far, below the top 1
+        # times sign; each run goes above the bits so far, below the top 1.
+        # Returns whether the gap has a node.
         if a[0] * b[1] >= b[0] * a[1]:
-            return
+            return False
         node, left, right, runs = _descend(a, b, left, right)
         d = k.bit_length() - 1
         k ^= 1 << d
@@ -220,14 +228,25 @@ def enumerated_in_interval(lo: Optional[Rat], hi: Optional[Rat]) -> Iterator[Rat
             d += j
         k |= 1 << d
         heapq.heappush(heap, (2 * k - (sign > 0), sign, k, node, left, right, a, b))
+        return True
 
-    if (lo is None or lo < 0) and (hi is None or hi > 0):
+    if ((lo is None or lo < 0 or lo_closed and lo == 0)
+            and (hi is None or hi > 0 or hi_closed and hi == 0)):
         yield Fraction(0)
     zero, inf = (0, 1), (1, 0)
-    push(1, 1, zero if lo is None or lo <= 0 else lo.as_integer_ratio(),
-         inf if hi is None else hi.as_integer_ratio(), zero, inf)
-    push(-1, 1, zero if hi is None or hi >= 0 else (-hi).as_integer_ratio(),
-         inf if lo is None else (-lo).as_integer_ratio(), zero, inf)
+    positive = push(1, 1, zero if lo is None or lo <= 0 else lo.as_integer_ratio(),
+                    inf if hi is None else hi.as_integer_ratio(), zero, inf)
+    negative = push(-1, 1, zero if hi is None or hi >= 0 else (-hi).as_integer_ratio(),
+                    inf if lo is None else (-lo).as_integer_ratio(), zero, inf)
+    # an interval without interior points is empty unless it is [x, x]
+    if not (positive or negative or lo == hi and lo_closed and hi_closed):
+        raise ValueError("empty interval" if lo_closed or hi_closed
+                         else "empty open interval")
+    for x, closed in ((lo, lo_closed), (hi, hi_closed and hi != lo)):
+        if closed and x != 0:
+            node = abs(x).as_integer_ratio()
+            heapq.heappush(heap, (rat_index(x), 1 if x > 0 else -1, 0, node,
+                                  None, None, node, node))
     while heap:
         _, sign, k, node, left, right, a, b = heapq.heappop(heap)
         yield Fraction(sign * node[0], node[1])
@@ -238,8 +257,8 @@ def enumerated_in_interval(lo: Optional[Rat], hi: Optional[Rat]) -> Iterator[Rat
 def least_index_in_interval(lo, hi, pred: Optional[Callable[[Rat], bool]] = None,
                             limit: int = 200000) -> Rat:
     """Least-enumeration-index rational in the open interval (lo, hi)
-    satisfying pred.  Deterministic; raises SearchExhausted when the scan
-    passes `limit` candidates."""
+    satisfying pred.  Deterministic; raises ValueError when the interval is
+    empty and SearchExhausted when the scan passes `limit` candidates."""
     for i, x in enumerate(enumerated_in_interval(lo, hi)):
         if pred is None or pred(x):
             return x
@@ -335,7 +354,8 @@ def point_interval(x: Rat) -> RatInterval:
 # Boundary positions form a linear order finer than Q: (1, x, -1) sits just
 # below x, (1, x, 0) at x, (1, x, +1) just above; (0,) and (2,) are the
 # infinities.  Intervals are [start, end] in position space, which turns
-# union/complement bookkeeping into order arithmetic.
+# union/complement bookkeeping into order arithmetic; the encoding makes
+# that order plain tuple comparison.
 
 _NEG = (0,)
 _POS = (2,)
@@ -353,17 +373,9 @@ def _end_pos(iv: RatInterval):
     return (1, iv.hi, 0 if iv.hi_closed else -1)
 
 
-def _pos_le(p, q) -> bool:
-    if p[0] != q[0]:
-        return p[0] < q[0]
-    if p[0] != 1:
-        return True
-    return (p[1], p[2]) <= (q[1], q[2])
-
-
 def _joinable(end, start) -> bool:
     # can [.., end] and [start, ..] be one interval? overlap or exact touch
-    if _pos_le(start, end):
+    if start <= end:
         return True
     if end[0] == 1 and start[0] == 1 and end[1] == start[1]:
         return (end[2], start[2]) in ((-1, 0), (0, 1))
@@ -371,7 +383,7 @@ def _joinable(end, start) -> bool:
 
 
 def _interval_from_positions(p, q) -> Optional[RatInterval]:
-    if not _pos_le(p, q):
+    if p > q:
         return None
     lo, lo_closed = (None, False) if p == _NEG else (p[1], p[2] == 0)
     hi, hi_closed = (None, False) if q == _POS else (q[1], q[2] == 0)
@@ -392,7 +404,7 @@ def merge_intervals(intervals) -> tuple:
     for iv in ivs:
         if out and _joinable(_end_pos(out[-1]), _start_pos(iv)):
             prev = out[-1]
-            if _pos_le(_end_pos(iv), _end_pos(prev)):
+            if _end_pos(iv) <= _end_pos(prev):
                 continue
             out[-1] = _interval_from_positions(_start_pos(prev), _end_pos(iv))
         else:
@@ -437,9 +449,8 @@ def union_gaps(canonical) -> tuple:
 
 
 def intersect_intervals(a: RatInterval, b: RatInterval) -> Optional[RatInterval]:
-    start = _start_pos(a) if _pos_le(_start_pos(b), _start_pos(a)) else _start_pos(b)
-    end = _end_pos(a) if _pos_le(_end_pos(a), _end_pos(b)) else _end_pos(b)
-    return _interval_from_positions(start, end)
+    return _interval_from_positions(max(_start_pos(a), _start_pos(b)),
+                                    min(_end_pos(a), _end_pos(b)))
 
 
 def gap_witness_point(iv: RatInterval) -> Rat:
@@ -459,17 +470,6 @@ def union_difference_witness(a_union, b_union) -> Optional[Rat]:
             if hit is not None:
                 return gap_witness_point(hit)
     return None
-
-
-def interval_rationals(iv: RatInterval) -> Iterator[Rat]:
-    """All rationals in an interval (endpoints included where closed), in
-    global enumeration order."""
-    streams = [enumerated_in_interval(iv.lo, iv.hi)]
-    if iv.lo is not None and iv.lo_closed:
-        streams.append(iter([iv.lo]))
-    if iv.hi is not None and iv.hi_closed and iv.hi != iv.lo:
-        streams.append(iter([iv.hi]))
-    return heapq.merge(*streams, key=rat_index)
 
 
 def parse_rat(text: str) -> Rat:

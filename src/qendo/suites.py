@@ -58,7 +58,7 @@ from .ratcore import (
     nth_rational,
     rat_index,
 )
-from .topology import UltraMetricContext, automorphism_near, dist
+from .topology import N_MAX, UltraMetricContext, automorphism_near, dist
 
 __all__ = [
     "RunConfig",
@@ -79,7 +79,6 @@ SUITE_NAMES = ("ratcore", "sim", "generic", "recover", "factor",
 class RunConfig:
     seed: int = 20260816
     budget: int = 300
-    depth: int = 2048
     fmt: str = "text"
     # extra forest for the actions suite corpus (validated at parse time)
     extra_forest: Optional[LabelledForest] = None
@@ -107,7 +106,7 @@ class SuiteResult:
                 f"{self.name}\t{p.name}\t{'pass' if p.ok else 'fail'}\t{p.detail}"
                 for p in self.properties)
         lines = [f"suite {self.name} "
-                 f"(seed={cfg.seed}, budget={cfg.budget}, depth={cfg.depth})"]
+                 f"(seed={cfg.seed}, budget={cfg.budget}, depth={N_MAX})"]
         for p in self.properties:
             status = "PASS" if p.ok else "FAIL"
             lines.append(f"  [{status}] {p.name}: {p.detail}")
@@ -733,7 +732,7 @@ def prefix_approximant(n: int, target) -> PiecewiseEndo:
 
 def suite_topology(cfg: RunConfig) -> SuiteResult:
     rng = _rng(cfg, "topology")
-    ctx = UltraMetricContext(depth=cfg.depth)
+    ctx = UltraMetricContext()
 
     tri_fails = 0
     for _ in range(500):

@@ -117,7 +117,6 @@ def test_factorize_zero_budget_is_not_verified(files, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--budget", "-5", "factorize", "id.map"],
-    ["--depth", "-1", "suite", "sim"],
     ["generic", "core", "--points", "-3"],
 ])
 def test_negative_counts_rejected_at_parse_time(argv, capsys):
@@ -125,6 +124,16 @@ def test_negative_counts_rejected_at_parse_time(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "must be >= 0" in capsys.readouterr().err
+
+
+def test_depth_flag_is_rejected(capsys):
+    # the probe depth is fixed at topology.N_MAX; no flag sets it
+    with pytest.raises(SystemExit) as exc:
+        main(["--depth", "0", "suite", "topology"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "qendo: error:" in captured.err
 
 
 def test_suite_pass_and_exit_zero(capsys):

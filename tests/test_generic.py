@@ -119,6 +119,17 @@ def test_blue_and_red_between_image_classes():
     assert a < rep < b
 
 
+def test_image_points_between_inside_one_class_is_empty():
+    # both ends in class q, above its representative: no image point lies
+    # between them, and no class lies between q and q
+    g, cert = generic_embedding("core")
+    q = cert.class_of(g.eval(F(0)))
+    lo, hi = (cert.index_iso.eval_bwd((q, F(c))) for c in (1, 2))
+    assert cert.class_of(lo) == cert.class_of(hi) == q
+    assert cert.representative(q) < lo < hi
+    assert list(cert.image_points_between(lo, hi)) == []
+
+
 def test_class_search_cap_raises_search_exhausted(monkeypatch):
     # with a cap of 0 only the first class of the gap is looked at, so the
     # search for the other colour gives up

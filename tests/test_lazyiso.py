@@ -29,7 +29,7 @@ from qendo.ratcore import (
     RatInterval,
     SearchExhausted,
     colour,
-    interval_rationals,
+    enumerated_in_interval,
     nth_rational,
     rat_index,
 )
@@ -269,7 +269,8 @@ def _floor_fibre_element(q, j):
     iv = _floor_preimage(q)
     if iv is None:
         return "pt" if j == 0 else None
-    return next(itertools.islice(interval_rationals(iv), j, None))
+    walk = enumerated_in_interval(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
+    return next(itertools.islice(walk, j, None))
 
 
 SUM_CASES = {

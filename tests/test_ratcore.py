@@ -201,7 +201,6 @@ from qendo.ratcore import (  # noqa: E402
     FULL_LINE,
     gap_witness_point,
     intersect_intervals,
-    interval_rationals,
     merge_intervals,
     union_contains,
     union_difference_witness,
@@ -277,7 +276,7 @@ def test_union_machinery_pointwise(raw, x):
 
 
 def test_interval_rationals_order():
-    stream = interval_rationals(iv("[0,1]"))
+    stream = enumerated_in_interval(F(0), F(1), True, True)
     got = [next(stream) for _ in range(6)]
     want = [x for n in range(200) for x in [nth_rational(n)]
             if F(0) <= x <= F(1)][:6]
@@ -422,6 +421,21 @@ def test_simplest_between_takes_runs_not_steps():
     assert simplest_between(F(177033183232), F(2200749116387)) == 177033183233
 
 
+def test_least_index_in_empty_interval_is_a_value_error():
+    with pytest.raises(ValueError, match="empty open interval"):
+        least_index_in_interval(F(1), F(0))
+
+
+def test_enumerated_in_empty_interval_is_a_value_error():
+    for lo, hi, lo_closed, hi_closed in ((F(1), F(0), False, False),
+                                         (F(1), F(0), True, True),
+                                         (F(1), F(1), False, False),
+                                         (F(1), F(1), True, False)):
+        with pytest.raises(ValueError, match="empty"):
+            next(enumerated_in_interval(lo, hi, lo_closed, hi_closed))
+    assert list(enumerated_in_interval(F(1), F(1), True, True)) == [F(1)]
+
+
 def test_least_index_limit_raises_search_exhausted():
     with pytest.raises(SearchExhausted, match=r"limit=10 in the gap \(0, 1\)"):
         least_index_in_interval(F(0), F(1), pred=lambda x: False, limit=10)
@@ -433,3 +447,38 @@ def test_colour_witness_bound_raises_search_exhausted(monkeypatch):
     with pytest.raises(SearchExhausted,
                        match=r"DENOMINATOR_BOUND=2 in the gap \(1/3, 1/2\)"):
         colour_witness(F(1, 3), F(1, 2), Colour.BLUE)
+
+
+# ---------------------------------------------------------------------------
+# closed ends join the walk in index order
+# ---------------------------------------------------------------------------
+
+_FIRST_4096 = [nth_rational(n) for n in range(4096)]
+_END = st.one_of(st.none(), st.just(F(0)),
+                 st.fractions(min_value=-5, max_value=5, max_denominator=6))
+
+
+@given(_END, _END, st.booleans(), st.booleans(), st.booleans())
+@settings(max_examples=150)
+def test_closed_ends_match_brute_force(a, b, degenerate, lo_closed, hi_closed):
+    # open, half-open, closed and degenerate intervals, 0 among the ends
+    assert all(rat_index(x) < len(_FIRST_4096) for x in (a, b) if x is not None)
+    if degenerate:
+        b = a
+    if a is not None and b is not None:
+        a, b = min(a, b), max(a, b)
+    lo_closed = lo_closed and a is not None
+    hi_closed = hi_closed and b is not None
+    walk = enumerated_in_interval(a, b, lo_closed, hi_closed)
+    if a is not None and a == b and not (lo_closed and hi_closed):
+        with pytest.raises(ValueError, match="empty"):
+            next(walk)
+        return
+    want = [x for x in _FIRST_4096
+            if (a is None or a < x or lo_closed and x == a)
+            and (b is None or x < b or hi_closed and x == b)]
+    got = list(itertools.islice(walk, len(want) + 1))
+    assert got[:len(want)] == want
+    assert all(rat_index(x) >= len(_FIRST_4096) for x in got[len(want):])
+    indices = [rat_index(x) for x in got]
+    assert all(i < j for i, j in zip(indices, indices[1:]))
