@@ -117,6 +117,7 @@ def test_factorize_zero_budget_is_not_verified(files, capsys):
 
 @pytest.mark.parametrize("argv", [
     ["--budget", "-5", "factorize", "id.map"],
+    ["--budget", "-1", "suite", "sim"],
     ["generic", "core", "--points", "-3"],
 ])
 def test_negative_counts_rejected_at_parse_time(argv, capsys):
