@@ -14,7 +14,8 @@ clone      finitary operations that are essentially unary, and their
            reconstruction and convergence properties
 topology   pointwise ultrametric on endomorphisms and clones
 suites     acceptance suites shared by the CLI and the test harness
-cli        command-line front end (classify / factorize / suite)
+cli        command-line front end (classify / factorize / suite / generic /
+           act)
 """
 
 __version__ = "0.1.0"

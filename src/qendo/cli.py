@@ -23,7 +23,7 @@ from typing import List, Optional
 from .actions import ForestError, LabelledForest, OrbitPoint, act
 from .endo import PiecewiseEndo, cancellability_witness, classify, epi_mono_factorize
 from .generic import VARIANTS, generic_embedding
-from .ratcore import SearchExhausted, format_rat, parse_rat
+from .ratcore import SearchExhausted, format_rat, nth_rational, parse_rat
 from .suites import SUITE_NAMES, RunConfig, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -145,8 +145,6 @@ def cmd_factorize(args, cfg: RunConfig) -> int:
     h = _load_map(args.file)
     fac = epi_mono_factorize(h)
     hc = h.canonical()
-    from .ratcore import nth_rational
-
     probe = [nth_rational(i) for i in range(cfg.budget)]
     bad = [x for x in probe if fac.epi.eval(fac.mono.eval(x)) != hc.eval(x)]
     mono_vals = [fac.mono.eval(x) for x in sorted(probe[:40])]
@@ -185,8 +183,6 @@ def cmd_suite(args, cfg: RunConfig) -> int:
 
 
 def cmd_generic(args, cfg: RunConfig) -> int:
-    from .ratcore import nth_rational
-
     g, cert = generic_embedding(args.variant)
     order = cert.index_order
     lines = [f"certified generic embedding, variant {args.variant}"]

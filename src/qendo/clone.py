@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .endo import ComposedEndo, PiecewiseEndo, compose
+from .endo import ComposedEndo, PiecewiseEndo, classify, compose
 from .ratcore import Rat, format_rat, nth_rational, parse_rat
 from .topology import DistResult, UltraMetricContext, dist
 
@@ -329,8 +329,6 @@ def tuple_compose_identity(f: GridOp, f2: GridOp,
                            samples: int = 200) -> CompositionIdentityReport:
     """Check that agreement on the product of the unary images transfers
     to the full composites f(h_1 x_1, ..., h_n x_n)."""
-    from .endo import classify
-
     if f.arity != f2.arity or len(hs) != f.arity:
         raise ValueError("arity mismatch")
     if f.grid != f2.grid:

@@ -31,13 +31,10 @@ from .lazyiso import (
     ColouredQ,
     Constraint,
     FullQ,
-    LabelConstraint,
     LazyIso,
     LexSum,
     Marker,
     RedPoints,
-    SetStabilization,
-    SuborderOfCert,
     build,
 )
 from .partialmap import FinitePartialMap
@@ -48,6 +45,7 @@ from .ratcore import (
     SearchExhausted,
     format_rat,
     intersect_intervals,
+    nth_rational,
     union_contains,
 )
 
@@ -62,9 +60,10 @@ SEARCH_CAP = 100_000
 
 class GenericCert:
     """Decidable-query interface onto the class structure of a certified
-    embedding.  Class indices live in `index_order` (a coloured dense
-    order, possibly with blue endpoint markers); every red index carries
-    exactly one image point, its representative."""
+    embedding.  Class indices live in `index_order` (a dense order,
+    possibly with blue endpoint markers) and are coloured by
+    `colour_of_index`; every red index carries exactly one image point,
+    its representative."""
 
     variant: str
     index_order = None
@@ -173,13 +172,8 @@ class DirectCert(GenericCert):
         return self.red_iso.eval_bwd(q)
 
     def class_points(self, q) -> Iterator[Rat]:
-        def gen():
-            i = 0
-            from .ratcore import nth_rational
-            while True:
-                yield self.index_iso.eval_bwd((q, nth_rational(i)))
-                i += 1
-        return gen()
+        return (self.index_iso.eval_bwd((q, nth_rational(i)))
+                for i in itertools.count())
 
     def memo_snapshot(self) -> str:
         return (f"variant: {self.variant}\n"
@@ -192,8 +186,9 @@ class ComposedCert(GenericCert):
 
     The composite's image points are the outer representatives whose
     outer-preimage lies in the inner image, so the outer index order is
-    kept and recoloured: an index stays red exactly when its
-    representative survives into the composite image.
+    kept and `colour_of_index` recolours it: an index stays red exactly
+    when its representative survives into the composite image.  The
+    index order's own colour_label still gives the outer colours.
 
     The presented classes refine the composite's true gap-equivalence
     (runs of classes containing no composite image point are not merged);
@@ -210,17 +205,7 @@ class ComposedCert(GenericCert):
         self.inner_preimage = inner_preimage
         self.embedding = embedding
         self.variant = outer.variant
-        base = outer.index_order
-        self.index_order = SuborderOfCert(
-            "recoloured index",
-            contains=base.contains,
-            less=base.less,
-            enum_in_gap=base.enum_in_gap,
-            colour_label=self.colour_of_index,
-            format_el=base.format_el,
-            has_min=base.has_min, has_max=base.has_max,
-            min_el=base.min_el, max_el=base.max_el,
-        )
+        self.index_order = outer.index_order
 
     def class_of(self, x: Rat):
         return self.outer.class_of(x)
@@ -390,30 +375,11 @@ def p_check(g, cert: GenericCert, p: PPair) -> List[Tuple[int, str]]:
     return out
 
 
-class ClassBlock(Constraint):
-    """Send each class onto the class its index iso prescribes."""
-
-    def __init__(self, cert: GenericCert, index_iso: LazyIso):
-        self.name = "class block"
-        self.cert = cert
-        self.index_iso = index_iso
-
-    def admissible(self, x, y):
-        return self.index_iso.eval_fwd(self.cert.class_of(x)) == self.cert.class_of(y)
-
-    def candidate_stream(self, x, lo, hi, side):
-        if side == "target":
-            q = self.index_iso.eval_fwd(self.cert.class_of(x))
-        else:
-            q = self.index_iso.eval_bwd(self.cert.class_of(x))
-        return (pt for pt in self.cert.class_points(q)
-                if (lo is None or lo < pt) and (hi is None or pt < hi))
-
-
 def extend_pair(g, cert: GenericCert, p: PPair) -> CommutingPair:
     """Grow a compatible pair (a, b) into commuting automorphisms:
-    α extends a under class-block and image-stabilization constraints,
-    and β = g⁻¹∘α∘g extends b automatically."""
+    α extends a, keeping the image of g setwise and sending each class
+    onto the class an index iso prescribes; β = g⁻¹∘α∘g extends b
+    automatically."""
     violations = p_check(g, cert, p)
     if violations:
         raise PPairError(violations)
@@ -423,15 +389,30 @@ def extend_pair(g, cert: GenericCert, p: PPair) -> CommutingPair:
         abar[cert.class_of(x)] = cert.class_of(y)
     index_iso = build(cert.index_order, cert.index_order,
                       seed=sorted(abar.items(), key=lambda it: str(it)),
-                      constraints=[LabelConstraint(
-                          "index colour",
-                          cert.index_order.colour_label,
-                          cert.index_order.colour_label)])
-    stab = SetStabilization("image of g", cert.in_image, cert.in_image,
-                            source_in_gap=cert.image_points_between,
-                            target_in_gap=cert.image_points_between)
+                      constraints=[Constraint("index colour",
+                                              cert.colour_of_index,
+                                              cert.colour_of_index)])
+
+    def image_points(x, lo, hi):
+        # image points pair with image points: search only those
+        return cert.image_points_between(lo, hi) if cert.in_image(x) else None
+
+    def block_points(index_map):
+        # the points of the class index_map assigns to x's class
+        def stream(x, lo, hi):
+            return (pt for pt in cert.class_points(index_map(cert.class_of(x)))
+                    if (lo is None or lo < pt) and (hi is None or pt < hi))
+        return stream
+
+    stab = Constraint("image of g", cert.in_image, cert.in_image,
+                      image_points, image_points)
+    block = Constraint("class block",
+                       lambda x: index_iso.eval_fwd(cert.class_of(x)),
+                       cert.class_of,
+                       block_points(index_iso.eval_bwd),
+                       block_points(index_iso.eval_fwd))
     alpha_iso = build(FullQ(), FullQ(), seed=p.a.pairs,
-                      constraints=[stab, ClassBlock(cert, index_iso)])
+                      constraints=[stab, block])
 
     def beta_fn(x):
         return cert.inverse_image(alpha_iso.eval_fwd(g.eval(x)))

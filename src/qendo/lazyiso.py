@@ -3,17 +3,23 @@
 An OrderSpec describes a countable linear order operationally: membership,
 strict comparison, and `enum_in_gap(lo, hi)`, the elements strictly between
 lo and hi (None = unbounded side) in the order's own deterministic
-enumeration.  `enum()` is that whole enumeration, `enum_in_gap(None, None)`,
+enumeration.  A gap with both ends given and lo not below hi is an error:
+enum_in_gap raises ValueError, at the call or at the first next().  A gap
+with an unbounded side is never an error, only possibly empty, as (max,
+None) is.  `enum()` is the whole enumeration, `enum_in_gap(None, None)`,
 and `index_of(el)`, where defined, is el's position in it, from 0.  A
 LexSum asks index_of of its index order and of each fibre on its own, so
-a fibre's index_of counts positions inside that fibre only.
+a fibre's index_of counts positions inside that fibre only.  `min_el` and
+`max_el` are the order's least and greatest elements, None where there
+is none.
 
 A LazyIso holds a growing finite partial isomorphism between two specs
 and extends it on demand: evaluating at a fresh point inserts the
 admissible partner of least index in the other spec's own enumeration
-(back-and-forth, made deterministic).  Constraint hooks restrict
-admissibility — label preservation and setwise stabilization — and may
-route the candidate search to a denser sub-stream.
+(back-and-forth, made deterministic).  Each Constraint admits a pair
+(x, y) when x's source key equals y's target key (a colour, membership
+of a set, the class a block map prescribes), and may route the candidate
+search to a denser sub-stream.
 
 All element values are immutable; a LazyIso mutates only its memo, so one
 instance must not be shared between concurrent evaluations.
@@ -62,8 +68,6 @@ class OrderSpec:
     """Operational description of a countable linear order; the contract
     is in the module docstring."""
 
-    has_min = False
-    has_max = False
     min_el = None
     max_el = None
 
@@ -80,9 +84,6 @@ class OrderSpec:
         """Elements strictly between lo and hi (None = unbounded side), in
         the order of enum()."""
         raise NotImplementedError
-
-    def colour_label(self, el) -> Optional[Colour]:
-        return None
 
     def format_el(self, el) -> str:
         return str(el)
@@ -115,18 +116,13 @@ class ColouredQ(OrderSpec):
     them immediately."""
 
     def __init__(self, with_min=False, with_max=False):
-        self.with_min = with_min
-        self.with_max = with_max
-        self.has_min = with_min
-        self.has_max = with_max
         self.min_el = Marker.MIN if with_min else None
         self.max_el = Marker.MAX if with_max else None
+        self._markers = tuple(m for m in (self.min_el, self.max_el) if m is not None)
 
     def contains(self, el):
-        if el is Marker.MIN:
-            return self.with_min
-        if el is Marker.MAX:
-            return self.with_max
+        if el is Marker.MIN or el is Marker.MAX:
+            return el is self.min_el or el is self.max_el
         return isinstance(el, Fraction)
 
     def less(self, a, b):
@@ -140,22 +136,17 @@ class ColouredQ(OrderSpec):
             return True
         return a < b
 
-    def _markers(self):
-        out = []
-        if self.with_min:
-            out.append(Marker.MIN)
-        if self.with_max:
-            out.append(Marker.MAX)
-        return out
-
     def enum_in_gap(self, lo, hi):
-        for m in self._markers():
+        if lo is Marker.MAX or hi is Marker.MIN:
+            # nothing lies above +end or below -end
+            if lo is not None and hi is not None:
+                raise ValueError(f"empty gap ({lo}, {hi})")
+            return
+        for m in self._markers:
             if (lo is None or self.less(lo, m)) and (hi is None or self.less(m, hi)):
                 yield m
         rlo = None if (lo is None or lo is Marker.MIN) else lo
         rhi = None if (hi is None or hi is Marker.MAX) else hi
-        if lo is Marker.MAX or hi is Marker.MIN:
-            return
         yield from enumerated_in_interval(rlo, rhi)
 
     def colour_label(self, el):
@@ -164,14 +155,13 @@ class ColouredQ(OrderSpec):
         return colour(el)
 
     def index_of(self, el):
-        markers = self._markers()
         if isinstance(el, Marker):
-            return markers.index(el)
-        return len(markers) + rat_index(el)
+            return self._markers.index(el)
+        return len(self._markers) + rat_index(el)
 
     def __repr__(self):
-        tags = [t for t, on in (("min", self.with_min), ("max", self.with_max)) if on]
-        return "ColouredQ(%s)" % ",".join(tags) if tags else "ColouredQ"
+        tags = ",".join(m.value for m in self._markers)
+        return f"ColouredQ({tags})" if tags else "ColouredQ"
 
 
 class QMinusFinite(OrderSpec):
@@ -236,6 +226,8 @@ class PointOrder(OrderSpec):
         return False
 
     def enum_in_gap(self, lo, hi):
+        if lo is not None and hi is not None:
+            raise ValueError("empty gap (pt, pt)")
         return iter(("pt",) if lo is None and hi is None else ())
 
     def index_of(self, el):
@@ -368,51 +360,11 @@ class RedPoints(OrderSpec):
         return (el for el in self.base.enum_in_gap(lo, hi)
                 if self.base.colour_label(el) == Colour.RED)
 
-    def colour_label(self, el):
-        return Colour.RED
-
     def format_el(self, el):
         return self.base.format_el(el)
 
     def __repr__(self):
         return f"RedPoints({self.base!r})"
-
-
-class SuborderOfCert(OrderSpec):
-    """A suborder carved out of a certified generic embedding's structure;
-    the certificate supplies the oracles, this class only adapts them."""
-
-    def __init__(self, name, contains, less, enum_in_gap, colour_label=None,
-                 format_el=None, has_min=False, has_max=False,
-                 min_el=None, max_el=None):
-        self.name = name
-        self._contains = contains
-        self._less = less
-        self._enum_in_gap = enum_in_gap
-        self._colour_label = colour_label
-        self._format_el = format_el
-        self.has_min = has_min
-        self.has_max = has_max
-        self.min_el = min_el
-        self.max_el = max_el
-
-    def contains(self, el):
-        return self._contains(el)
-
-    def less(self, a, b):
-        return self._less(a, b)
-
-    def enum_in_gap(self, lo, hi):
-        return self._enum_in_gap(lo, hi)
-
-    def colour_label(self, el):
-        return self._colour_label(el) if self._colour_label else None
-
-    def format_el(self, el):
-        return self._format_el(el) if self._format_el else str(el)
-
-    def __repr__(self):
-        return f"SuborderOfCert({self.name})"
 
 
 # ---------------------------------------------------------------------------
@@ -424,56 +376,31 @@ class ConstraintViolation(ValueError):
 
 
 class Constraint:
-    name = "constraint"
+    """Admit the pair (x, y) when source_key(x) == target_key(y); the
+    source key is computed first.
+
+    A stream, where given, routes the candidate search: stream(x, lo, hi)
+    returns a denser stream of candidates for the partner of x within the
+    (lo, hi) gap, or None to defer to the spec's own gap enumeration.
+    target_stream serves forward evaluation (x a source point) and
+    source_stream backward evaluation (x a target point)."""
+
+    def __init__(self, name, source_key, target_key,
+                 source_stream=None, target_stream=None):
+        self.name = name
+        self.source_key = source_key
+        self.target_key = target_key
+        self.source_stream = source_stream
+        self.target_stream = target_stream
 
     def admissible(self, x, y) -> bool:
-        raise NotImplementedError
+        return self.source_key(x) == self.target_key(y)
 
     def candidate_stream(self, x, lo, hi, side):
-        """Optional routing: a denser stream of candidates for the partner
-        of x within the (lo, hi) gap on the given side ('target' for
-        forward evaluation, 'source' for backward).  None defers to the
-        spec's own gap enumeration."""
-        return None
-
-
-class LabelConstraint(Constraint):
-    """Preserve a unary label, e.g. colour or a class index."""
-
-    def __init__(self, name, source_label, target_label):
-        self.name = name
-        self.source_label = source_label
-        self.target_label = target_label
-
-    def admissible(self, x, y):
-        return self.source_label(x) == self.target_label(y)
-
-
-class SetStabilization(Constraint):
-    """Keep a decidable set invariant: members pair with members,
-    non-members with non-members.  Member candidates are routed through
-    the set's own in-gap enumeration, which realizes 'map to the
-    least-index point of the set in the correct gap'."""
-
-    def __init__(self, name, source_member, target_member,
-                 source_in_gap=None, target_in_gap=None):
-        self.name = name
-        self.source_member = source_member
-        self.target_member = target_member
-        self.source_in_gap = source_in_gap
-        self.target_in_gap = target_in_gap
-
-    def admissible(self, x, y):
-        return self.source_member(x) == self.target_member(y)
-
-    def candidate_stream(self, x, lo, hi, side):
-        if side == "target":
-            if self.source_member(x) and self.target_in_gap is not None:
-                return self.target_in_gap(lo, hi)
-        else:
-            if self.target_member(x) and self.source_in_gap is not None:
-                return self.source_in_gap(lo, hi)
-        return None
+        """The stream for the given side ('target' for forward evaluation,
+        'source' for backward), or None when there is none."""
+        stream = self.target_stream if side == "target" else self.source_stream
+        return None if stream is None else stream(x, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +423,12 @@ class LazyIso:
         self._pairs = []  # sorted by source order
         self._fwd = {}
         self._bwd = {}
-        if source.has_min != target.has_min or source.has_max != target.has_max:
+        ends = [(x, y) for x, y in ((source.min_el, target.min_el),
+                                    (source.max_el, target.max_el))
+                if x is not None or y is not None]
+        if any(x is None or y is None for x, y in ends):
             raise ValueError("endpoint-incompatible order specs")
-        endpoint_pairs = []
-        if source.has_min:
-            endpoint_pairs.append((source.min_el, target.min_el))
-        if source.has_max:
-            endpoint_pairs.append((source.max_el, target.max_el))
-        for x, y in itertools.chain(endpoint_pairs, seed):
+        for x, y in itertools.chain(ends, seed):
             self._insert_seed(x, y)
 
     def _insert_seed(self, x, y):

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qendo import generic
-from qendo.endo import affine_map, constant_map, identity_map
+from qendo import generic, lazyiso
+from qendo.endo import PiecewiseEndo, affine_map, constant_map, identity_map
 from qendo.generic import (
     EQUAL_VERDICT,
     PPair,
@@ -361,3 +361,37 @@ def test_recover_through_composite_cert():
     assert cp.alpha.eval(s) != s
     for x in SAMPLE[:8]:
         assert cp.alpha.eval(comp.eval(x)) == comp.eval(cp.beta.eval(x))
+
+
+STEP = "(-inf,0) : 1*x + 0\n[0,+inf) : 1*x + 1\n"
+
+
+def _check_recovery(comp, cert, u, s):
+    cp = recover_witness(comp, cert, u, s)
+    assert cp.beta.eval(u) == u
+    assert cp.alpha.eval(s) != s
+    for x in (nth_rational(i) for i in range(60)):
+        assert cp.alpha.eval(comp.eval(x)) == comp.eval(cp.beta.eval(x))
+
+
+def test_recover_through_composite_cert_at_recoloured_class():
+    # 1/2 is not in f's image, so the class of s = g(1/2) is red for g but
+    # blue for the composite g∘f
+    f = PiecewiseEndo.parse(STEP)
+    g, cert = absorb(f)
+    s = cert.outer.embedding.eval(F(1, 2))
+    q = cert.class_of(s)
+    assert cert.outer.colour_of_index(q) == Colour.RED
+    assert cert.colour_of_index(q) == Colour.BLUE
+    for u in (F(0), F(2), F(-1)):
+        _check_recovery(cert.embedding, cert, u, s)
+
+
+def test_recover_through_composite_cert_past_recoloured_classes(monkeypatch):
+    # s = (g∘f)(0) moves down, so the classes of g([0,1)), red for g but
+    # blue for g∘f, are shifted by the index iso; keyed on g's colours it
+    # sends a red class of g∘f to one of them, where α then finds no
+    # image point (a small cap makes that search fail fast)
+    monkeypatch.setattr(lazyiso, "FAULT_CAP", 2000)
+    g, cert = absorb(PiecewiseEndo.parse(STEP))
+    _check_recovery(cert.embedding, cert, F(2), cert.embedding.eval(F(0)))

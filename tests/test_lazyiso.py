@@ -12,16 +12,17 @@ from hypothesis import strategies as st
 from qendo import lazyiso
 from qendo.lazyiso import (
     ColouredQ,
+    Constraint,
     ConstraintViolation,
     FactorOrder,
     FullQ,
-    LabelConstraint,
+    IntervalQ,
     LazyIso,
     LexSum,
     Marker,
+    PointOrder,
     QMinusFinite,
     RedPoints,
-    SetStabilization,
     build,
 )
 from qendo.ratcore import (
@@ -75,7 +76,7 @@ def test_punctured_target_never_hits_hole():
 
 def test_colour_preservation():
     spec = ColouredQ()
-    keep = LabelConstraint("colour", spec.colour_label, spec.colour_label)
+    keep = Constraint("colour", spec.colour_label, spec.colour_label)
     iso = build(spec, spec, seed=[(F(1, 2), F(5, 2))], constraints=[keep])
     for x in SAMPLE:
         assert colour(iso.eval_fwd(x)) == colour(x)
@@ -85,7 +86,7 @@ def test_colour_preservation():
 
 def test_seed_violation_names_constraint():
     spec = ColouredQ()
-    keep = LabelConstraint("colour", spec.colour_label, spec.colour_label)
+    keep = Constraint("colour", spec.colour_label, spec.colour_label)
     # 0 is red, 1 is blue
     with pytest.raises(ConstraintViolation, match="colour"):
         build(spec, spec, seed=[(F(0), F(1))], constraints=[keep])
@@ -112,6 +113,43 @@ def test_endpoint_mismatch_rejected():
         build(ColouredQ(with_min=True), ColouredQ())
 
 
+BOUNDED = ColouredQ(True, True)
+CLOSED_02 = IntervalQ(RatInterval(F(0), F(2), True, True))
+LINE_OF_LINES = LexSum(FullQ(), lambda a: FullQ())
+
+
+@pytest.mark.parametrize("spec, lo, hi", [
+    pytest.param(FullQ(), F(1), F(0), id="FullQ-reversed"),
+    pytest.param(FullQ(), F(1), F(1), id="FullQ-equal"),
+    pytest.param(BOUNDED, F(1), F(0), id="ColouredQ-reversed"),
+    pytest.param(BOUNDED, Marker.MIN, Marker.MIN, id="ColouredQ-min-min"),
+    pytest.param(BOUNDED, Marker.MAX, F(0), id="ColouredQ-max-0"),
+    pytest.param(BOUNDED, Marker.MAX, Marker.MIN, id="ColouredQ-max-min"),
+    pytest.param(BOUNDED, F(0), Marker.MIN, id="ColouredQ-0-min"),
+    pytest.param(QMinusFinite({F(0)}), F(1), F(-1), id="QMinusFinite-reversed"),
+    pytest.param(CLOSED_02, F(3, 2), F(1, 2), id="IntervalQ-reversed"),
+    pytest.param(CLOSED_02, F(1), F(1), id="IntervalQ-equal"),
+    pytest.param(PointOrder(), "pt", "pt", id="PointOrder-pt-pt"),
+    pytest.param(LINE_OF_LINES, (F(1), F(0)), (F(0), F(0)), id="LexSum-index-reversed"),
+    pytest.param(LINE_OF_LINES, (F(0), F(1)), (F(0), F(1)), id="LexSum-fibre-equal"),
+    pytest.param(RedPoints(ColouredQ()), F(1), F(0), id="RedPoints-reversed"),
+])
+def test_gap_not_below_is_a_value_error(spec, lo, hi):
+    # raised at the call or at the first next()
+    with pytest.raises(ValueError):
+        next(iter(spec.enum_in_gap(lo, hi)))
+
+
+@pytest.mark.parametrize("spec, lo, hi", [
+    (BOUNDED, Marker.MAX, None),
+    (BOUNDED, None, Marker.MIN),
+    (PointOrder(), "pt", None),
+    (PointOrder(), None, "pt"),
+])
+def test_gap_with_an_unbounded_side_may_be_empty(spec, lo, hi):
+    assert list(spec.enum_in_gap(lo, hi)) == []
+
+
 def _integers_in_gap(lo, hi):
     # integers strictly inside (lo, hi), by enumeration index: 0,1,-1,2,-2,...
     def gen():
@@ -129,8 +167,8 @@ def _integers_in_gap(lo, hi):
 def test_fault_cap_raises_search_exhausted(monkeypatch):
     # partners must have denominator > 5; the first such candidate comes
     # after more than 3 others in the enumeration
-    wanted = LabelConstraint("denominator", lambda x: True,
-                             lambda y: y.denominator > 5)
+    wanted = Constraint("denominator", lambda x: True,
+                        lambda y: y.denominator > 5)
     assert build(FullQ(), FullQ(), constraints=[wanted]).eval_fwd(F(0)) == F(4, 7)
     monkeypatch.setattr(lazyiso, "FAULT_CAP", 3)
     iso = build(FullQ(), FullQ(), constraints=[wanted])
@@ -142,9 +180,9 @@ def test_fault_cap_raises_search_exhausted(monkeypatch):
 
 def test_set_stabilization_routes_members():
     is_int = lambda x: x.denominator == 1
-    stab = SetStabilization("integers", is_int, is_int,
-                            source_in_gap=_integers_in_gap,
-                            target_in_gap=_integers_in_gap)
+    members = lambda x, lo, hi: _integers_in_gap(lo, hi) if is_int(x) else None
+    stab = Constraint("integers", is_int, is_int,
+                      source_stream=members, target_stream=members)
     iso = build(FullQ(), FullQ(), seed=[(F(1, 2), F(3, 2))], constraints=[stab])
     for x in SAMPLE[:120]:
         y = iso.eval_fwd(x)
@@ -327,7 +365,7 @@ def test_lex_sum_gap_enum_matches_brute_force(case, data):
 def test_determinism_across_sessions():
     def run():
         spec = ColouredQ()
-        keep = LabelConstraint("colour", spec.colour_label, spec.colour_label)
+        keep = Constraint("colour", spec.colour_label, spec.colour_label)
         iso = build(spec, spec, seed=[(F(-1), F(-3))], constraints=[keep])
         for x in SAMPLE[:80]:
             iso.eval_fwd(x)
