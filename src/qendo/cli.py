@@ -46,7 +46,9 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--seed", type=int, default=20260816,
                     help="seed for every randomized corpus (default 20260816)")
     ap.add_argument("--budget", type=natural, default=300,
-                    help="sample budget for verification loops (default 300)")
+                    help="rationals factorize checks its parts on; suites "
+                         "print it in their header but do not read it "
+                         "(default 300)")
     ap.add_argument("--format", choices=("text", "rows"), default="text",
                     dest="fmt", help="report style (default text)")
     sub = ap.add_subparsers(dest="command", required=True)

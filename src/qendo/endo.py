@@ -15,7 +15,7 @@ from isomorphism engines) and ComposedEndo chains arbitrary factors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
@@ -134,8 +134,40 @@ class PiecewiseEndo:
     # -- normal form -------------------------------------------------------
 
     def canonical(self) -> "PiecewiseEndo":
+        """The one form of this map: _tidy(), then every cut point at which
+        both neighbouring formulas agree goes to a flat neighbour, else to
+        the left one.  Equal maps have equal canonical forms.  The form is
+        computed once per map and is its own canonical form."""
+        done = self.__dict__.get("_canonical")
+        if done is None:
+            done = self._tidy()._settled()
+            object.__setattr__(done, "_canonical", done)
+            object.__setattr__(self, "_canonical", done)
+        return done
+
+    def _settled(self) -> "PiecewiseEndo":
+        pieces = list(self.pieces)
+        moved = False
+        for i in range(len(pieces) - 1):
+            left, right = pieces[i], pieces[i + 1]
+            to_left = left.slope == 0 or right.slope != 0
+            b = right.interval.lo
+            if (left.interval.hi_closed == to_left
+                    or left.value_at(b) != right.value_at(b)):
+                # held as the rule says, or the formulas part at b, as
+                # they do beside every one-point piece after _tidy()
+                continue
+            pieces[i] = replace(left, interval=replace(
+                left.interval, hi_closed=to_left))
+            pieces[i + 1] = replace(right, interval=replace(
+                right.interval, lo_closed=not to_left))
+            moved = True
+        return PiecewiseEndo(tuple(pieces)) if moved else self
+
+    def _tidy(self) -> "PiecewiseEndo":
         """Absorb degenerate pieces into neighbours sharing their value and
-        merge adjacent pieces with identical formulas."""
+        merge adjacent pieces with identical formulas; a cut point stays
+        with the piece that held it."""
         work = []
         for p in self.pieces:
             if p.interval.is_degenerate():
@@ -245,7 +277,7 @@ def compose(outer: PiecewiseEndo, inner: PiecewiseEndo) -> PiecewiseEndo:
     pieces.sort(key=lambda p: (p.interval.lo is not None,
                                p.interval.lo if p.interval.lo is not None else 0,
                                not p.interval.lo_closed))
-    return PiecewiseEndo(tuple(pieces)).canonical()
+    return PiecewiseEndo(tuple(pieces))._tidy()
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +445,7 @@ def pseudo_section(g: PiecewiseEndo, fixset=()) -> PiecewiseEndo:
     if frontier is not None:
         fv, fcovered = frontier
         emit(RatInterval(fv, None, not fcovered, False), Fraction(0), last_anchor)
-    return PiecewiseEndo(tuple(pieces)).canonical()
+    return PiecewiseEndo(tuple(pieces))._tidy()
 
 
 def right_inverse(g: PiecewiseEndo, fixset=()) -> PiecewiseEndo:

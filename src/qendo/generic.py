@@ -98,14 +98,13 @@ class GenericCert:
     def image_points_between(self, lo: Optional[Rat], hi: Optional[Rat]) -> Iterator[Rat]:
         """Image points strictly inside (lo, hi): the boundary classes'
         representatives first, then class by class along the index order."""
-        order = self.index_order
         qlo = self.class_of(lo) if lo is not None else None
         qhi = self.class_of(hi) if hi is not None else None
         boundary = [q for q in (qlo, qhi) if q is not None]
-        if len(boundary) == 2 and not order.less(boundary[0], boundary[1]):
+        if len(boundary) == 2 and not boundary[0] < boundary[1]:
             boundary, between = boundary[:1], ()  # no class lies between
         else:
-            between = order.enum_in_gap(qlo, qhi)
+            between = self.index_order.enum_in_gap(qlo, qhi)
         for q in itertools.chain(boundary, between):
             if self.colour_of_index(q) != Colour.RED:
                 continue
@@ -388,7 +387,7 @@ def extend_pair(g, cert: GenericCert, p: PPair) -> CommutingPair:
     for x, y in p.a.pairs:
         abar[cert.class_of(x)] = cert.class_of(y)
     index_iso = build(cert.index_order, cert.index_order,
-                      seed=sorted(abar.items(), key=lambda it: str(it)),
+                      seed=sorted(abar.items()),
                       constraints=[Constraint("index colour",
                                               cert.colour_of_index,
                                               cert.colour_of_index)])

@@ -1,17 +1,19 @@
 """Demand-driven order isomorphisms between countable dense linear orders.
 
-An OrderSpec describes a countable linear order operationally: membership,
-strict comparison, and `enum_in_gap(lo, hi)`, the elements strictly between
-lo and hi (None = unbounded side) in the order's own deterministic
-enumeration.  A gap with both ends given and lo not below hi is an error:
-enum_in_gap raises ValueError, at the call or at the first next().  A gap
-with an unbounded side is never an error, only possibly empty, as (max,
-None) is.  `enum()` is the whole enumeration, `enum_in_gap(None, None)`,
+An OrderSpec describes a countable linear order operationally: membership
+and `enum_in_gap(lo, hi)`, the elements strictly between lo and hi (None =
+unbounded side) in the order's own deterministic enumeration.  A gap with
+both ends given and lo not below hi is an error: enum_in_gap raises
+ValueError, at the call or at the first next().  A gap with an unbounded
+side is never an error, only possibly empty, as (max, None) is.  `enum()` is the whole enumeration, `enum_in_gap(None, None)`,
 and `index_of(el)`, where defined, is el's position in it, from 0.  A
 LexSum asks index_of of its index order and of each fibre on its own, so
 a fibre's index_of counts positions inside that fibre only.  `min_el` and
 `max_el` are the order's least and greatest elements, None where there
-is none.
+is none.  Elements of one spec compare with Python's `<` in the spec's
+order: rationals are Fractions, the adjoined endpoints are Markers that
+sort below (MIN) or above (MAX) everything else, and a LexSum's pairs
+compare as tuples.
 
 A LazyIso holds a growing finite partial isomorphism between two specs
 and extends it on demand: evaluating at a fresh point inserts the
@@ -27,10 +29,13 @@ instance must not be shared between concurrent evaluations.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import heapq
 import itertools
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
 from .ratcore import (
@@ -47,13 +52,19 @@ from .ratcore import (
 FAULT_CAP = 100_000
 
 
+@functools.total_ordering
 class Marker(Enum):
-    """Adjoined endpoint elements for index orders; always coloured blue."""
+    """Adjoined endpoint elements for index orders; always coloured blue.
+    MIN sorts below and MAX above every other element: a Fraction's
+    comparison with a Marker falls through to the Marker's reflected one."""
     MIN = "min"
     MAX = "max"
 
     def __str__(self):
         return "-end" if self is Marker.MIN else "+end"
+
+    def __lt__(self, other):
+        return self is Marker.MIN and other is not Marker.MIN
 
 
 def _cantor(i: int, j: int) -> int:
@@ -66,15 +77,13 @@ def _cantor(i: int, j: int) -> int:
 
 class OrderSpec:
     """Operational description of a countable linear order; the contract
-    is in the module docstring."""
+    is in the module docstring.  Elements carry their own order: `a < b`
+    on two elements of one spec is the spec's strict order."""
 
     min_el = None
     max_el = None
 
     def contains(self, el) -> bool:
-        raise NotImplementedError
-
-    def less(self, a, b) -> bool:
         raise NotImplementedError
 
     def enum(self) -> Iterator:
@@ -96,9 +105,6 @@ class OrderSpec:
 class FullQ(OrderSpec):
     def contains(self, el):
         return isinstance(el, Fraction)
-
-    def less(self, a, b):
-        return a < b
 
     def enum_in_gap(self, lo, hi):
         return enumerated_in_interval(lo, hi)
@@ -125,17 +131,6 @@ class ColouredQ(OrderSpec):
             return el is self.min_el or el is self.max_el
         return isinstance(el, Fraction)
 
-    def less(self, a, b):
-        if a is Marker.MIN:
-            return b is not Marker.MIN
-        if a is Marker.MAX:
-            return False
-        if b is Marker.MIN:
-            return False
-        if b is Marker.MAX:
-            return True
-        return a < b
-
     def enum_in_gap(self, lo, hi):
         if lo is Marker.MAX or hi is Marker.MIN:
             # nothing lies above +end or below -end
@@ -143,7 +138,7 @@ class ColouredQ(OrderSpec):
                 raise ValueError(f"empty gap ({lo}, {hi})")
             return
         for m in self._markers:
-            if (lo is None or self.less(lo, m)) and (hi is None or self.less(m, hi)):
+            if (lo is None or lo < m) and (hi is None or m < hi):
                 yield m
         rlo = None if (lo is None or lo is Marker.MIN) else lo
         rhi = None if (hi is None or hi is Marker.MAX) else hi
@@ -171,9 +166,6 @@ class QMinusFinite(OrderSpec):
     def contains(self, el):
         return isinstance(el, Fraction) and el not in self.excluded
 
-    def less(self, a, b):
-        return a < b
-
     def enum_in_gap(self, lo, hi):
         return (x for x in enumerated_in_interval(lo, hi)
                 if x not in self.excluded)
@@ -194,9 +186,6 @@ class IntervalQ(OrderSpec):
 
     def contains(self, el):
         return isinstance(el, Fraction) and self.interval.contains(el)
-
-    def less(self, a, b):
-        return a < b
 
     def enum_in_gap(self, lo, hi):
         w = intersect_intervals(self.interval, RatInterval(lo, hi))
@@ -222,9 +211,6 @@ class PointOrder(OrderSpec):
     def contains(self, el):
         return el == "pt"
 
-    def less(self, a, b):
-        return False
-
     def enum_in_gap(self, lo, hi):
         if lo is not None and hi is not None:
             raise ValueError("empty gap (pt, pt)")
@@ -237,8 +223,9 @@ class PointOrder(OrderSpec):
 class LexSum(OrderSpec):
     """Lexicographic sum of the orders fibre(a) over an index order.
 
-    Elements are pairs (a, b) with b in fibre(a), compared by a first and
-    then inside fibre(a).  The enumeration runs along the Cantor diagonal:
+    Elements are tuples (a, b) with b in fibre(a), so tuple order compares
+    a first and then b inside fibre(a): a fibre's elements are all of one
+    type.  The enumeration runs along the Cantor diagonal:
     index_of((a, b)) = cantor(index.index_of(a), fibre(a).index_of(b)).
     A lexicographic product is the sum with the same fibre everywhere.
     The sum is taken to be endpoint-free: where the index order has a
@@ -253,11 +240,6 @@ class LexSum(OrderSpec):
         return (isinstance(el, tuple) and len(el) == 2
                 and self.index.contains(el[0])
                 and self.fibre(el[0]).contains(el[1]))
-
-    def less(self, a, b):
-        if a[0] != b[0]:
-            return self.index.less(a[0], b[0])
-        return self.fibre(a[0]).less(a[1], b[1])
 
     def index_of(self, el):
         return _cantor(self.index.index_of(el[0]),
@@ -353,9 +335,6 @@ class RedPoints(OrderSpec):
     def contains(self, el):
         return self.base.contains(el) and self.base.colour_label(el) == Colour.RED
 
-    def less(self, a, b):
-        return self.base.less(a, b)
-
     def enum_in_gap(self, lo, hi):
         return (el for el in self.base.enum_in_gap(lo, hi)
                 if self.base.colour_label(el) == Colour.RED)
@@ -445,12 +424,12 @@ class LazyIso:
                 raise ConstraintViolation(
                     f"seed pair {self.source.format_el(x)} -> "
                     f"{self.target.format_el(y)} violates {c.name}")
-        i = self._locate(x, key_idx=0, less=self.source.less)
+        i = self._locate(x, 0)
         # order-compatibility with both neighbours
-        if i > 0 and not self.target.less(self._pairs[i - 1][1], y):
+        if i > 0 and not self._pairs[i - 1][1] < y:
             raise ConstraintViolation(
                 f"seed not order-preserving at {self.source.format_el(x)}")
-        if i < len(self._pairs) and not self.target.less(y, self._pairs[i][1]):
+        if i < len(self._pairs) and not y < self._pairs[i][1]:
             raise ConstraintViolation(
                 f"seed not order-preserving at {self.source.format_el(x)}")
         self._insert(i, x, y)
@@ -460,15 +439,8 @@ class LazyIso:
         self._fwd[x] = y
         self._bwd[y] = x
 
-    def _locate(self, el, key_idx, less):
-        lo, hi = 0, len(self._pairs)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if less(self._pairs[mid][key_idx], el):
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
+    def _locate(self, el, key_idx):
+        return bisect.bisect_left(self._pairs, el, key=itemgetter(key_idx))
 
     def _extend(self, el, side):
         # side 'target': el is a source point needing an image; 'source':
@@ -478,7 +450,7 @@ class LazyIso:
             key_idx, val_idx, own, other = 0, 1, self.source, self.target
         else:
             key_idx, val_idx, own, other = 1, 0, self.target, self.source
-        i = self._locate(el, key_idx, own.less)
+        i = self._locate(el, key_idx)
         lo = self._pairs[i - 1][val_idx] if i > 0 else None
         hi = self._pairs[i][val_idx] if i < len(self._pairs) else None
 

@@ -85,6 +85,25 @@ def test_canonical_merges_identical_formulas():
     assert split.canonical() == affine_map(F(2), F(1))
 
 
+@pytest.mark.parametrize("left_held, right_held, want", [
+    # a flat neighbour takes the cut point
+    ("(-inf,-1) : 0*x - 1\n[-1,0) : 2*x + 1\n[0,+inf) : 0*x + 4",
+     "(-inf,-1] : 0*x - 1\n(-1,0) : 2*x + 1\n[0,+inf) : 0*x + 4",
+     "(-inf,-1] : 0*x - 1\n(-1,0) : 2*x + 1\n[0,+inf) : 0*x + 4"),
+    ("(-inf,0] : 1*x + 0\n(0,+inf) : 0*x + 0",
+     "(-inf,0) : 1*x + 0\n[0,+inf) : 0*x + 0",
+     "(-inf,0) : 1*x + 0\n[0,+inf) : 0*x + 0"),
+    # between two sloped pieces the left one takes it
+    ("(-inf,0] : 1*x + 0\n(0,+inf) : 2*x + 0",
+     "(-inf,0) : 1*x + 0\n[0,+inf) : 2*x + 0",
+     "(-inf,0] : 1*x + 0\n(0,+inf) : 2*x + 0"),
+], ids=["flat-left", "flat-right", "sloped"])
+def test_canonical_settles_cut_points_both_formulas_reach(left_held, right_held, want):
+    f, g = PiecewiseEndo.parse(left_held), PiecewiseEndo.parse(right_held)
+    assert f != g
+    assert str(f.canonical()) == str(g.canonical()) == want
+
+
 def test_text_roundtrip():
     text = str(ONE_JUMP)
     assert text == "(-inf,0) : 1*x + 0\n[0,+inf) : 1*x + 1"

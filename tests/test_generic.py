@@ -102,9 +102,8 @@ def test_classes_weakly_monotone():
     g, cert = generic_embedding("core")
     pts = sorted(SAMPLE[:30])
     qs = [cert.class_of(x) for x in pts]
-    order = cert.index_order
     for q1, q2 in zip(qs, qs[1:]):
-        assert not order.less(q2, q1)
+        assert not q2 < q1
 
 
 def test_blue_and_red_between_image_classes():

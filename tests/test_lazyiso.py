@@ -214,8 +214,8 @@ def test_lex_product_order():
     imgs = {p: iso.eval_fwd(p) for p in pts}
     for p in pts:
         for q in pts:
-            if prod.less(p, q):
-                assert prod.less(imgs[p], imgs[q])
+            if p < q:
+                assert imgs[p] < imgs[q]
 
 
 def test_lex_product_enum_matches_index():
@@ -235,7 +235,7 @@ def test_lex_product_gap_enum_respects_bounds():
     idx = [prod.index_of(e) for e in got]
     assert idx == sorted(idx)
     for e in got:
-        assert prod.less(lo, e) and prod.less(e, hi)
+        assert lo < e < hi
 
 
 def _floor_preimage(q):
@@ -250,9 +250,9 @@ def test_factor_order_membership_and_order():
     assert not fo.contains((F(0), F(3, 2)))
     assert fo.contains((F(1, 2), "pt"))
     assert not fo.contains((F(0), "pt"))
-    assert fo.less((F(0), F(1, 2)), (F(1, 2), "pt"))
-    assert fo.less((F(1, 2), "pt"), (F(1), F(1)))
-    assert fo.less((F(0), F(0)), (F(0), F(2, 3)))
+    assert (F(0), F(1, 2)) < (F(1, 2), "pt")
+    assert (F(1, 2), "pt") < (F(1), F(1))
+    assert (F(0), F(0)) < (F(0), F(2, 3))
 
 
 def test_factor_order_enum_is_index_sorted():
@@ -272,7 +272,7 @@ def test_factor_order_gap_enum():
     hi = (F(1), F(1))
     got = list(itertools.islice(fo.enum_in_gap(lo, hi), 30))
     for e in got:
-        assert fo.less(lo, e) and fo.less(e, hi)
+        assert lo < e < hi
     # the whole fibre column over 1/2 sits in this gap
     assert (F(1, 2), "pt") in got
 
@@ -285,7 +285,93 @@ def test_iso_into_factor_order():
         assert fo.contains(e)
     pairs = iso.memo_pairs()
     for (x1, y1), (x2, y2) in zip(pairs, pairs[1:]):
-        assert x1 < x2 and fo.less(y1, y2)
+        assert x1 < x2 and y1 < y2
+
+
+# -- element order against a written-out reference --------------------------
+
+def _ref_less(spec, a, b):
+    # each spec's strict order spelled out spec by spec, as the specs'
+    # own comparison methods gave it before elements carried their order;
+    # it never compares a Marker or a tuple with `<`
+    if isinstance(spec, ColouredQ):
+        if a is Marker.MIN:
+            return b is not Marker.MIN
+        if a is Marker.MAX:
+            return False
+        if b is Marker.MIN:
+            return False
+        if b is Marker.MAX:
+            return True
+    elif isinstance(spec, PointOrder):
+        return False
+    elif isinstance(spec, LexSum):
+        if a[0] != b[0]:
+            return _ref_less(spec.index, a[0], b[0])
+        return _ref_less(spec.fibre(a[0]), a[1], b[1])
+    elif isinstance(spec, RedPoints):
+        return _ref_less(spec.base, a, b)
+    assert isinstance(a, F) and isinstance(b, F)
+    return a < b
+
+
+SMALL_Q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+FEW_Q = st.sampled_from([F(-1), F(0), F(1, 2), F(1)])  # repeats often
+
+
+def _coloured_case(with_min, with_max):
+    spec = ColouredQ(with_min, with_max)
+    markers = [m for m in (spec.min_el, spec.max_el) if m is not None]
+    return spec, st.one_of(SMALL_Q, *map(st.just, markers))
+
+
+_RED_SAMPLE = [x for x in SAMPLE if colour(x) == Colour.RED]
+
+ORDER_CASES = {
+    "FullQ": lambda: (FullQ(), SMALL_Q),
+    "ColouredQ": lambda: _coloured_case(False, False),
+    "ColouredQ-min": lambda: _coloured_case(True, False),
+    "ColouredQ-max": lambda: _coloured_case(False, True),
+    "ColouredQ-min-max": lambda: _coloured_case(True, True),
+    "QMinusFinite": lambda: (QMinusFinite({F(0), F(1, 2)}),
+                             SMALL_Q.filter(lambda x: x not in (0, F(1, 2)))),
+    "IntervalQ": lambda: (CLOSED_02, st.fractions(0, 2, max_denominator=6)),
+    "PointOrder": lambda: (PointOrder(), st.just("pt")),
+    "LexSum-product": lambda: (_product(), st.tuples(FEW_Q, FEW_Q)),
+    "LexSum-bounded-index": lambda: (
+        LexSum(BOUNDED, lambda a: FullQ()),
+        st.tuples(st.one_of(FEW_Q, st.sampled_from([Marker.MIN, Marker.MAX])),
+                  FEW_Q)),
+    "FactorOrder": lambda: (FactorOrder(_floor_preimage),
+                            st.sampled_from([el for _, el in
+                                             _brute_elements("factor")[:80]])),
+    "RedPoints": lambda: (RedPoints(ColouredQ()), st.sampled_from(_RED_SAMPLE)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ORDER_CASES))
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_element_order_matches_reference(case, data):
+    spec, elements = ORDER_CASES[case]()
+    a, b = data.draw(elements), data.draw(elements)
+    assert spec.contains(a) and spec.contains(b)
+    assert (a < b) == _ref_less(spec, a, b)
+    assert (b < a) == _ref_less(spec, b, a)
+    els = data.draw(st.lists(elements, max_size=12))
+    want = sorted(els, key=functools.cmp_to_key(
+        lambda u, v: -1 if _ref_less(spec, u, v) else int(_ref_less(spec, v, u))))
+    assert sorted(els) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(SMALL_Q, max_size=10), st.randoms())
+def test_sorted_puts_min_first_and_max_last(rationals, rnd):
+    els = rationals + [Marker.MAX, Marker.MIN]
+    rnd.shuffle(els)
+    got = sorted(els)
+    assert got[0] is Marker.MIN and got[-1] is Marker.MAX
+    assert got[1:-1] == sorted(rationals)
 
 
 # -- LexSum gap enumeration against brute force ------------------------------
@@ -344,7 +430,7 @@ def _sum_gaps(draw, case):
         assume(siblings)
         hi = draw(st.sampled_from(siblings))
     assume(lo is None or hi is None or lo != hi)
-    if lo is not None and hi is not None and order.less(hi, lo):
+    if lo is not None and hi is not None and _ref_less(order, hi, lo):
         lo, hi = hi, lo
     return order, lo, hi
 
@@ -355,8 +441,8 @@ def _sum_gaps(draw, case):
 def test_lex_sum_gap_enum_matches_brute_force(case, data):
     order, lo, hi = data.draw(_sum_gaps(case))
     want = [(n, el) for n, el in _brute_elements(case)
-            if (lo is None or order.less(lo, el))
-            and (hi is None or order.less(el, hi))]
+            if (lo is None or _ref_less(order, lo, el))
+            and (hi is None or _ref_less(order, el, hi))]
     stream = ((order.index_of(el), el) for el in order.enum_in_gap(lo, hi))
     got = list(itertools.takewhile(lambda pair: pair[0] < BRUTE_N, stream))
     assert got == want

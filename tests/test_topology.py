@@ -120,6 +120,14 @@ def test_dist_symmetric_and_separating(f, g):
             assert f.eval(y) == g.eval(y)
 
 
+def test_dist_of_equal_maps_that_hold_a_cut_point_differently():
+    # both formulas give -1 at -1, so the two texts describe one map
+    f = PiecewiseEndo.parse("(-inf,-1) : 0*x - 1\n[-1,0) : 2*x + 1\n[0,+inf) : 0*x + 4")
+    g = PiecewiseEndo.parse("(-inf,-1] : 0*x - 1\n(-1,0) : 2*x + 1\n[0,+inf) : 0*x + 4")
+    assert dist(CTX, f, g).value == 0
+    assert dist(CTX, g, f).value == 0
+
+
 def test_convergence_constant_sequence():
     rep = check_convergence(lambda n: identity_map(), identity_map(), 5)
     assert all(v == 0 for v in rep.values)
