@@ -17,13 +17,12 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import List, Optional
 
 from .actions import ForestError, LabelledForest, OrbitPoint, act
 from .endo import PiecewiseEndo, cancellability_witness, classify, epi_mono_factorize
 from .generic import VARIANTS, generic_embedding
-from .ratcore import SearchExhausted, format_rat, nth_rational, parse_rat
+from .ratcore import Rat, SearchExhausted, format_rat, nth_rational, parse_rat
 from .suites import SUITE_NAMES, RunConfig, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -130,8 +129,8 @@ def cmd_classify(args, cfg: RunConfig) -> int:
         c1, c2 = wit.left
         lines.append(
             "left-cancellation witness: constants at "
-            f"{format_rat(c1.eval(Fraction(0)))} and "
-            f"{format_rat(c2.eval(Fraction(0)))} compose equally through the map")
+            f"{format_rat(c1.eval(Rat(0)))} and "
+            f"{format_rat(c2.eval(Rat(0)))} compose equally through the map")
     if wit.right is None:
         lines.append("right-cancellation witness: none (map is surjective)")
     else:

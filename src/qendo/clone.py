@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .endo import ComposedEndo, PiecewiseEndo, classify, compose
@@ -375,7 +374,7 @@ class LiftReport:
         if not self.hypothesis_ok:
             return False
         for _, _, dk, m in self.rows:
-            if m is not None and dk.value > Fraction(1, 2 ** m):
+            if m is not None and dk.value > Rat(1, 2 ** m):
                 return False
         return True
 
@@ -408,7 +407,7 @@ def lift_convergence(fs: Callable[[int], object], f, j: int, k: int,
     rows = []
     for n in range(N + 1):
         d1 = dist(ctx1, fs(n), f)
-        if d1.value > Fraction(1, 2 ** n):
+        if d1.value > Rat(1, 2 ** n):
             return LiftReport(
                 False,
                 f"unary distance at n={n} is {d1} but must be at most 2^-{n}",

@@ -16,7 +16,6 @@ from isomorphism engines) and ComposedEndo chains arbitrary factors.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
 from .lazyiso import FactorOrder, FullQ, LazyIso, QMinusFinite, build
@@ -43,8 +42,8 @@ class Piece:
     intercept: Rat
 
     def __post_init__(self):
-        object.__setattr__(self, "slope", Fraction(self.slope))
-        object.__setattr__(self, "intercept", Fraction(self.intercept))
+        object.__setattr__(self, "slope", Rat(self.slope))
+        object.__setattr__(self, "intercept", Rat(self.intercept))
         if self.slope < 0:
             raise ValueError("slope must be nonnegative")
 
@@ -77,7 +76,7 @@ class Piece:
         elif right.startswith("-"):
             intercept = -parse_rat(right[1:].strip())
         elif right == "":
-            intercept = Fraction(0)
+            intercept = Rat(0)
         else:
             raise ValueError(f"cannot parse piece formula: {text!r}")
         return Piece(iv, slope, intercept)
@@ -115,7 +114,7 @@ class PiecewiseEndo:
     # -- evaluation --------------------------------------------------------
 
     def eval(self, x: Rat) -> Rat:
-        x = Fraction(x)
+        x = Rat(x)
         lo, hi = 0, len(self.pieces)
         while lo < hi:
             mid = (lo + hi) // 2
@@ -172,7 +171,7 @@ class PiecewiseEndo:
         for p in self.pieces:
             if p.interval.is_degenerate():
                 # normalize a one-point piece to a plateau formula
-                work.append(Piece(p.interval, Fraction(0), p.value_at(p.interval.lo)))
+                work.append(Piece(p.interval, Rat(0), p.value_at(p.interval.lo)))
             else:
                 work.append(p)
         n = len(work)
@@ -242,16 +241,16 @@ class PiecewiseEndo:
 
 
 def identity_map() -> PiecewiseEndo:
-    return PiecewiseEndo((Piece(RatInterval(None, None), Fraction(1), Fraction(0)),))
+    return PiecewiseEndo((Piece(RatInterval(None, None), Rat(1), Rat(0)),))
 
 
 def constant_map(v: Rat) -> PiecewiseEndo:
-    return PiecewiseEndo((Piece(RatInterval(None, None), Fraction(0), Fraction(v)),))
+    return PiecewiseEndo((Piece(RatInterval(None, None), Rat(0), Rat(v)),))
 
 
 def affine_map(slope: Rat, intercept: Rat) -> PiecewiseEndo:
-    return PiecewiseEndo((Piece(RatInterval(None, None), Fraction(slope),
-                                Fraction(intercept)),))
+    return PiecewiseEndo((Piece(RatInterval(None, None), Rat(slope),
+                                Rat(intercept)),))
 
 
 def compose(outer: PiecewiseEndo, inner: PiecewiseEndo) -> PiecewiseEndo:
@@ -261,7 +260,7 @@ def compose(outer: PiecewiseEndo, inner: PiecewiseEndo) -> PiecewiseEndo:
         if pi.slope == 0 or pi.interval.is_degenerate():
             v = pi.value_at(pi.interval.lo) if pi.interval.is_degenerate() else pi.intercept
             po = next(p for p in outer.pieces if p.interval.contains(v))
-            pieces.append(Piece(pi.interval, Fraction(0), po.value_at(v)))
+            pieces.append(Piece(pi.interval, Rat(0), po.value_at(v)))
             continue
         for po in outer.pieces:
             # pull the outer piece's interval back through the inner formula
@@ -348,14 +347,14 @@ def cancellability_witness(f: PiecewiseEndo) -> CancellabilityWitness:
     if not report.kind.surjective:
         y = report.non_surjective_value
         jump = PiecewiseEndo((
-            Piece(RatInterval(None, y), Fraction(1), Fraction(0)),
-            Piece(point_interval(y), Fraction(0), Fraction(y)),
-            Piece(RatInterval(y, None, False, False), Fraction(1), Fraction(1)),
+            Piece(RatInterval(None, y), Rat(1), Rat(0)),
+            Piece(point_interval(y), Rat(0), Rat(y)),
+            Piece(RatInterval(y, None, False, False), Rat(1), Rat(1)),
         ))
         bump = PiecewiseEndo((
-            Piece(RatInterval(None, y), Fraction(1), Fraction(0)),
-            Piece(point_interval(y), Fraction(0), Fraction(y) + 1),
-            Piece(RatInterval(y, None, False, False), Fraction(1), Fraction(1)),
+            Piece(RatInterval(None, y), Rat(1), Rat(0)),
+            Piece(point_interval(y), Rat(0), Rat(y) + 1),
+            Piece(RatInterval(y, None, False, False), Rat(1), Rat(1)),
         ))
         right = (jump, bump)
     return CancellabilityWitness(left, right)
@@ -374,7 +373,7 @@ def _section_point(iv: RatInterval) -> Rat:
     if iv.lo is not None and iv.lo_closed:
         return iv.lo
     if iv.lo is None and iv.hi is None:
-        return Fraction(0)
+        return Rat(0)
     if iv.lo is None:
         return iv.hi - 1
     if iv.hi is None:
@@ -389,7 +388,7 @@ def pseudo_section(g: PiecewiseEndo, fixset=()) -> PiecewiseEndo:
     g = g.canonical()
     preferred = {}
     for x in fixset:
-        preferred.setdefault(g.eval(Fraction(x)), Fraction(x))
+        preferred.setdefault(g.eval(Rat(x)), Rat(x))
 
     pieces = []
     # frontier: (value, covered) — values below are dealt with; `covered`
@@ -408,17 +407,17 @@ def pseudo_section(g: PiecewiseEndo, fixset=()) -> PiecewiseEndo:
             if v in preferred and p.interval.contains(preferred[v]):
                 sec = preferred[v]
             if frontier is None:
-                emit(RatInterval(None, v), Fraction(0), sec)
+                emit(RatInterval(None, v), Rat(0), sec)
             else:
                 fv, fcovered = frontier
                 if fcovered and fv == v:
                     continue  # this value already has a preimage
                 if fv < v:
                     # image gap (fv, v): fill with the last anchor
-                    emit(RatInterval(fv, v, not fcovered, False), Fraction(0), last_anchor)
+                    emit(RatInterval(fv, v, not fcovered, False), Rat(0), last_anchor)
                 elif not fcovered and fv == v:
                     pass  # v is exactly the uncovered frontier point
-            emit(point_interval(v), Fraction(0), sec)
+            emit(point_interval(v), Rat(0), sec)
             frontier = (v, True)
             last_anchor = sec
             continue
@@ -432,10 +431,10 @@ def pseudo_section(g: PiecewiseEndo, fixset=()) -> PiecewiseEndo:
                 lo, lo_closed = fv, not fcovered
             elif lo > fv:
                 emit(RatInterval(fv, lo, not fcovered, not lo_closed),
-                     Fraction(0), last_anchor)
+                     Rat(0), last_anchor)
             elif lo == fv and not lo_closed and not fcovered:
                 # single-point hole in the image: patch it with the anchor
-                emit(point_interval(fv), Fraction(0), last_anchor)
+                emit(point_interval(fv), Rat(0), last_anchor)
         emit(RatInterval(lo, J.hi, lo_closed, J.hi_closed), inv_slope, inv_intercept)
         if J.hi is None:
             frontier = None
@@ -444,7 +443,7 @@ def pseudo_section(g: PiecewiseEndo, fixset=()) -> PiecewiseEndo:
         last_anchor = p.interval.hi if p.interval.hi is not None else None
     if frontier is not None:
         fv, fcovered = frontier
-        emit(RatInterval(fv, None, not fcovered, False), Fraction(0), last_anchor)
+        emit(RatInterval(fv, None, not fcovered, False), Rat(0), last_anchor)
     return PiecewiseEndo(tuple(pieces))._tidy()
 
 
@@ -472,7 +471,7 @@ def divide(f: PiecewiseEndo, g: PiecewiseEndo) -> PiecewiseEndo:
 def idempotent_with_image(points) -> PiecewiseEndo:
     """The canonical idempotent whose image is exactly the given finite set:
     each point absorbs its half-open neighbourhood up to the midpoints."""
-    pts = sorted(Fraction(p) for p in points)
+    pts = sorted(Rat(p) for p in points)
     if not pts:
         raise ValueError("need at least one image point")
     if len(pts) != len(set(pts)):
@@ -483,11 +482,11 @@ def idempotent_with_image(points) -> PiecewiseEndo:
         if i + 1 < len(pts):
             cut = (b + pts[i + 1]) / 2
             pieces.append(Piece(RatInterval(prev_cut, cut, False, True),
-                                Fraction(0), b))
+                                Rat(0), b))
             prev_cut = cut
         else:
             pieces.append(Piece(RatInterval(prev_cut, None, False, False),
-                                Fraction(0), b))
+                                Rat(0), b))
     return PiecewiseEndo(tuple(pieces))
 
 
@@ -502,7 +501,7 @@ class LazyEndo:
     label: str = "lazy"
 
     def eval(self, x: Rat) -> Rat:
-        return self.fn(Fraction(x))
+        return self.fn(Rat(x))
 
     def __call__(self, x):
         return self.eval(x)
@@ -517,7 +516,7 @@ class ComposedEndo:
     factors: tuple
 
     def eval(self, x: Rat) -> Rat:
-        v = Fraction(x)
+        v = Rat(x)
         for f in reversed(self.factors):
             v = f.eval(v)
         return v
@@ -533,8 +532,8 @@ class ComposedEndo:
 def copoint_embedding(y: Rat) -> LazyEndo:
     """An order-embedding of the line whose image avoids exactly the point
     y's copoint obstruction: values land in Q minus {y}."""
-    iso = build(FullQ(), QMinusFinite({Fraction(y)}))
-    return LazyEndo(iso.eval_fwd, label=f"avoid {format_rat(Fraction(y))}")
+    iso = build(FullQ(), QMinusFinite({Rat(y)}))
+    return LazyEndo(iso.eval_fwd, label=f"avoid {format_rat(Rat(y))}")
 
 
 # ---------------------------------------------------------------------------
@@ -569,7 +568,7 @@ def epi_mono_factorize(h: PiecewiseEndo) -> Factorization:
         return theta.eval_fwd(x)[0]
 
     def preimage(r):
-        r = Fraction(r)
+        r = Rat(r)
         fibre = hc.point_preimage(r)
         el = (r, "pt") if fibre is None else (r, fibre.sample_point())
         return theta.eval_bwd(el)

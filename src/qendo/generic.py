@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Callable, Iterator, List, Optional, Tuple
 
 from .endo import ComposedEndo, LazyEndo, PiecewiseEndo, classify
@@ -149,25 +148,25 @@ class DirectCert(GenericCert):
 
     def _embed(self, x: Rat) -> Rat:
         q = self.red_iso.eval_fwd(x)
-        return self.index_iso.eval_bwd((q, Fraction(0)))
+        return self.index_iso.eval_bwd((q, Rat(0)))
 
     def class_of(self, x: Rat):
-        return self.index_iso.eval_fwd(Fraction(x))[0]
+        return self.index_iso.eval_fwd(Rat(x))[0]
 
     def colour_of_index(self, q) -> Colour:
         return self.index_order.colour_label(q)
 
     def representative(self, q) -> Rat:
-        return self.index_iso.eval_bwd((q, Fraction(0)))
+        return self.index_iso.eval_bwd((q, Rat(0)))
 
     def in_image(self, x: Rat) -> bool:
-        q, c = self.index_iso.eval_fwd(Fraction(x))
+        q, c = self.index_iso.eval_fwd(Rat(x))
         return c == 0 and self.colour_of_index(q) == Colour.RED
 
     def inverse_image(self, x: Rat) -> Rat:
-        q, c = self.index_iso.eval_fwd(Fraction(x))
+        q, c = self.index_iso.eval_fwd(Rat(x))
         if c != 0 or self.colour_of_index(q) != Colour.RED:
-            raise ValueError(f"{format_rat(Fraction(x))} is not an image point")
+            raise ValueError(f"{format_rat(Rat(x))} is not an image point")
         return self.red_iso.eval_bwd(q)
 
     def class_points(self, q) -> Iterator[Rat]:
@@ -251,7 +250,7 @@ def sim_related(A, x: Rat, y: Rat) -> bool:
 
     A is either a certificate (class query, exact for image-anchored use)
     or a finite tuple of RatInterval (counted exactly)."""
-    x, y = Fraction(x), Fraction(y)
+    x, y = Rat(x), Rat(y)
     if x == y:
         return True
     if isinstance(A, GenericCert):
@@ -431,7 +430,7 @@ def recover_witness(g, cert: GenericCert, u: Rat, s: Rat):
     """Either the verdict that s = g(u), or a commuting pair (α, β) with
     β(u) = u and α(s) ≠ s.  Existence of such a pair for every s ≠ g(u)
     is what lets g's values be read off from commutation alone."""
-    u, s = Fraction(u), Fraction(s)
+    u, s = Rat(u), Rat(s)
     gu = g.eval(u)
     if s == gu:
         return EQUAL_VERDICT

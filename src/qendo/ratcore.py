@@ -1,30 +1,234 @@
 """Exact rational groundwork: enumeration, two-colouring, intervals.
 
-Everything downstream works over plain `fractions.Fraction` values (aliased
-`Rat`).  The module fixes one global enumeration of the rationals (0, then
-the breadth-first Calkin-Wilf order, each positive value followed by its
-negative), a parity two-colouring whose colour classes are both dense, and
-an exact interval type used by the piecewise machinery.
+Everything downstream works over `Rat` values: a `fractions.Fraction`
+subclass whose comparisons, arithmetic and hash skip the generic
+`numbers.Rational` protocol.  Plain `Fraction` input is accepted wherever
+a rational is, and `Rat(x)` converts it.  The module fixes one global
+enumeration of the rationals (0, then the breadth-first Calkin-Wilf order,
+each positive value followed by its negative), a parity two-colouring
+whose colour classes are both dense, and an exact interval type used by
+the piecewise machinery.
 
 A positive rational's Calkin-Wilf index, in binary, is a leading 1 followed
 by its Stern-Brocot path read backwards (1 for a right move, 0 for a left
 move): the first move from the root is the lowest bit.  So the shallowest
 Stern-Brocot node of a positive interval has the least index in it, and
 the interval searches below are one integer walk down the Stern-Brocot
-tree, `_descend`, that makes Fractions only at the API boundary.
+tree, `_descend`, that makes a `Rat` only at the API boundary, with no
+gcd: every node of the tree is in lowest terms (Graham, Knuth and
+Patashnik, Concrete Mathematics 4.5).
 """
 
 from __future__ import annotations
 
 import heapq
 import math
+import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterator, Optional
 
-Rat = Fraction
+_HASH_MODULUS = sys.hash_info.modulus
+_HASH_INF = sys.hash_info.inf
+# denominator -> _inverse(denominator), for Rat.__hash__; emptied when it
+# reaches _DINV_CAP entries, so it stays bounded
+_DINV = {}
+_DINV_CAP = 1 << 14
+
+
+class Rat(Fraction):
+    """An exact rational: a `Fraction` that is always in lowest terms.
+
+    Comparisons and `+ - * /` take a fast path when the other operand is
+    exactly a `Rat`, a `Fraction` or an `int` (tested with `type(...) is`,
+    since `isinstance` against `Fraction` goes through `ABCMeta`), and the
+    arithmetic, unary `-` and `abs` return `Rat`, reduced with one gcd.
+    Every other operator, and any other operand type, is `Fraction`'s.  The
+    hash equals `Fraction`'s, so equal values of either type are one dict
+    key; the repr is `Fraction`'s too.  `Rat(x)` is `x` when x is a `Rat`
+    already.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, numerator=0, denominator=None):
+        if denominator is None:
+            t = type(numerator)
+            if t is Rat:
+                return numerator
+            if t is int:
+                return _rat(numerator, 1)
+            if t is Fraction:
+                return _rat(numerator._numerator, numerator._denominator)
+        elif type(numerator) is int and type(denominator) is int:
+            if denominator == 0:
+                raise ZeroDivisionError(f"Fraction({numerator}, 0)")
+            return _reduced(numerator, denominator)
+        return super().__new__(cls, numerator, denominator)
+
+    def __repr__(self):
+        return f"Fraction({self._numerator}, {self._denominator})"
+
+    def __hash__(self):
+        # Fraction.__hash__: |n| times the inverse of d, modulo the modulus
+        n, d = self._numerator, self._denominator
+        if d == 1:
+            return hash(n)
+        try:
+            dinv = _DINV[d]
+        except KeyError:
+            dinv = _inverse(d)
+        if not dinv:
+            return _HASH_INF if n > 0 else -_HASH_INF
+        if n > 0:
+            return hash(n * dinv)
+        h = -hash(-n * dinv)
+        return -2 if h == -1 else h
+
+    def __eq__(a, b):
+        t = type(b)
+        if t is Rat or t is Fraction:
+            return a._numerator == b._numerator and a._denominator == b._denominator
+        if t is int:
+            return a._denominator == 1 and a._numerator == b
+        return Fraction.__eq__(a, b)
+
+    def __lt__(a, b):
+        t = type(b)
+        if t is Rat or t is Fraction:
+            return a._numerator * b._denominator < b._numerator * a._denominator
+        if t is int:
+            return a._numerator < b * a._denominator
+        return Fraction.__lt__(a, b)
+
+    def __le__(a, b):
+        t = type(b)
+        if t is Rat or t is Fraction:
+            return a._numerator * b._denominator <= b._numerator * a._denominator
+        if t is int:
+            return a._numerator <= b * a._denominator
+        return Fraction.__le__(a, b)
+
+    def __gt__(a, b):
+        t = type(b)
+        if t is Rat or t is Fraction:
+            return a._numerator * b._denominator > b._numerator * a._denominator
+        if t is int:
+            return a._numerator > b * a._denominator
+        return Fraction.__gt__(a, b)
+
+    def __ge__(a, b):
+        t = type(b)
+        if t is Rat or t is Fraction:
+            return a._numerator * b._denominator >= b._numerator * a._denominator
+        if t is int:
+            return a._numerator >= b * a._denominator
+        return Fraction.__ge__(a, b)
+
+    def __add__(a, b):
+        t = type(b)
+        if t is Rat or t is Fraction:
+            da, db = a._denominator, b._denominator
+            return _reduced(a._numerator * db + b._numerator * da, da * db)
+        if t is int:
+            return _rat(a._numerator + b * a._denominator, a._denominator)
+        return Fraction.__add__(a, b)
+
+    def __radd__(a, b):
+        t = type(b)
+        if t is Fraction or t is int:
+            return a + b
+        return Fraction.__radd__(a, b)
+
+    def __sub__(a, b):
+        t = type(b)
+        if t is Rat or t is Fraction:
+            da, db = a._denominator, b._denominator
+            return _reduced(a._numerator * db - b._numerator * da, da * db)
+        if t is int:
+            return _rat(a._numerator - b * a._denominator, a._denominator)
+        return Fraction.__sub__(a, b)
+
+    def __rsub__(a, b):
+        t = type(b)
+        if t is Fraction:
+            da, db = a._denominator, b._denominator
+            return _reduced(b._numerator * da - a._numerator * db, da * db)
+        if t is int:
+            return _rat(b * a._denominator - a._numerator, a._denominator)
+        return Fraction.__rsub__(a, b)
+
+    def __mul__(a, b):
+        t = type(b)
+        if t is Rat or t is Fraction:
+            return _reduced(a._numerator * b._numerator, a._denominator * b._denominator)
+        if t is int:
+            return _reduced(a._numerator * b, a._denominator)
+        return Fraction.__mul__(a, b)
+
+    def __rmul__(a, b):
+        t = type(b)
+        if t is Fraction or t is int:
+            return a * b
+        return Fraction.__rmul__(a, b)
+
+    def __truediv__(a, b):
+        t = type(b)
+        if t is Rat or t is Fraction:
+            return _quotient(a._numerator * b._denominator, a._denominator * b._numerator)
+        if t is int:
+            return _quotient(a._numerator, a._denominator * b)
+        return Fraction.__truediv__(a, b)
+
+    def __rtruediv__(a, b):
+        t = type(b)
+        if t is Fraction:
+            return _quotient(b._numerator * a._denominator, b._denominator * a._numerator)
+        if t is int:
+            return _quotient(b * a._denominator, a._numerator)
+        return Fraction.__rtruediv__(a, b)
+
+    def __neg__(a):
+        return _rat(-a._numerator, a._denominator)
+
+    def __abs__(a):
+        return _rat(abs(a._numerator), a._denominator)
+
+
+def _inverse(d: int) -> int:
+    # d's inverse modulo _HASH_MODULUS, or 0 when d is a multiple of it
+    if len(_DINV) >= _DINV_CAP:
+        _DINV.clear()
+    try:
+        dinv = pow(d, -1, _HASH_MODULUS)
+    except ValueError:
+        dinv = 0
+    _DINV[d] = dinv
+    return dinv
+
+
+def _rat(n: int, d: int) -> Rat:
+    # n/d with d > 0 and gcd(n, d) == 1 already: no gcd, no checks
+    r = object.__new__(Rat)
+    r._numerator = n
+    r._denominator = d
+    return r
+
+
+def _reduced(n: int, d: int) -> Rat:
+    # n/d in lowest terms, for d != 0
+    g = math.gcd(n, d)
+    if d < 0:
+        g = -g
+    return _rat(n // g, d // g)
+
+
+def _quotient(n: int, d: int) -> Rat:
+    if d == 0:
+        raise ZeroDivisionError(f"Fraction({n}, 0)")
+    return _reduced(n, d)
 
 
 class Colour(Enum):
@@ -99,7 +303,7 @@ def _positive_value(k: int) -> Rat:
             p += q
         else:
             q += p
-    return Fraction(p, q)
+    return _rat(p, q)
 
 
 def nth_rational(n: int) -> Rat:
@@ -113,7 +317,7 @@ def nth_rational(n: int) -> Rat:
     if n < 0:
         raise ValueError("enumeration index must be >= 0")
     if n == 0:
-        return Fraction(0)
+        return _rat(0, 1)
     k = (n + 1) // 2
     v = _positive_value(k)
     return v if n % 2 == 1 else -v
@@ -153,19 +357,19 @@ def simplest_between(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
     if lo is not None and hi is not None and lo >= hi:
         raise ValueError("empty open interval")
     if lo is None and hi is None:
-        return Fraction(0)
+        return Rat(0)
     if lo is None:
         f = math.floor(hi)
-        return Fraction(f if f < hi else f - 1)
+        return Rat(f if f < hi else f - 1)
     if hi is None:
-        return Fraction(math.floor(lo) + 1)
+        return Rat(math.floor(lo) + 1)
     if lo < 0 < hi:
-        return Fraction(0)
+        return Rat(0)
     if hi <= 0:
         return -simplest_between(-hi, -lo)
     (p, q), _, _, _ = _descend(lo.as_integer_ratio(), hi.as_integer_ratio(),
                                (0, 1), (1, 0))
-    return Fraction(p, q)
+    return _rat(p, q)
 
 
 DENOMINATOR_BOUND = 10 ** 6
@@ -232,7 +436,7 @@ def enumerated_in_interval(lo: Optional[Rat], hi: Optional[Rat],
 
     if ((lo is None or lo < 0 or lo_closed and lo == 0)
             and (hi is None or hi > 0 or hi_closed and hi == 0)):
-        yield Fraction(0)
+        yield _rat(0, 1)
     zero, inf = (0, 1), (1, 0)
     positive = push(1, 1, zero if lo is None or lo <= 0 else lo.as_integer_ratio(),
                     inf if hi is None else hi.as_integer_ratio(), zero, inf)
@@ -249,7 +453,7 @@ def enumerated_in_interval(lo: Optional[Rat], hi: Optional[Rat],
                                   None, None, node, node))
     while heap:
         _, sign, k, node, left, right, a, b = heapq.heappop(heap)
-        yield Fraction(sign * node[0], node[1])
+        yield _rat(sign * node[0], node[1])
         push(sign, k, a, node, left, right)
         push(sign, k, node, b, left, right)
 
@@ -309,7 +513,7 @@ class RatInterval:
         if self.is_degenerate():
             return self.lo
         if self.lo is None and self.hi is None:
-            return Fraction(0)
+            return Rat(0)
         if self.lo is None:
             return self.hi - 1
         if self.hi is None:
@@ -478,8 +682,8 @@ def parse_rat(text: str) -> Rat:
     try:
         if "/" in s:
             num, den = s.split("/", 1)
-            return Fraction(int(num.strip()), int(den.strip()))
-        return Fraction(int(s))
+            return Rat(int(num.strip()), int(den.strip()))
+        return Rat(int(s))
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational: {text!r}") from exc
 

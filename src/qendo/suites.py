@@ -11,7 +11,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .actions import LabelledForest, OrbitPoint, act, containment_check, fixpoint_check, verify_action
@@ -124,9 +123,9 @@ def _rng(cfg: RunConfig, suite: str) -> random.Random:
 # ---------------------------------------------------------------------------
 
 def random_fraction(rng: random.Random, lo: int = -8, hi: int = 8,
-                    den: int = 6) -> Fraction:
+                    den: int = 6) -> Rat:
     d = rng.randint(1, den)
-    return Fraction(rng.randint(lo * d, hi * d), d)
+    return Rat(rng.randint(lo * d, hi * d), d)
 
 
 def random_monotone_endo(rng: random.Random, max_cuts: int = 4,
@@ -135,29 +134,29 @@ def random_monotone_endo(rng: random.Random, max_cuts: int = 4,
     """Weakly monotone piecewise map; optionally injective (no plateaus)
     or surjective (continuous, with sloped unbounded end pieces)."""
     ncuts = rng.randint(0, max_cuts)
-    cuts: List[Fraction] = []
+    cuts: List[Rat] = []
     while len(cuts) < ncuts:
         c = random_fraction(rng)
         if c not in cuts:
             cuts.append(c)
     cuts.sort()
-    slope_pool = [Fraction(1, 2), Fraction(1), Fraction(2)]
-    plateau_pool = slope_pool + [Fraction(0)]
+    slope_pool = [Rat(1, 2), Rat(1), Rat(2)]
+    plateau_pool = slope_pool + [Rat(0)]
     pieces = []
     level = random_fraction(rng, -5, 5, 4)
-    lo: Optional[Fraction] = None
+    lo: Optional[Rat] = None
     lo_closed = False
     for i in range(ncuts + 1):
         hi = cuts[i] if i < ncuts else None
         allow_flat = (not injective) and (not surjective or 0 < i < ncuts)
         s = rng.choice(plateau_pool if allow_flat else slope_pool)
-        anchor = lo if lo is not None else (hi - 1 if hi is not None else Fraction(0))
+        anchor = lo if lo is not None else (hi - 1 if hi is not None else Rat(0))
         intercept = level - s * anchor
         hi_closed = i < ncuts and rng.random() < 0.5
         pieces.append(Piece(RatInterval(lo, hi, lo_closed, hi_closed), s, intercept))
         if hi is not None:
-            jump = Fraction(0) if surjective else \
-                rng.choice([Fraction(0), Fraction(0), Fraction(1, 2), Fraction(2)])
+            jump = Rat(0) if surjective else \
+                rng.choice([Rat(0), Rat(0), Rat(1, 2), Rat(2)])
             level = s * hi + intercept + jump
             lo, lo_closed = hi, not hi_closed
     return PiecewiseEndo(tuple(pieces))
@@ -576,7 +575,7 @@ def suite_actions(cfg: RunConfig) -> SuiteResult:
     forests = _forest_corpus()
     if cfg.extra_forest is not None:
         forests.append(cfg.extra_forest)
-    fs = [identity_map(), constant_map(Fraction(2))] + \
+    fs = [identity_map(), constant_map(Rat(2))] + \
         [random_monotone_endo(rng) for _ in range(13)]
     total_checks = 0
     law_fails = 0
@@ -653,7 +652,7 @@ def suite_clone(cfg: RunConfig) -> SuiteResult:
     preserving = 0
     for _ in range(500):
         size, arity = combos[rng.randrange(len(combos))]
-        grid = tuple(Fraction(i) for i in range(size))
+        grid = tuple(Rat(i) for i in range(size))
         table = {args: rng.choice(grid)
                  for args in itertools.product(grid, repeat=arity)}
         op = GridOp(arity, grid, table)
@@ -674,7 +673,7 @@ def suite_clone(cfg: RunConfig) -> SuiteResult:
                     rebuilt += 1
     for size in (1, 2, 3, 4):
         for arity in (1, 2, 3):
-            grid = tuple(Fraction(i) for i in range(size))
+            grid = tuple(Rat(i) for i in range(size))
             for j in range(1, arity + 1):
                 op = GridOp.restriction(projection(arity, j), grid)
                 if not preserves_either_equal(op).preserves or \
@@ -693,9 +692,9 @@ def suite_clone(cfg: RunConfig) -> SuiteResult:
         f"{char_fails} failures")
 
     closure_fails = 0
-    unaries = [identity_map(), constant_map(Fraction(1))] + \
+    unaries = [identity_map(), constant_map(Rat(1))] + \
         [random_monotone_endo(rng, max_cuts=2) for _ in range(6)]
-    grid3 = (Fraction(0), Fraction(1), Fraction(2))
+    grid3 = (Rat(0), Rat(1), Rat(2))
     for _ in range(200):
         f = unary_op(2, rng.randint(1, 2), rng.choice(unaries))
         gs = [unary_op(2, rng.randint(1, 2), rng.choice(unaries))
@@ -722,11 +721,11 @@ def prefix_approximant(n: int, target) -> PiecewiseEndo:
     prev: Optional[Rat] = None
     for p in pts:
         pieces.append(Piece(RatInterval(prev, p, False, True),
-                            Fraction(0), target.eval(p)))
+                            Rat(0), target.eval(p)))
         prev = p
-    tail_val = target.eval(prev) if prev is not None else Fraction(1)
+    tail_val = target.eval(prev) if prev is not None else Rat(1)
     pieces.append(Piece(RatInterval(prev, None, False, False),
-                        Fraction(0), tail_val))
+                        Rat(0), tail_val))
     return PiecewiseEndo(tuple(pieces))
 
 

@@ -15,7 +15,6 @@ finitely presented piecewise maps the comparison is symbolic and exact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import isqrt
 from typing import Callable, List, Optional, Tuple
@@ -86,7 +85,7 @@ class UltraMetricContext:
 
 @dataclass(frozen=True)
 class DistResult:
-    value: Fraction
+    value: Rat
     index: Optional[int]  # least differing enumeration index, if one was found
     probe: Optional[Tuple[Rat, ...]]
     verdict: str
@@ -111,7 +110,7 @@ def _formula_at(f: PiecewiseEndo, x: Rat) -> Tuple[Rat, Rat]:
     for p in f.pieces:
         if p.interval.contains(x):
             if p.interval.is_degenerate():
-                return Fraction(0), f.eval(x)
+                return Rat(0), f.eval(x)
             return p.slope, p.intercept
     raise AssertionError("pieces tile the line")
 
@@ -163,17 +162,17 @@ def dist(ctx: UltraMetricContext, f, g) -> DistResult:
     if ctx.k == 1 and isinstance(f, PiecewiseEndo) and isinstance(g, PiecewiseEndo):
         n = _piecewise_least_difference(f, g)
         if n is None:
-            return DistResult(Fraction(0), None, None, "equal (symbolic)", True)
+            return DistResult(Rat(0), None, None, "equal (symbolic)", True)
         probe = ctx.tuple_at(n)
-        return DistResult(Fraction(1, 2 ** n), n, probe,
+        return DistResult(Rat(1, 2 ** n), n, probe,
                           f"differ at e({n}) = {format_rat(probe[0])}", True)
     for n in range(ctx.depth):
         args = ctx.tuple_at(n)
         if ctx.evaluate(f, args) != ctx.evaluate(g, args):
             shown = ", ".join(format_rat(a) for a in args)
-            return DistResult(Fraction(1, 2 ** n), n, args,
+            return DistResult(Rat(1, 2 ** n), n, args,
                               f"differ at e({n}) = ({shown})", True)
-    return DistResult(Fraction(0), None, None,
+    return DistResult(Rat(0), None, None,
                       f"indistinguishable at depth {ctx.depth}", False)
 
 
@@ -187,12 +186,12 @@ class ConvergenceReport:
     rows: Tuple[Tuple[int, DistResult], ...]
 
     @property
-    def values(self) -> Tuple[Fraction, ...]:
+    def values(self) -> Tuple[Rat, ...]:
         return tuple(r.value for _, r in self.rows)
 
     def eventually_below(self, m: int) -> bool:
         """Does some tail of the table stay strictly below 2^(-m)?"""
-        bound = Fraction(1, 2 ** m)
+        bound = Rat(1, 2 ** m)
         tail_max = None
         for _, r in reversed(self.rows):
             tail_max = r.value if tail_max is None else max(tail_max, r.value)

@@ -1,5 +1,6 @@
 """Frozen enumeration/colour values (computed by an independent oracle) plus
-property tests for the interval and search machinery."""
+property tests for the interval and search machinery, and for the Rat type
+against Fraction."""
 
 from fractions import Fraction as F
 
@@ -482,3 +483,134 @@ def test_closed_ends_match_brute_force(a, b, degenerate, lo_closed, hi_closed):
     assert all(rat_index(x) >= len(_FIRST_4096) for x in got[len(want):])
     indices = [rat_index(x) for x in got]
     assert all(i < j for i, j in zip(indices, indices[1:]))
+
+
+# ---------------------------------------------------------------------------
+# Rat against Fraction
+# ---------------------------------------------------------------------------
+
+import operator  # noqa: E402
+import sys  # noqa: E402
+
+from qendo.endo import Piece, PiecewiseEndo, compose  # noqa: E402
+from qendo.generic import generic_embedding  # noqa: E402
+from qendo.lazyiso import Marker  # noqa: E402
+from qendo.ratcore import Rat  # noqa: E402
+
+_MODULUS = sys.hash_info.modulus
+_INT = st.one_of(st.integers(-20, 20), st.integers(-10 ** 40, 10 ** 40))
+# a denominator that is a multiple of the hash modulus has no inverse
+_DEN = st.one_of(st.integers(1, 20), st.integers(1, 10 ** 40),
+                 st.sampled_from([_MODULUS - 1, _MODULUS, 2 * _MODULUS]))
+_VALUE = st.builds(F, _INT, _DEN)
+# an operand and the type it is passed as
+_OPERAND = st.one_of(_INT, _VALUE, _VALUE.map(Rat))
+_COMPARISONS = (operator.eq, operator.ne, operator.lt, operator.le,
+                operator.gt, operator.ge)
+
+
+def _same(got, want):
+    # equal value, and a Rat wherever Fraction arithmetic gives a rational
+    assert got == want
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert type(got) is Rat
+
+
+@given(_VALUE, _OPERAND)
+@settings(max_examples=300)
+def test_rat_agrees_with_fraction(x, b):
+    a = Rat(x)
+    fb = b if type(b) is int else F(b)  # b as the Fraction code sees it
+    assert type(a) is Rat and a == x
+    for op in _COMPARISONS:
+        assert op(a, b) == op(x, fb)
+        assert op(b, a) == op(fb, x)
+    for op in (operator.add, operator.sub, operator.mul):
+        _same(op(a, b), op(x, fb))
+        _same(op(b, a), op(fb, x))
+    for num, den, fnum, fden in ((a, b, x, fb), (b, a, fb, x)):
+        if den == 0:
+            with pytest.raises(ZeroDivisionError):
+                num / den
+        else:
+            _same(num / den, fnum / fden)
+    _same(-a, -x)
+    _same(abs(a), abs(x))
+    assert hash(a) == hash(x)
+    assert str(a) == str(x)
+    assert repr(a) == repr(x)
+    assert math.floor(a) == math.floor(x)
+
+
+@given(_INT)
+def test_rat_of_an_int_hashes_like_the_int(n):
+    assert hash(Rat(n)) == hash(n) == hash(F(n))
+    assert Rat(n) == n and type(Rat(n)) is Rat
+
+
+def test_rat_division_by_zero_raises():
+    for zero in (0, F(0), Rat(0)):
+        with pytest.raises(ZeroDivisionError):
+            Rat(1, 3) / zero
+    for one in (1, F(1), Rat(1)):
+        with pytest.raises(ZeroDivisionError):
+            one / Rat(0)
+    with pytest.raises(ZeroDivisionError):
+        Rat(1, 0)
+
+
+def test_rat_of_a_rat_is_itself():
+    a = Rat(3, 4)
+    assert Rat(a) is a
+    assert Rat(F(3, 4)) is not a and Rat(F(3, 4)) == a
+
+
+@given(_VALUE, st.floats(allow_nan=False, allow_infinity=True))
+def test_rat_against_markers_and_floats(x, f):
+    a = Rat(x)
+    for op in _COMPARISONS:
+        for m in Marker:
+            assert op(a, m) == op(x, m)
+            assert op(m, a) == op(m, x)
+        assert op(a, f) == op(x, f)
+        assert op(f, a) == op(f, x)
+    if math.isfinite(f):
+        assert a + f == x + f and f * a == f * x
+
+
+def test_fraction_keeps_the_slots_rat_builds_on():
+    # Rat makes lowest-terms values without a gcd by setting these slots
+    assert {"_numerator", "_denominator"} <= set(F.__slots__)
+
+
+def _all_rat(values):
+    # every rational inside values, tuples opened, is a Rat
+    for v in values:
+        if isinstance(v, tuple):
+            _all_rat(v)
+        else:
+            assert type(v) is Rat, repr(v)
+
+
+def test_values_stay_rat_end_to_end():
+    # plain Fractions in, Rats out: a Fraction that leaks into the memos
+    # takes the slow comparison and hash paths again
+    _all_rat(nth_rational(n) for n in range(50))
+    _all_rat([simplest_between(F(1, 3), F(1, 2)), simplest_between(None, F(-5, 2)),
+              simplest_between(F(7, 2), None), simplest_between(F(-1, 2), F(1, 3)),
+              simplest_between(F(-3, 4), F(-2, 3)), simplest_between(None, None)])
+    for ends in ((False, False), (True, True), (True, False), (False, True)):
+        _all_rat(itertools.islice(enumerated_in_interval(F(-3, 2), F(5, 2), *ends), 40))
+    _all_rat(enumerated_in_interval(F(2, 3), F(2, 3), True, True))
+    _all_rat(colour_witness(F(1, 3), F(1, 2), c) for c in Colour)
+    _all_rat([parse_rat("-3/4"), parse_rat("5")])
+    f = PiecewiseEndo((Piece(RatInterval(None, F(1)), F(2), F(1, 3)),
+                       Piece(RatInterval(F(1), None, True), F(1, 2), F(3))))
+    g = PiecewiseEndo((Piece(RatInterval(None, None), F(3), F(-1)),))
+    _all_rat([f.eval(F(1, 2)), f.eval(2), f.eval(F(1))])
+    fg = compose(f, g)
+    _all_rat((p.slope, p.intercept) for p in fg.pieces)
+    emb, cert = generic_embedding("core")
+    _all_rat(emb.eval(x) for x in (F(0), F(-7, 3), F(5, 2), 4))
+    for iso in (cert.red_iso, cert.index_iso):
+        _all_rat(iso.memo_pairs())
