@@ -113,19 +113,25 @@ class PiecewiseEndo:
 
     # -- evaluation --------------------------------------------------------
 
-    def eval(self, x: Rat) -> Rat:
-        x = Rat(x)
-        lo, hi = 0, len(self.pieces)
+    def piece_index(self, x: Rat) -> int:
+        """Index of the piece whose interval holds x: one binary search,
+        O(log n) piece steps for n pieces."""
+        pieces = self.pieces
+        lo, hi = 0, len(pieces)
         while lo < hi:
             mid = (lo + hi) // 2
-            piece = self.pieces[mid]
-            if piece.interval.contains(x):
-                return piece.value_at(x)
-            if _before(x, piece.interval):
+            iv = pieces[mid].interval
+            if iv.contains(x):
+                return mid
+            if _before(x, iv):
                 hi = mid
             else:
                 lo = mid + 1
         raise AssertionError(f"partition does not cover {x}")  # pragma: no cover
+
+    def eval(self, x: Rat) -> Rat:
+        x = Rat(x)
+        return self.pieces[self.piece_index(x)].value_at(x)
 
     def __call__(self, x: Rat) -> Rat:
         return self.eval(x)
@@ -254,28 +260,41 @@ def affine_map(slope: Rat, intercept: Rat) -> PiecewiseEndo:
 
 
 def compose(outer: PiecewiseEndo, inner: PiecewiseEndo) -> PiecewiseEndo:
-    """Exact composition outer(inner(x))."""
+    """Exact composition outer(inner(x)), in one left-to-right pass.
+
+    A sloped inner piece maps its interval onto its image increasingly and
+    one to one, and the images rise from piece to piece, so each inner
+    piece meets one contiguous run of outer pieces.  The run starts at the
+    outer piece holding the value at the inner piece's lower end and stops
+    at the first outer piece that starts above the image's upper end, or
+    at it unless both ends are closed.  The result's pieces come out in
+    order: O(n + m + k) piece steps for n inner, m outer and k result
+    pieces, plus one binary search per inner piece."""
+    opieces = outer.pieces
     pieces = []
     for pi in inner.pieces:
-        if pi.slope == 0 or pi.interval.is_degenerate():
-            v = pi.value_at(pi.interval.lo) if pi.interval.is_degenerate() else pi.intercept
-            po = next(p for p in outer.pieces if p.interval.contains(v))
-            pieces.append(Piece(pi.interval, Rat(0), po.value_at(v)))
+        iv = pi.interval
+        if pi.slope == 0 or iv.is_degenerate():
+            v = pi.value_at(iv.lo) if iv.is_degenerate() else pi.intercept
+            pieces.append(Piece(iv, Rat(0), outer.eval(v)))
             continue
-        for po in outer.pieces:
-            # pull the outer piece's interval back through the inner formula
+        top = None if iv.hi is None else pi.value_at(iv.hi)
+        first = 0 if iv.lo is None else outer.piece_index(pi.value_at(iv.lo))
+        for k in range(first, len(opieces)):
+            po = opieces[k]
             J = po.interval
+            if top is not None and J.lo is not None and (J.lo > top or (
+                    J.lo == top and not (J.lo_closed and iv.hi_closed))):
+                break
+            # pull the outer piece's interval back through the inner formula
             lo = None if J.lo is None else (J.lo - pi.intercept) / pi.slope
             hi = None if J.hi is None else (J.hi - pi.intercept) / pi.slope
             back = RatInterval(lo, hi, J.lo_closed, J.hi_closed)
-            region = intersect_intervals(pi.interval, back)
+            region = intersect_intervals(iv, back)
             if region is None:
                 continue
             pieces.append(Piece(region, po.slope * pi.slope,
                                 po.slope * pi.intercept + po.intercept))
-    pieces.sort(key=lambda p: (p.interval.lo is not None,
-                               p.interval.lo if p.interval.lo is not None else 0,
-                               not p.interval.lo_closed))
     return PiecewiseEndo(tuple(pieces))._tidy()
 
 

@@ -309,11 +309,13 @@ class FactorOrder(LexSum):
     Fibres are built once per q."""
 
     def __init__(self, point_preimage: Callable[[Rat], Optional[RatInterval]]):
+        # fibre is a method, not a callable stored as LexSum stores it: a
+        # bound method stored on its own instance is a reference cycle
+        self.index = FullQ()
         self.point_preimage = point_preimage
         self._fibres = {}
-        super().__init__(FullQ(), self._fibre)
 
-    def _fibre(self, q):
+    def fibre(self, q):
         fibre = self._fibres.get(q)
         if fibre is None:
             iv = self.point_preimage(q)
@@ -476,15 +478,17 @@ class LazyIso:
             f"FAULT_CAP={FAULT_CAP}", lo, hi, other.format_el)
 
     def eval_fwd(self, x):
-        if x in self._fwd:
-            return self._fwd[x]
+        y = self._fwd.get(x)  # memo values are never None
+        if y is not None:
+            return y
         if not self.source.contains(x):
             raise ValueError(f"not in source order: {x!r}")
         return self._extend(x, "target")
 
     def eval_bwd(self, y):
-        if y in self._bwd:
-            return self._bwd[y]
+        x = self._bwd.get(y)
+        if x is not None:
+            return x
         if not self.target.contains(y):
             raise ValueError(f"not in target order: {y!r}")
         return self._extend(y, "source")

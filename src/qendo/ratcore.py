@@ -486,6 +486,11 @@ class RatInterval:
     hi_closed: bool = False
 
     def __post_init__(self):
+        # bounds are kept as Rat, so they reach results with Rat's fast paths
+        if self.lo is not None and type(self.lo) is not Rat:
+            object.__setattr__(self, "lo", Rat(self.lo))
+        if self.hi is not None and type(self.hi) is not Rat:
+            object.__setattr__(self, "hi", Rat(self.hi))
         if self.lo is None and self.lo_closed:
             raise ValueError("-inf endpoint must be open")
         if self.hi is None and self.hi_closed:

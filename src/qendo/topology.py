@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Callable, List, Optional, Tuple
 
-from .endo import LazyEndo, PiecewiseEndo
+from .endo import LazyEndo, Piece, PiecewiseEndo
 from .lazyiso import FullQ, build
 from .ratcore import (
     Rat,
@@ -106,20 +106,30 @@ def _boundary_points(f: PiecewiseEndo) -> List[Rat]:
     return pts
 
 
-def _formula_at(f: PiecewiseEndo, x: Rat) -> Tuple[Rat, Rat]:
-    for p in f.pieces:
-        if p.interval.contains(x):
-            if p.interval.is_degenerate():
-                return Rat(0), f.eval(x)
-            return p.slope, p.intercept
-    raise AssertionError("pieces tile the line")
+def _walker(f: PiecewiseEndo) -> Callable[[Rat], Piece]:
+    # the piece of f holding each point of an increasing sequence, found by
+    # a cursor that only moves forward
+    pieces = f.pieces
+    i = 0
+
+    def piece_at(x: Rat) -> Piece:
+        nonlocal i
+        while not pieces[i].interval.contains(x):
+            i += 1
+        return pieces[i]
+
+    return piece_at
 
 
 def _piecewise_least_difference(f: PiecewiseEndo, g: PiecewiseEndo) -> Optional[int]:
     """Least enumeration index where the two maps differ; None if equal.
 
     Exact: the comparison is piece-by-piece on the common refinement, so
-    the answer does not depend on any probe depth.
+    the answer does not depend on any probe depth.  One pass visits each
+    region's simplest point and each cut in increasing order, with a
+    forward-only cursor into each map's pieces, so the pass takes
+    O(n + m) piece steps over the n + m pieces, besides the witness scans
+    of the regions where the formulas differ.
     """
     fc, gc = f.canonical(), g.canonical()
     if fc == gc:
@@ -132,26 +142,23 @@ def _piecewise_least_difference(f: PiecewiseEndo, g: PiecewiseEndo) -> Optional[
         if best is None or n < best:
             best = n
 
+    f_at, g_at = _walker(fc), _walker(gc)
     cuts = sorted(set(_boundary_points(fc) + _boundary_points(gc)))
-    for b in cuts:
-        if fc.eval(b) != gc.eval(b):
-            offer(b)
-    regions = []
-    prev = None
-    for b in cuts:
-        regions.append((prev, b))
-        prev = b
-    regions.append((prev, None))
-    for lo, hi in regions:
-        if lo is not None and hi is not None and lo >= hi:
-            continue
+    lo = None
+    for hi in cuts + [None]:
+        # the open region (lo, hi) lies inside one piece of each map
         mid = simplest_between(lo, hi)
-        if _formula_at(fc, mid) == _formula_at(gc, mid):
-            continue
-        # the maps differ everywhere on this open region except possibly
-        # at one crossing point, so the witness scan ends quickly
-        offer(least_index_in_interval(
-            lo, hi, pred=lambda x: fc.eval(x) != gc.eval(x)))
+        fp, gp = f_at(mid), g_at(mid)
+        if (fp.slope, fp.intercept) != (gp.slope, gp.intercept):
+            # the maps differ everywhere on this open region except possibly
+            # at one crossing point, so the witness scan ends quickly
+            offer(least_index_in_interval(
+                lo, hi, pred=lambda x: fp.value_at(x) != gp.value_at(x)))
+        if hi is not None:
+            fp, gp = f_at(hi), g_at(hi)
+            if fp.value_at(hi) != gp.value_at(hi):
+                offer(hi)
+        lo = hi
     if best is None:
         raise AssertionError("distinct canonical forms differ nowhere")
     return best

@@ -1,5 +1,7 @@
 """Piecewise map tests."""
 
+import gc
+import weakref
 from fractions import Fraction as F
 
 import pytest
@@ -23,9 +25,15 @@ from qendo.endo import (
     pseudo_section,
     right_inverse,
 )
-from qendo.ratcore import RatInterval, nth_rational, point_interval
+from qendo.ratcore import (
+    Rat,
+    RatInterval,
+    intersect_intervals,
+    nth_rational,
+    point_interval,
+)
 
-from util import monotone_endos
+from util import monotone_endos, wide_endos
 
 SAMPLE = [nth_rational(i) for i in range(60)]
 
@@ -283,6 +291,23 @@ def test_factor_order_memo_dump_golden():
         "3/2 -> pt:2, 5/3 -> im:4@3, 2 -> im:5@4, 7 -> im:6@5")
 
 
+def test_factor_order_is_freed_without_the_cyclic_collector():
+    # a FactorOrder holds no reference to itself, so dropping the
+    # factorization frees the order and its fibre cache at once
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        fac = epi_mono_factorize(STEP_FLAT)
+        for x in SAMPLE[:10]:
+            assert fac.epi.eval(fac.mono.eval(x)) == STEP_FLAT.eval(x)
+        order = weakref.ref(fac.order)
+        del fac
+        assert order() is None
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # -- randomized structure ----------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -328,3 +353,38 @@ def test_classification_consistent(f):
         assert f.point_preimage(report.non_surjective_value) is None
     if report.kind.surjective:
         assert report.missing == ()
+
+
+def _compose_oracle(outer, inner):
+    # every outer piece pulled back through every inner piece, then sorted:
+    # quadratic, kept as the reference for compose's one-pass sweep
+    pieces = []
+    for pi in inner.pieces:
+        if pi.slope == 0 or pi.interval.is_degenerate():
+            v = pi.value_at(pi.interval.lo) if pi.interval.is_degenerate() else pi.intercept
+            po = next(p for p in outer.pieces if p.interval.contains(v))
+            pieces.append(Piece(pi.interval, Rat(0), po.value_at(v)))
+            continue
+        for po in outer.pieces:
+            J = po.interval
+            lo = None if J.lo is None else (J.lo - pi.intercept) / pi.slope
+            hi = None if J.hi is None else (J.hi - pi.intercept) / pi.slope
+            back = RatInterval(lo, hi, J.lo_closed, J.hi_closed)
+            region = intersect_intervals(pi.interval, back)
+            if region is None:
+                continue
+            pieces.append(Piece(region, po.slope * pi.slope,
+                                po.slope * pi.intercept + po.intercept))
+    pieces.sort(key=lambda p: (p.interval.lo is not None,
+                               p.interval.lo if p.interval.lo is not None else 0,
+                               not p.interval.lo_closed))
+    return PiecewiseEndo(tuple(pieces))._tidy()
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_endos(), wide_endos())
+def test_compose_matches_quadratic_oracle(f, g):
+    for outer, inner in ((f, g), (g, f), (f, f)):
+        got, want = compose(outer, inner), _compose_oracle(outer, inner)
+        assert got == want
+        assert str(got) == str(want)

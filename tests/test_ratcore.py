@@ -492,7 +492,7 @@ def test_closed_ends_match_brute_force(a, b, degenerate, lo_closed, hi_closed):
 import operator  # noqa: E402
 import sys  # noqa: E402
 
-from qendo.endo import Piece, PiecewiseEndo, compose  # noqa: E402
+from qendo.endo import Piece, PiecewiseEndo, compose, pseudo_section  # noqa: E402
 from qendo.generic import generic_embedding  # noqa: E402
 from qendo.lazyiso import Marker  # noqa: E402
 from qendo.ratcore import Rat  # noqa: E402
@@ -604,12 +604,18 @@ def test_values_stay_rat_end_to_end():
     _all_rat(enumerated_in_interval(F(2, 3), F(2, 3), True, True))
     _all_rat(colour_witness(F(1, 3), F(1, 2), c) for c in Colour)
     _all_rat([parse_rat("-3/4"), parse_rat("5")])
+    iv = RatInterval(F(-1, 3), F(5, 2), True)
+    _all_rat([iv.lo, iv.hi])
     f = PiecewiseEndo((Piece(RatInterval(None, F(1)), F(2), F(1, 3)),
-                       Piece(RatInterval(F(1), None, True), F(1, 2), F(3))))
-    g = PiecewiseEndo((Piece(RatInterval(None, None), F(3), F(-1)),))
+                       Piece(RatInterval(F(1), F(2), True), F(0), F(5)),
+                       Piece(RatInterval(F(2), None, True), F(1, 2), F(6))))
+    g = PiecewiseEndo((Piece(RatInterval(None, F(-1, 2)), F(3), F(-1)),
+                       Piece(RatInterval(F(-1, 2), None, True), F(1), F(1, 2))))
     _all_rat([f.eval(F(1, 2)), f.eval(2), f.eval(F(1))])
-    fg = compose(f, g)
-    _all_rat((p.slope, p.intercept) for p in fg.pieces)
+    for h in (compose(f, g), compose(g, f), pseudo_section(g), pseudo_section(f)):
+        for p in h.pieces:
+            _all_rat(b for b in (p.interval.lo, p.interval.hi) if b is not None)
+            _all_rat([p.slope, p.intercept])
     emb, cert = generic_embedding("core")
     _all_rat(emb.eval(x) for x in (F(0), F(-7, 3), F(5, 2), 4))
     for iso in (cert.red_iso, cert.index_iso):

@@ -13,7 +13,14 @@ from qendo.endo import (
     constant_map,
     identity_map,
 )
-from qendo.ratcore import RatInterval, nth_rational, rat_index
+from qendo.ratcore import (
+    Rat,
+    RatInterval,
+    least_index_in_interval,
+    nth_rational,
+    rat_index,
+    simplest_between,
+)
 from qendo.topology import (
     N_MAX,
     ConvergenceReport,
@@ -24,7 +31,7 @@ from qendo.topology import (
     subbasic_contains,
 )
 
-from util import monotone_endos
+from util import monotone_endos, wide_endos
 
 CTX = UltraMetricContext()
 
@@ -126,6 +133,73 @@ def test_dist_of_equal_maps_that_hold_a_cut_point_differently():
     g = PiecewiseEndo.parse("(-inf,-1] : 0*x - 1\n(-1,0) : 2*x + 1\n[0,+inf) : 0*x + 4")
     assert dist(CTX, f, g).value == 0
     assert dist(CTX, g, f).value == 0
+
+
+def _formula_at(f, x):
+    for p in f.pieces:
+        if p.interval.contains(x):
+            if p.interval.is_degenerate():
+                return Rat(0), f.eval(x)
+            return p.slope, p.intercept
+    raise AssertionError("pieces tile the line")
+
+
+def _least_difference_oracle(f, g):
+    # the least differing enumeration index, searching the pieces afresh
+    # for every cut and region: the reference for dist's one-pass walk
+    fc, gc = f.canonical(), g.canonical()
+    if fc == gc:
+        return None
+    found = []
+    cuts = sorted({b for h in (fc, gc) for p in h.pieces
+                   for b in (p.interval.lo, p.interval.hi) if b is not None})
+    for b in cuts:
+        if fc.eval(b) != gc.eval(b):
+            found.append(rat_index(b))
+    for lo, hi in zip([None] + cuts, cuts + [None]):
+        mid = simplest_between(lo, hi)
+        if _formula_at(fc, mid) != _formula_at(gc, mid):
+            found.append(rat_index(least_index_in_interval(
+                lo, hi, pred=lambda x: fc.eval(x) != gc.eval(x))))
+    return min(found)
+
+
+def _perturbed(f, i, t):
+    # f with piece i given another formula, 0 < t <= 1/2 choosing it; the
+    # new values stay between those of the neighbouring pieces at the
+    # cuts, so the result is weakly monotone again
+    pieces = list(f.pieces)
+    p = pieces[i]
+    iv = p.interval
+    left = pieces[i - 1].value_at(iv.lo) if i > 0 else None
+    right = pieces[i + 1].value_at(iv.hi) if i + 1 < len(pieces) else None
+    if iv.is_degenerate():
+        v = p.value_at(iv.lo)
+        lo_v = v - 1 if left is None else left
+        hi_v = v + 1 if right is None else right
+        pieces[i] = Piece(iv, F(0), lo_v + t * (hi_v - lo_v))
+    elif left is not None and right is not None:
+        a, b = left + t * (right - left), right - t * (right - left)
+        slope = (b - a) / (iv.hi - iv.lo)
+        pieces[i] = Piece(iv, slope, a - slope * iv.lo)
+    elif right is not None:
+        pieces[i] = Piece(iv, p.slope, right - t - p.slope * iv.hi)
+    elif left is not None:
+        pieces[i] = Piece(iv, p.slope, left + t - p.slope * iv.lo)
+    else:
+        pieces[i] = Piece(iv, p.slope, p.intercept + t)
+    return PiecewiseEndo(tuple(pieces))
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_endos(), wide_endos(), st.data())
+def test_dist_matches_per_region_oracle(f, g, data):
+    i = data.draw(st.integers(0, len(f.pieces) - 1))
+    t = data.draw(st.fractions(min_value=F(1, 8), max_value=F(1, 2),
+                               max_denominator=8))
+    for h in (g, _perturbed(f, i, t), f):
+        for a, b in ((f, h), (h, f)):
+            assert dist(CTX, a, b).index == _least_difference_oracle(a, b)
 
 
 def test_convergence_constant_sequence():
