@@ -246,10 +246,16 @@ def preserves_either_equal(op: GridOp) -> RhoReport:
     have disjoint change supports (each column of the quadruple must then
     hold the equality on the side it is free in), so the decision runs
     over row pairs instead of row quadruples — same quantifier, factored.
+    One pass: each change pair is checked against the first pair of every
+    support seen so far, at most 2^arity - 1 of them, oldest first.  The
+    first pair of a support comes no later than any other pair with it, so
+    the witness is the one a scan over all earlier pairs finds: the first
+    pair that has a disjoint earlier pair, with the earliest of those.
     """
-    seen: List[Tuple[Tuple[Rat, ...], Tuple[Rat, ...], int]] = []
+    # support mask -> its first change pair; a dict keeps insertion order
+    first: Dict[int, Tuple[Tuple[Rat, ...], Tuple[Rat, ...]]] = {}
     for a, b, mask in _change_pairs(op):
-        for a2, b2, mask2 in seen:
+        for mask2, (a2, b2) in first.items():
             if mask & mask2 == 0:
                 # reduce both pairs to single-coordinate changes for the
                 # witness display; supports stay disjoint so the changing
@@ -261,7 +267,7 @@ def preserves_either_equal(op: GridOp) -> RhoReport:
                 return RhoReport(False, (
                     (x, op.table[x]), (x2, op.table[x2]),
                     (z, op.table[z]), (z2, op.table[z2])))
-        seen.append((a, b, mask))
+        first.setdefault(mask, (a, b))
     return RhoReport(True)
 
 

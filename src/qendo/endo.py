@@ -15,13 +15,16 @@ from isomorphism engines) and ComposedEndo chains arbitrary factors.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
+from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
 from .lazyiso import FactorOrder, FullQ, LazyIso, QMinusFinite, build
 from .ratcore import (
     Rat,
     RatInterval,
+    _reduced,
     format_rat,
     gap_witness_point,
     intersect_intervals,
@@ -48,7 +51,20 @@ class Piece:
             raise ValueError("slope must be nonnegative")
 
     def value_at(self, x: Rat) -> Rat:
-        return self.slope * x + self.intercept
+        """slope*x + intercept for a Rat, Fraction or int x: the intercept
+        itself on a plateau, else one Rat built from the integer parts,
+        reduced with one gcd."""
+        s, c = self.slope, self.intercept
+        if not s._numerator:
+            return c
+        t = type(x)
+        if t is Rat or t is Fraction:
+            n, d = x._numerator, x._denominator
+        else:
+            n, d = x.numerator, x.denominator
+        cd = c._denominator
+        sd_d = s._denominator * d
+        return _reduced(s._numerator * n * cd + c._numerator * sd_d, sd_d * cd)
 
     def image(self) -> RatInterval:
         iv = self.interval
@@ -82,13 +98,6 @@ class Piece:
         return Piece(iv, slope, intercept)
 
 
-def _before(x: Rat, iv: RatInterval) -> bool:
-    # x lies strictly to the left of the interval
-    if iv.lo is None:
-        return False
-    return x < iv.lo or (x == iv.lo and not iv.lo_closed)
-
-
 @dataclass(frozen=True)
 class PiecewiseEndo:
     pieces: Tuple[Piece, ...]
@@ -110,27 +119,26 @@ class PiecewiseEndo:
                 raise ValueError(f"boundary {b} must belong to exactly one piece")
             if left.value_at(b) > right.value_at(b):
                 raise ValueError(f"values decrease across the boundary at {b}")
+        # every piece's lower end but the first, in order; a one-point
+        # piece repeats its cut
+        object.__setattr__(self, "_cuts", tuple(p.interval.lo for p in pieces[1:]))
 
     # -- evaluation --------------------------------------------------------
 
     def piece_index(self, x: Rat) -> int:
-        """Index of the piece whose interval holds x: one binary search,
-        O(log n) piece steps for n pieces."""
-        pieces = self.pieces
-        lo, hi = 0, len(pieces)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            iv = pieces[mid].interval
-            if iv.contains(x):
-                return mid
-            if _before(x, iv):
-                hi = mid
-            else:
-                lo = mid + 1
-        raise AssertionError(f"partition does not cover {x}")  # pragma: no cover
+        """Index of the piece whose interval holds x: one bisect over the
+        cuts, O(log n) comparisons for n pieces, then one == test that
+        hands a cut x to the piece on its left when the piece starting at
+        x leaves it open."""
+        cuts = self._cuts
+        k = bisect_right(cuts, x)
+        if k and not self.pieces[k].interval.lo_closed and x == cuts[k - 1]:
+            return k - 1
+        return k
 
     def eval(self, x: Rat) -> Rat:
-        x = Rat(x)
+        if type(x) is not Rat:
+            x = Rat(x)
         return self.pieces[self.piece_index(x)].value_at(x)
 
     def __call__(self, x: Rat) -> Rat:
@@ -142,13 +150,15 @@ class PiecewiseEndo:
         """The one form of this map: _tidy(), then every cut point at which
         both neighbouring formulas agree goes to a flat neighbour, else to
         the left one.  Equal maps have equal canonical forms.  The form is
-        computed once per map and is its own canonical form."""
+        computed once per map and is its own canonical form, which it
+        marks with True rather than a reference to itself, so dropping a
+        map frees it without the cyclic collector."""
         done = self.__dict__.get("_canonical")
         if done is None:
-            done = self._tidy()._settled()
-            object.__setattr__(done, "_canonical", done)
+            done = self._tidy()._settled()  # always a new map
+            object.__setattr__(done, "_canonical", True)
             object.__setattr__(self, "_canonical", done)
-        return done
+        return self if done is True else done
 
     def _settled(self) -> "PiecewiseEndo":
         pieces = list(self.pieces)
@@ -577,7 +587,7 @@ def epi_mono_factorize(h: PiecewiseEndo) -> Factorization:
     its solution interval (or a single point when q is never attained);
     theta identifies that order with the plain line on demand."""
     hc = h.canonical()
-    order = FactorOrder(hc.point_preimage)
+    order = FactorOrder(hc)
     theta = build(FullQ(), order)
 
     def mono_fn(x):

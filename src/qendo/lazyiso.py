@@ -36,11 +36,10 @@ import itertools
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from .ratcore import (
     Colour,
-    Rat,
     RatInterval,
     SearchExhausted,
     colour,
@@ -306,19 +305,33 @@ class FactorOrder(LexSum):
     """The order that factors a weakly monotone map h: the sum over FullQ
     whose fibre over q is the (convex) solution interval of h(y) = q, with
     elements (q, y), or the one element (q, 'pt') when q is never attained.
-    Fibres are built once per q."""
 
-    def __init__(self, point_preimage: Callable[[Rat], Optional[RatInterval]]):
+    FactorOrder(h) takes any h with `eval` and `point_preimage`.  A pair
+    (q, y) with y rational is a member exactly when h.eval(y) == q, one
+    evaluation and no fibre; (q, 'pt'), gap enumeration and index_of go
+    through the fibres, built once per q from h.point_preimage."""
+
+    def __init__(self, h):
         # fibre is a method, not a callable stored as LexSum stores it: a
         # bound method stored on its own instance is a reference cycle
         self.index = FullQ()
-        self.point_preimage = point_preimage
+        self.h = h
         self._fibres = {}
+
+    def contains(self, el):
+        if not (isinstance(el, tuple) and len(el) == 2):
+            return False
+        q, y = el
+        if not isinstance(q, Fraction):
+            return False
+        if isinstance(y, Fraction):
+            return self.h.eval(y) == q
+        return self.fibre(q).contains(y)
 
     def fibre(self, q):
         fibre = self._fibres.get(q)
         if fibre is None:
-            iv = self.point_preimage(q)
+            iv = self.h.point_preimage(q)
             fibre = self._fibres[q] = PointOrder() if iv is None else IntervalQ(iv)
         return fibre
 

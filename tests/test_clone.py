@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qendo.clone import (
     FinitaryOp,
     GridOp,
+    RhoReport,
     clone_compose,
     essential_positions,
     lift_convergence,
@@ -20,6 +21,7 @@ from qendo.clone import (
     unary_op,
     unary_reconstruction,
 )
+from qendo.clone import _change_pairs, _single_step
 from qendo.endo import (
     Piece,
     PiecewiseEndo,
@@ -177,6 +179,42 @@ def test_characterization_on_random_tables():
             agree += 1
             assert unary_reconstruction(op) is not None
     assert agree > 0  # unary and constant tables do occur
+
+
+def _either_equal_quadratic(op):
+    # every change pair checked against every earlier one: quadratic,
+    # kept as the reference for preserves_either_equal's one-pass check
+    # and its witness
+    seen = []
+    for a, b, mask in _change_pairs(op):
+        for a2, b2, mask2 in seen:
+            if mask & mask2 == 0:
+                x, x2, i = _single_step(op, a2, b2)
+                z, z2, j = _single_step(op, a, b)
+                if i > j:
+                    x, x2, z, z2 = z, z2, x, x2
+                return RhoReport(False, (
+                    (x, op.table[x]), (x2, op.table[x2]),
+                    (z, op.table[z]), (z2, op.table[z2])))
+        seen.append((a, b, mask))
+    return RhoReport(True)
+
+
+@st.composite
+def grid_ops(draw):
+    arity = draw(st.integers(1, 3))
+    grid = tuple(F(i) for i in range(draw(st.integers(2, 3))))
+    rows = list(itertools.product(grid, repeat=arity))
+    # few distinct values, so unary and constant tables occur too
+    values = draw(st.lists(st.sampled_from(grid[:draw(st.integers(1, len(grid)))]),
+                           min_size=len(rows), max_size=len(rows)))
+    return GridOp(arity, grid, dict(zip(rows, values)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_ops())
+def test_either_equal_matches_the_quadratic_scan(op):
+    assert preserves_either_equal(op) == _either_equal_quadratic(op)
 
 
 def test_characterization_on_grid_of_four():

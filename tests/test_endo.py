@@ -25,6 +25,7 @@ from qendo.endo import (
     pseudo_section,
     right_inverse,
 )
+from qendo.lazyiso import FactorOrder
 from qendo.ratcore import (
     Rat,
     RatInterval,
@@ -308,6 +309,23 @@ def test_factor_order_is_freed_without_the_cyclic_collector():
             gc.enable()
 
 
+def test_self_canonical_map_is_freed_without_the_cyclic_collector():
+    # a canonical form marks itself without a reference to itself, so
+    # dropping a map and its canonical form frees both at once
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        f = PiecewiseEndo.parse("(-inf,0) : 1*x\n[0,0] : 0*x\n(0,+inf) : 1*x\n")
+        can = f.canonical()
+        assert can is not f and can.canonical() is can
+        refs = weakref.ref(f), weakref.ref(can)
+        del f, can
+        assert [r() for r in refs] == [None, None]
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # -- randomized structure ----------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -388,3 +406,79 @@ def test_compose_matches_quadratic_oracle(f, g):
         got, want = compose(outer, inner), _compose_oracle(outer, inner)
         assert got == want
         assert str(got) == str(want)
+
+
+# -- evaluation: one bisect over the cuts, one reduction ---------------------
+
+def _piece_index_oracle(f, x):
+    # a binary search over the pieces' intervals, one interval test per
+    # step: kept as the reference for piece_index's bisect over the cuts
+    pieces = f.pieces
+    lo, hi = 0, len(pieces)
+    while lo < hi:
+        mid = (lo + hi) // 2
+        iv = pieces[mid].interval
+        if iv.contains(x):
+            return mid
+        if iv.lo is not None and (x < iv.lo or (x == iv.lo and not iv.lo_closed)):
+            hi = mid
+        else:
+            lo = mid + 1
+    raise AssertionError(f"partition does not cover {x}")
+
+
+def _probes(f):
+    # every cut, both sides of every cut, and beyond both ends; wide_endos
+    # cuts are at least 1/12 apart
+    cuts = sorted({p.interval.lo for p in f.pieces[1:]})
+    if not cuts:
+        return [Rat(0), Rat(-100), Rat(100)]
+    eps = Rat(1, 1000)
+    out = [cuts[0] - 7, cuts[-1] + 7]
+    for c in cuts:
+        out += [c - eps, c, c + eps]
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_endos())
+def test_piece_index_and_eval_match_the_binary_search(f):
+    for x in _probes(f):
+        k = _piece_index_oracle(f, x)
+        assert f.piece_index(x) == k
+        p = f.pieces[k]
+        assert f.eval(x) == p.slope * x + p.intercept
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_endos(), st.fractions(min_value=-30, max_value=30, max_denominator=12),
+       st.integers(-30, 30))
+def test_value_at_matches_the_formula(f, q, n):
+    for p in f.pieces:
+        for x in (Rat(q), F(q), n):
+            got = p.value_at(x)
+            assert type(got) is Rat
+            assert got == p.slope * x + p.intercept
+
+
+@settings(max_examples=80, deadline=None)
+@given(wide_endos())
+def test_factor_order_membership_matches_the_fibres(f):
+    order, fibres = FactorOrder(f), FactorOrder(f)
+    values = set()
+    for y in _probes(f):
+        q = f.eval(y)
+        values.add(q)
+        for r in (q, q + Rat(1, 7), q - 1):
+            assert order.contains((r, y)) == fibres.fibre(r).contains(y)
+            assert order.contains((r, y)) == (r == q)
+    # a rational pair is decided by one evaluation, with no fibre built
+    assert order._fibres == {}
+    for q in values | {q + Rat(1, 7) for q in values}:
+        attained = f.point_preimage(q) is not None
+        assert order.contains((q, "pt")) == (not attained)
+        assert order.contains((q, "pt")) == fibres.fibre(q).contains("pt")
+    y = _probes(f)[0]
+    q = f.eval(y)
+    for el in (q, (q,), (q, y, y), [q, y], ("q", y), (q, "q"), (None, y)):
+        assert not order.contains(el)

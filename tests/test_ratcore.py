@@ -612,6 +612,9 @@ def test_values_stay_rat_end_to_end():
     g = PiecewiseEndo((Piece(RatInterval(None, F(-1, 2)), F(3), F(-1)),
                        Piece(RatInterval(F(-1, 2), None, True), F(1), F(1, 2))))
     _all_rat([f.eval(F(1, 2)), f.eval(2), f.eval(F(1))])
+    # value_at on a sloped piece and on the plateau, whose intercept it
+    # returns, for Rat, Fraction and int arguments
+    _all_rat(p.value_at(x) for p in f.pieces for x in (Rat(1, 3), F(-5, 2), 3))
     for h in (compose(f, g), compose(g, f), pseudo_section(g), pseudo_section(f)):
         for p in h.pieces:
             _all_rat(b for b in (p.interval.lo, p.interval.hi) if b is not None)
