@@ -172,30 +172,40 @@ def act(forest: LabelledForest, f, p: OrbitPoint) -> OrbitPoint:
     raise AssertionError("unreachable: roots have rank 0")
 
 
+MAX_FAILURE_MESSAGES = 10
+
+
 @dataclass(frozen=True)
 class ActionReport:
+    """``failed`` counts every failed check; ``failures`` keeps the first
+    ``MAX_FAILURE_MESSAGES`` messages."""
+
     checks: int
+    failed: int
     failures: Tuple[str, ...]
 
     @property
     def ok(self) -> bool:
-        return not self.failures
+        return self.failed == 0
 
     def __str__(self) -> str:
         head = f"{self.checks} action-law checks: " + (
-            "all hold" if self.ok else f"{len(self.failures)} failures")
+            "all hold" if self.ok else f"{self.failed} failures")
         return "\n".join([head, *self.failures])
 
 
-def verify_action(forest: LabelledForest, fs: Sequence, points: Sequence[OrbitPoint],
-                  max_failures: int = 10) -> ActionReport:
+def verify_action(forest: LabelledForest, fs: Sequence,
+                  points: Sequence[OrbitPoint]) -> ActionReport:
     """Check the identity and composition laws by direct evaluation."""
     ident = identity_map()
     checks = 0
+    failed = 0
     failures: List[str] = []
 
     def note(msg: str) -> None:
-        if len(failures) < max_failures:
+        nonlocal failed
+        failed += 1
+        if len(failures) < MAX_FAILURE_MESSAGES:
             failures.append(msg)
 
     for p in points:
@@ -214,7 +224,7 @@ def verify_action(forest: LabelledForest, fs: Sequence, points: Sequence[OrbitPo
                     note(
                         f"composition law at {p} with maps #{i} after #{j}: "
                         f"stepwise {two_step}, composite {one_step}")
-    return ActionReport(checks, tuple(failures))
+    return ActionReport(checks, failed, tuple(failures))
 
 
 def containment_check(forest: LabelledForest, f, p: OrbitPoint) -> bool:

@@ -9,6 +9,7 @@ topology, and the umbrella "all".
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
@@ -114,6 +115,39 @@ class SuiteResult:
         return "\n".join(lines)
 
 
+class _Check:
+    """One property's counter: every check it runs and every failure.
+
+    ``check(ok)`` records one check and returns ``ok``, so a loop can stop
+    on the first failure.  The property passes only when it ran at least
+    one check and none failed, so an empty sample never prints PASS."""
+
+    def __init__(self, name: str):
+        self.name = name
+        self.checks = 0
+        self.failures = 0
+
+    def __call__(self, ok: bool) -> bool:
+        self.checks += 1
+        if not ok:
+            self.failures += 1
+        return ok
+
+    def count(self, checks: int, failures: int) -> None:
+        """Record a batch of checks that ran elsewhere."""
+        self.checks += checks
+        self.failures += failures
+
+    def result(self, detail: str,
+               noun: Optional[str] = "failures") -> PropertyResult:
+        """The property's line: ``detail``, then "; N <noun>" unless
+        ``noun`` is None."""
+        if noun is not None:
+            detail = f"{detail}; {self.failures} {noun}"
+        return PropertyResult(
+            self.name, self.checks > 0 and self.failures == 0, detail)
+
+
 def _rng(cfg: RunConfig, suite: str) -> random.Random:
     return random.Random(f"{cfg.seed}:{suite}")
 
@@ -189,26 +223,22 @@ def random_interval_union(rng: random.Random, max_parts: int = 3) -> tuple:
 
 def suite_ratcore(cfg: RunConfig) -> SuiteResult:
     pts = sorted(nth_rational(i) for i in range(200))
-    fails = 0
-    pairs = 0
-    for i in range(len(pts)):
-        for j in range(i + 1, len(pts)):
-            pairs += 1
-            for col in (Colour.RED, Colour.BLUE):
-                w = colour_witness(pts[i], pts[j], col)
-                if not (pts[i] < w < pts[j] and colour(w) == col):
-                    fails += 1
-    density = PropertyResult(
-        "colour-density", fails == 0,
-        f"{pairs} pairs from the first 200 rationals, "
-        f"both colours strictly between each; {fails} failures")
-    seen = {nth_rational(i) for i in range(2000)}
-    round_ok = len(seen) == 2000 and all(
-        rat_index(nth_rational(i)) == i for i in range(2000))
-    enum = PropertyResult(
-        "enumeration-roundtrip", round_ok,
-        "first 2000 enumerated rationals distinct, index roundtrip exact")
-    return SuiteResult("ratcore", (density, enum))
+    density = _Check("colour-density")
+    for a, b in itertools.combinations(pts, 2):
+        for col in (Colour.RED, Colour.BLUE):
+            w = colour_witness(a, b, col)
+            density(a < w < b and colour(w) == col)
+    n = 2000
+    seen = {nth_rational(i) for i in range(n)}
+    enum = _Check("enumeration-roundtrip")
+    enum(len(seen) == n and all(rat_index(nth_rational(i)) == i for i in range(n)))
+    return SuiteResult("ratcore", (
+        density.result(
+            f"{math.comb(len(pts), 2)} pairs from the first {len(pts)} "
+            "rationals, both colours strictly between each"),
+        enum.result(
+            f"first {n} enumerated rationals distinct, index roundtrip exact",
+            noun=None)))
 
 
 # ---------------------------------------------------------------------------
@@ -218,61 +248,48 @@ def suite_ratcore(cfg: RunConfig) -> SuiteResult:
 def suite_sim(cfg: RunConfig) -> SuiteResult:
     rng = _rng(cfg, "sim")
     corpus = [random_interval_union(rng) for _ in range(20)]
-    eq_fails = convex_fails = 0
-    triples = 0
+    per_union = 200
+    eq, convex = _Check("equivalence-laws"), _Check("classes-convex")
     for A in corpus:
-        for _ in range(200):
+        for _ in range(per_union):
             x, y, z = (random_fraction(rng, -7, 7, 8) for _ in range(3))
-            triples += 1
-            if not sim_related(A, x, x):
-                eq_fails += 1
-            if sim_related(A, x, y) != sim_related(A, y, x):
-                eq_fails += 1
-            if sim_related(A, x, y) and sim_related(A, y, z) \
-                    and not sim_related(A, x, z):
-                eq_fails += 1
+            eq(sim_related(A, x, x))
+            eq(sim_related(A, x, y) == sim_related(A, y, x))
+            eq(not (sim_related(A, x, y) and sim_related(A, y, z))
+               or sim_related(A, x, z))
             lo, mid, hi = sorted((x, y, z))
-            if sim_related(A, lo, hi) and not (
-                    sim_related(A, lo, mid) and sim_related(A, mid, hi)):
-                convex_fails += 1
-    eq = PropertyResult(
-        "equivalence-laws", eq_fails == 0,
-        f"{len(corpus)} interval unions x 200 triples "
-        f"(reflexive/symmetric/transitive); {eq_fails} failures")
-    convex = PropertyResult(
-        "classes-convex", convex_fails == 0,
-        f"{triples} triples; {convex_fails} convexity failures")
-    return SuiteResult("sim", (eq, convex))
+            convex(not sim_related(A, lo, hi)
+                   or (sim_related(A, lo, mid) and sim_related(A, mid, hi)))
+    return SuiteResult("sim", (
+        eq.result(f"{len(corpus)} interval unions x {per_union} triples "
+                  "(reflexive/symmetric/transitive)"),
+        convex.result(f"{convex.checks} triples", noun="convexity failures")))
 
 
 # ---------------------------------------------------------------------------
 # suite: generic (certified embeddings, fresh and composed)
 # ---------------------------------------------------------------------------
 
-def _certificate_sample(cert, points, rng, npairs) -> int:
+def _certificate_sample(check, cert, points, rng, npairs) -> None:
     """Shared sampling: image points of the certified embedding land in
     pairwise distinct red classes, with a blue class strictly between any
-    two.  ``points`` must be sorted ascending.  Returns the failure count."""
+    two.  ``points`` must be sorted ascending.  Each claim goes to
+    ``check``."""
     emb = cert.embedding
     order = cert.index_order
     imgs = [emb.eval(x) for x in points]
     classes = [cert.class_of(y) for y in imgs]
-    fails = 0
-    if len({order.format_el(q) for q in classes}) != len(classes):
-        fails += 1
+    check(len({order.format_el(q) for q in classes}) == len(classes))
     for q in classes:
-        if cert.colour_of_index(q) != Colour.RED:
-            fails += 1
+        check(cert.colour_of_index(q) == Colour.RED)
     idx = list(range(len(points)))
     pairs = list(zip(idx, idx[1:]))
     while len(pairs) < npairs:
         pairs.append(tuple(sorted(rng.sample(idx, 2))))
     for i, j in pairs[:npairs]:
         blue = cert.blue_index_between(classes[i], classes[j])
-        if (cert.colour_of_index(blue) != Colour.BLUE
-                or not classes[i] < blue < classes[j]):
-            fails += 1
-    return fails
+        check(cert.colour_of_index(blue) == Colour.BLUE
+              and classes[i] < blue < classes[j])
 
 
 def _marker_bounds_ok(cert, imgs) -> bool:
@@ -289,65 +306,60 @@ def _marker_bounds_ok(cert, imgs) -> bool:
 def suite_generic(cfg: RunConfig) -> SuiteResult:
     rng = _rng(cfg, "generic")
     props = []
+    npairs = 100
     for variant in ("core", "plus", "minus", "pm"):
         _, cert = generic_embedding(variant)
         xs = sorted({nth_rational(rng.randrange(120)) for _ in range(150)})
-        fails = _certificate_sample(cert, xs, rng, 100)
+        certificate = _Check(f"certificate-{variant}")
+        _certificate_sample(certificate, cert, xs, rng, npairs)
         imgs = [cert.embedding.eval(x) for x in xs]
         if variant == "core":
-            bounded_ok = (
+            certificate(
                 next(iter(cert.image_points_between(max(imgs), None)), None)
-                is not None) and (
-                next(iter(cert.image_points_between(None, min(imgs))), None)
+                is not None
+                and next(iter(cert.image_points_between(None, min(imgs))), None)
                 is not None)
             bound_note = "image points exist beyond every sample (coterminal)"
         else:
-            bounded_ok = _marker_bounds_ok(cert, imgs)
+            certificate(_marker_bounds_ok(cert, imgs))
             bound_note = "marker classes bound the image on the declared sides"
-        props.append(PropertyResult(
-            f"certificate-{variant}", fails == 0 and bounded_ok,
-            f"{len(xs)} image points in distinct red classes, 100 pairs "
-            f"with a blue class strictly between, {bound_note}; "
-            f"{fails} failures"))
+        props.append(certificate.result(
+            f"{len(xs)} image points in distinct red classes, {npairs} pairs "
+            f"with a blue class strictly between, {bound_note}"))
 
-    absorbed_fails = 0
-    for _ in range(20):
+    absorbed = _Check("absorbed-certificates")
+    nmaps = 20
+    for _ in range(nmaps):
         f = random_monotone_endo(rng, injective=True)
         _, cert = absorb(f)
-        if cert.variant != "core":
-            absorbed_fails += 1
+        absorbed(cert.variant == "core")
         xs = sorted({nth_rational(rng.randrange(60)) for _ in range(40)})
-        absorbed_fails += _certificate_sample(cert, xs, rng, 100)
+        _certificate_sample(absorbed, cert, xs, rng, npairs)
         top = cert.embedding.eval(max(xs) + 1)
         bot = cert.embedding.eval(min(xs) - 1)
-        if not (all(top > y for y in (cert.embedding.eval(x) for x in xs))
-                and all(bot < y for y in (cert.embedding.eval(x) for x in xs))):
-            absorbed_fails += 1
-    absorbed = PropertyResult(
-        "absorbed-certificates", absorbed_fails == 0,
-        "20 random injective piecewise maps absorbed into certified "
-        "composites, each re-passing the red/blue sampling with image "
-        f"points beyond every sample; {absorbed_fails} failures")
+        absorbed(all(top > y for y in (cert.embedding.eval(x) for x in xs))
+                 and all(bot < y for y in (cert.embedding.eval(x) for x in xs)))
 
-    composed_fails = 0
+    composed = _Check("composed-bounded-certificates")
     bounded_variants = [("plus", "minus", "pm")[i % 3] for i in range(10)]
     for variant in bounded_variants:
         g1, cert1 = generic_embedding(variant)
         g2, cert2 = generic_embedding(variant)
         _, cert = compose_certified(g2, cert2, g1, cert1)
-        if cert.variant != variant:
-            composed_fails += 1
+        composed(cert.variant == variant)
         xs = sorted({nth_rational(rng.randrange(40)) for _ in range(25)})
-        composed_fails += _certificate_sample(cert, xs, rng, 100)
+        _certificate_sample(composed, cert, xs, rng, npairs)
         imgs = [cert.embedding.eval(x) for x in xs]
-        if not _marker_bounds_ok(cert, imgs):
-            composed_fails += 1
-    composed = PropertyResult(
-        "composed-bounded-certificates", composed_fails == 0,
-        "10 composites of bounded certified embeddings (variants "
-        "plus/minus/pm) re-pass the red/blue sampling with marker bounds; "
-        f"{composed_fails} failures")
-    return SuiteResult("generic", tuple(props) + (absorbed, composed))
+        composed(_marker_bounds_ok(cert, imgs))
+    return SuiteResult("generic", tuple(props) + (
+        absorbed.result(
+            f"{nmaps} random injective piecewise maps absorbed into certified "
+            "composites, each re-passing the red/blue sampling with image "
+            "points beyond every sample"),
+        composed.result(
+            f"{len(bounded_variants)} composites of bounded certified "
+            "embeddings (variants plus/minus/pm) re-pass the red/blue "
+            "sampling with marker bounds")))
 
 
 # ---------------------------------------------------------------------------
@@ -402,39 +414,29 @@ def suite_recover(cfg: RunConfig) -> SuiteResult:
     rng = _rng(cfg, "recover")
     g, cert = generic_embedding("core")
     probe = [nth_rational(i) for i in range(200)]
+    samples = 50
 
-    pair_fails = 0
-    for _ in range(50):
+    extend = _Check("commuting-extension")
+    for _ in range(samples):
         p = _random_valid_pair(rng, g, cert)
-        if p_check(g, cert, p):
-            pair_fails += 1
+        if not extend(not p_check(g, cert, p)):
             continue
         cp = extend_pair(g, cert, p)
         for x, y in p.a.pairs:
-            if cp.alpha.eval(x) != y:
-                pair_fails += 1
+            extend(cp.alpha.eval(x) == y)
         for x, y in p.b.pairs:
-            if cp.beta.eval(x) != y:
-                pair_fails += 1
+            extend(cp.beta.eval(x) == y)
         for x in probe:
-            if cp.alpha.eval(g.eval(x)) != g.eval(cp.beta.eval(x)):
-                pair_fails += 1
+            if not extend(cp.alpha.eval(g.eval(x)) == g.eval(cp.beta.eval(x))):
                 break
-    extend = PropertyResult(
-        "commuting-extension", pair_fails == 0,
-        "50 valid seed pairs extended; containments and the intertwining "
-        f"identity exact on the first {len(probe)} rationals; "
-        f"{pair_fails} failures")
 
-    fwd_fails = 0
+    recover = _Check("recovery-witnesses")
     kinds = {"image": 0, "blue": 0, "red": 0}
-    done = 0
-    while done < 50:
+    while recover.checks < samples:
         u = nth_rational(rng.randrange(30))
         s = _sample_witness_points(rng, g, cert, 1)[0]
         if s == g.eval(u):
             continue
-        done += 1
         if cert.in_image(s):
             kinds["image"] += 1
         elif cert.colour_of(s) == Colour.BLUE:
@@ -442,28 +444,26 @@ def suite_recover(cfg: RunConfig) -> SuiteResult:
         else:
             kinds["red"] += 1
         cp = recover_witness(g, cert, u, s)
-        if cp.beta.eval(u) != u or cp.alpha.eval(s) == s:
-            fwd_fails += 1
-    recover = PropertyResult(
-        "recovery-witnesses", fwd_fails == 0,
-        f"50 samples with s distinct from g(u) (image {kinds['image']}, "
-        f"blue {kinds['blue']}, red {kinds['red']}): beta fixes u while "
-        f"alpha moves s; {fwd_fails} failures")
+        recover(cp.beta.eval(u) == u and cp.alpha.eval(s) != s)
 
-    fixed_fails = 0
-    for _ in range(50):
+    fixes = _Check("alpha-fixes-image-of-fixed-points")
+    for _ in range(samples):
         u = nth_rational(rng.randrange(30))
         s = _sample_witness_points(rng, g, cert, 1)[0]
         if s == g.eval(u):
             continue
         cp = recover_witness(g, cert, u, s)
-        if cp.beta.eval(u) == u and cp.alpha.eval(g.eval(u)) != g.eval(u):
-            fixed_fails += 1
-    fixes = PropertyResult(
-        "alpha-fixes-image-of-fixed-points", fixed_fails == 0,
-        "50 commuting pairs with beta fixing u: alpha fixes g(u); "
-        f"{fixed_fails} failures")
-    return SuiteResult("recover", (extend, recover, fixes))
+        fixes(cp.beta.eval(u) != u or cp.alpha.eval(g.eval(u)) == g.eval(u))
+    return SuiteResult("recover", (
+        extend.result(
+            f"{samples} valid seed pairs extended; containments and the "
+            f"intertwining identity exact on the first {len(probe)} rationals"),
+        recover.result(
+            f"{recover.checks} samples with s distinct from g(u) (image "
+            f"{kinds['image']}, blue {kinds['blue']}, red {kinds['red']}): "
+            "beta fixes u while alpha moves s"),
+        fixes.result(
+            f"{samples} commuting pairs with beta fixing u: alpha fixes g(u)")))
 
 
 # ---------------------------------------------------------------------------
@@ -473,86 +473,69 @@ def suite_recover(cfg: RunConfig) -> SuiteResult:
 def suite_factor(cfg: RunConfig) -> SuiteResult:
     rng = _rng(cfg, "factor")
 
-    ri_fails = 0
-    for _ in range(20):
+    ri = _Check("right-inverse")
+    nsurj, nri = 20, 500
+    for _ in range(nsurj):
         gmap = random_monotone_endo(rng, surjective=True)
         h = right_inverse(gmap)
-        for i in range(500):
+        for i in range(nri):
             x = nth_rational(i)
-            if gmap.eval(h.eval(x)) != x:
-                ri_fails += 1
+            if not ri(gmap.eval(h.eval(x)) == x):
                 break
-    ri = PropertyResult(
-        "right-inverse", ri_fails == 0,
-        "20 surjective maps, composite is the identity on 500 samples; "
-        f"{ri_fails} failures")
 
-    em_fails = mono_fails = pre_fails = 0
+    em = _Check("epi-mono-exact")
+    mono = _Check("mono-strictly-monotone")
+    pre = _Check("preimage-constructor")
     probe = [nth_rational(i) for i in range(300)]
-    targets = 0
-    for _ in range(50):
+    nmaps, nmono = 50, 40
+    for _ in range(nmaps):
         h = random_monotone_endo(rng)
         fac = epi_mono_factorize(h)
         hc = h.canonical()
         for x in probe:
-            if fac.epi.eval(fac.mono.eval(x)) != hc.eval(x):
-                em_fails += 1
+            if not em(fac.epi.eval(fac.mono.eval(x)) == hc.eval(x)):
                 break
-        vals = [fac.mono.eval(x) for x in sorted(probe[:40])]
-        if any(a >= b for a, b in zip(vals, vals[1:])):
-            mono_fails += 1
+        vals = [fac.mono.eval(x) for x in sorted(probe[:nmono])]
+        mono(all(a < b for a, b in zip(vals, vals[1:])))
         for _ in range(2):
             r = random_fraction(rng, -6, 6, 5)
-            targets += 1
-            if fac.epi.eval(fac.preimage(r)) != r:
-                pre_fails += 1
-    em = PropertyResult(
-        "epi-mono-exact", em_fails == 0,
-        f"50 maps, composite equals the map on the first {len(probe)} "
-        f"rationals; {em_fails} failures")
-    mono = PropertyResult(
-        "mono-strictly-monotone", mono_fails == 0,
-        "spread part strictly increasing on 40 sorted samples per map; "
-        f"{mono_fails} failures")
-    pre = PropertyResult(
-        "preimage-constructor", pre_fails == 0,
-        f"{targets} targets hit through the collapse part; {pre_fails} failures")
+            pre(fac.epi.eval(fac.preimage(r)) == r)
 
-    wit_fails = 0
-    zero_fails = 0
+    witnesses = _Check("cancellability-witnesses")
+    zero = _Check("left-zero-test")
     gs = [random_monotone_endo(rng) for _ in range(45)] + \
         [constant_map(random_fraction(rng)) for _ in range(5)]
-    for _ in range(100):
+    nclassified = 100
+    for _ in range(nclassified):
         f = random_monotone_endo(rng)
         rep = classify(f)
         wit = cancellability_witness(f)
-        if (wit.left is None) != rep.kind.injective:
-            wit_fails += 1
-        if (wit.right is None) != rep.kind.surjective:
-            wit_fails += 1
+        witnesses((wit.left is None) == rep.kind.injective)
+        witnesses((wit.right is None) == rep.kind.surjective)
         if wit.left is not None:
             u, v = wit.left
-            if u.canonical() == v.canonical() or \
-                    compose(f, u).canonical() != compose(f, v).canonical():
-                wit_fails += 1
+            witnesses(u.canonical() != v.canonical() and
+                      compose(f, u).canonical() == compose(f, v).canonical())
         if wit.right is not None:
             j1, j2 = wit.right
-            if j1.canonical() == j2.canonical() or \
-                    compose(j1, f).canonical() != compose(j2, f).canonical():
-                wit_fails += 1
+            witnesses(j1.canonical() != j2.canonical() and
+                      compose(j1, f).canonical() == compose(j2, f).canonical())
         is_left_zero = all(compose(f, gmap).canonical() == f.canonical()
                            for gmap in gs)
-        if is_left_zero != rep.kind.constant:
-            zero_fails += 1
-    wit = PropertyResult(
-        "cancellability-witnesses", wit_fails == 0,
-        "100 maps: witness existence matches classification flags and "
-        f"witnesses verified by composition; {wit_fails} failures")
-    zero = PropertyResult(
-        "left-zero-test", zero_fails == 0,
-        "constant flag coincides with absorbing all 50 right factors; "
-        f"{zero_fails} failures")
-    return SuiteResult("factor", (ri, em, mono, pre, wit, zero))
+        zero(is_left_zero == rep.kind.constant)
+    return SuiteResult("factor", (
+        ri.result(f"{nsurj} surjective maps, composite is the identity on "
+                  f"{nri} samples"),
+        em.result(f"{nmaps} maps, composite equals the map on the first "
+                  f"{len(probe)} rationals"),
+        mono.result(f"spread part strictly increasing on {nmono} sorted "
+                    "samples per map"),
+        pre.result(f"{pre.checks} targets hit through the collapse part"),
+        witnesses.result(
+            f"{nclassified} maps: witness existence matches classification "
+            "flags and witnesses verified by composition"),
+        zero.result("constant flag coincides with absorbing all "
+                    f"{len(gs)} right factors")))
 
 
 # ---------------------------------------------------------------------------
@@ -577,11 +560,9 @@ def suite_actions(cfg: RunConfig) -> SuiteResult:
         forests.append(cfg.extra_forest)
     fs = [identity_map(), constant_map(Rat(2))] + \
         [random_monotone_endo(rng) for _ in range(13)]
-    total_checks = 0
-    law_fails = 0
-    spec_fails = 0
-    contain_fails = 0
-    sample_count = 0
+    laws = _Check("action-laws")
+    spec = _Check("same-size-specialization")
+    contain = _Check("containment")
     for forest in forests:
         points = []
         for node in forest.nodes():
@@ -592,33 +573,16 @@ def suite_actions(cfg: RunConfig) -> SuiteResult:
                     B.add(random_fraction(rng, -6, 6, 4))
                 points.append(OrbitPoint(node, tuple(sorted(B))))
         report = verify_action(forest, fs, points)
-        total_checks += report.checks
-        if not report.ok:
-            law_fails += len(report.failures)
+        laws.count(report.checks, report.failed)
         for f in fs:
             for p in points:
-                sample_count += 1
                 imgs = {f.eval(b) for b in p.B}
                 q = act(forest, f, p)
-                if len(imgs) == len(p.B) and (
-                        q.node != p.node or set(q.B) != imgs):
-                    spec_fails += 1
-                if not containment_check(forest, f, p):
-                    contain_fails += 1
-    laws = PropertyResult(
-        "action-laws", law_fails == 0,
-        f"{total_checks} identity/composition checks across "
-        f"{len(forests)} forests; {law_fails} failures")
-    spec = PropertyResult(
-        "same-size-specialization", spec_fails == 0,
-        f"{sample_count} samples: size-preserving images keep the node and "
-        f"push the set forward; {spec_fails} failures")
-    contain = PropertyResult(
-        "containment", contain_fails == 0,
-        f"{sample_count} samples: acted sets always inside the "
-        f"pushed-forward image; {contain_fails} failures")
-    fix_fails = 0
-    fixed = 0
+                spec(len(imgs) != len(p.B)
+                     or (q.node == p.node and set(q.B) == imgs))
+                contain(containment_check(forest, f, p))
+
+    fix = _Check("finite-image-fixpoints")
     for forest in forests:
         for node in forest.nodes():
             rank = forest.label[node]
@@ -629,14 +593,19 @@ def suite_actions(cfg: RunConfig) -> SuiteResult:
                 p = OrbitPoint(node, tuple(sorted(B)))
                 try:
                     fixpoint_check(forest, p)
-                    fixed += 1
                 except AssertionError:
-                    fix_fails += 1
-    fix = PropertyResult(
-        "finite-image-fixpoints", fix_fails == 0,
-        f"{fixed + fix_fails} points stabilized by finite-image idempotents; "
-        f"{fix_fails} failures")
-    return SuiteResult("actions", (laws, spec, contain, fix))
+                    fix(False)
+                else:
+                    fix(True)
+    return SuiteResult("actions", (
+        laws.result(f"{laws.checks} identity/composition checks across "
+                    f"{len(forests)} forests"),
+        spec.result(f"{spec.checks} samples: size-preserving images keep the "
+                    "node and push the set forward"),
+        contain.result(f"{contain.checks} samples: acted sets always inside "
+                       "the pushed-forward image"),
+        fix.result(f"{fix.checks} points stabilized by finite-image "
+                   "idempotents")))
 
 
 # ---------------------------------------------------------------------------
@@ -647,66 +616,55 @@ def suite_clone(cfg: RunConfig) -> SuiteResult:
     rng = _rng(cfg, "clone")
     combos = [(size, arity) for size in (2, 3, 4) for arity in (1, 2, 3)]
 
-    char_fails = 0
+    char = _Check("either-equal-characterization")
+    ntables = 500
     rebuilt = 0
     preserving = 0
-    for _ in range(500):
+    for _ in range(ntables):
         size, arity = combos[rng.randrange(len(combos))]
         grid = tuple(Rat(i) for i in range(size))
         table = {args: rng.choice(grid)
                  for args in itertools.product(grid, repeat=arity)}
         op = GridOp(arity, grid, table)
         lhs = preserves_either_equal(op).preserves
-        rhs = len(essential_positions(op)) <= 1
-        if lhs != rhs:
-            char_fails += 1
+        char(lhs == (len(essential_positions(op)) <= 1))
         if lhs:
             preserving += 1
             rebuilt_as = unary_reconstruction(op)
-            if rebuilt_as is None:
-                char_fails += 1
-            else:
+            if char(rebuilt_as is not None):
                 j, u = rebuilt_as
-                if any(val != u[args[j - 1]] for args, val in op.rows()):
-                    char_fails += 1
-                else:
+                if char(all(val == u[args[j - 1]] for args, val in op.rows())):
                     rebuilt += 1
     for size in (1, 2, 3, 4):
         for arity in (1, 2, 3):
             grid = tuple(Rat(i) for i in range(size))
             for j in range(1, arity + 1):
                 op = GridOp.restriction(projection(arity, j), grid)
-                if not preserves_either_equal(op).preserves or \
-                        unary_reconstruction(op) is None:
-                    char_fails += 1
+                char(preserves_either_equal(op).preserves
+                     and unary_reconstruction(op) is not None)
             for v in grid:
                 op = GridOp.from_function(arity, grid, lambda *a: v)
-                if not preserves_either_equal(op).preserves or \
-                        unary_reconstruction(op) is None:
-                    char_fails += 1
-    char = PropertyResult(
-        "either-equal-characterization", char_fails == 0,
-        f"500 random tables (grids <= 4, arities <= 3, {preserving} "
-        f"preserving, {rebuilt} rebuilt as unary-after-projection with "
-        f"matching tables) plus all projections and constants; "
-        f"{char_fails} failures")
+                char(preserves_either_equal(op).preserves
+                     and unary_reconstruction(op) is not None)
 
-    closure_fails = 0
+    closure = _Check("composition-closure")
+    ncompositions = 200
     unaries = [identity_map(), constant_map(Rat(1))] + \
         [random_monotone_endo(rng, max_cuts=2) for _ in range(6)]
     grid3 = (Rat(0), Rat(1), Rat(2))
-    for _ in range(200):
+    for _ in range(ncompositions):
         f = unary_op(2, rng.randint(1, 2), rng.choice(unaries))
         gs = [unary_op(2, rng.randint(1, 2), rng.choice(unaries))
               for _ in range(2)]
         h = clone_compose(f, gs)
-        if not preserves_either_equal(GridOp.restriction(h, grid3)).preserves:
-            closure_fails += 1
-    closure = PropertyResult(
-        "composition-closure", closure_fails == 0,
-        "200 random compositions stay essentially unary on the grid; "
-        f"{closure_fails} failures")
-    return SuiteResult("clone", (char, closure))
+        closure(preserves_either_equal(GridOp.restriction(h, grid3)).preserves)
+    return SuiteResult("clone", (
+        char.result(
+            f"{ntables} random tables (grids <= 4, arities <= 3, {preserving} "
+            f"preserving, {rebuilt} rebuilt as unary-after-projection with "
+            "matching tables) plus all projections and constants"),
+        closure.result(f"{ncompositions} random compositions stay essentially "
+                       "unary on the grid")))
 
 
 # ---------------------------------------------------------------------------
@@ -733,51 +691,42 @@ def suite_topology(cfg: RunConfig) -> SuiteResult:
     rng = _rng(cfg, "topology")
     ctx = UltraMetricContext()
 
-    tri_fails = 0
-    for _ in range(500):
+    tri = _Check("ultrametric-inequality")
+    ntriples = 500
+    for _ in range(ntriples):
         f, gmap, h = (random_monotone_endo(rng, max_cuts=2) for _ in range(3))
-        if dist(ctx, f, h).value > max(dist(ctx, f, gmap).value,
-                                       dist(ctx, gmap, h).value):
-            tri_fails += 1
-    tri = PropertyResult(
-        "ultrametric-inequality", tri_fails == 0,
-        f"500 random triples; {tri_fails} failures")
+        tri(dist(ctx, f, h).value <= max(dist(ctx, f, gmap).value,
+                                         dist(ctx, gmap, h).value))
 
-    lift_fails = 0
+    lift = _Check("convergence-lifting")
+    terms = 10
     for j, k in ((1, 2), (2, 2), (2, 3)):
         rep = lift_convergence(
             lambda n: prefix_approximant(n, identity_map()),
-            identity_map(), j, k, 9)
-        if not rep.ok:
-            lift_fails += 1
+            identity_map(), j, k, terms - 1)
+        lift(rep.ok)
         vals = [dk.value for _, _, dk, _ in rep.rows]
-        if len(vals) != 10 or any(a <= b for a, b in zip(vals, vals[1:])):
-            lift_fails += 1
+        lift(len(vals) == terms and all(a > b for a, b in zip(vals, vals[1:])))
         moduli = [m for _, _, _, m in rep.rows]
-        if any(m is None for m in moduli) or \
-                any(a >= b for a, b in zip(moduli, moduli[1:])):
-            lift_fails += 1
-    lift = PropertyResult(
-        "convergence-lifting", lift_fails == 0,
-        "10-term approximant sequences at three projection/arity choices: "
-        "guaranteed moduli strictly increase and realized distances "
-        f"strictly shrink; {lift_fails} failures")
+        lift(all(m is not None for m in moduli)
+             and all(a < b for a, b in zip(moduli, moduli[1:])))
 
-    dense_fails = 0
-    built = 0
-    for _ in range(20):
+    dense = _Check("automorphism-density")
+    nembeddings, depth = 20, 10
+    for _ in range(nembeddings):
         emb = random_monotone_endo(rng, max_cuts=2, injective=True)
-        for n in range(1, 11):
+        for n in range(1, depth + 1):
             auto = automorphism_near(emb, n)
-            built += 1
-            if any(auto.eval(nth_rational(i)) != emb.eval(nth_rational(i))
-                   for i in range(n)):
-                dense_fails += 1
-    dense = PropertyResult(
-        "automorphism-density", dense_fails == 0,
-        f"{built} automorphisms within 2^-n of 20 embeddings (n <= 10); "
-        f"{dense_fails} failures")
-    return SuiteResult("topology", (tri, lift, dense))
+            dense(all(auto.eval(nth_rational(i)) == emb.eval(nth_rational(i))
+                      for i in range(n)))
+    return SuiteResult("topology", (
+        tri.result(f"{ntriples} random triples"),
+        lift.result(
+            f"{terms}-term approximant sequences at three projection/arity "
+            "choices: guaranteed moduli strictly increase and realized "
+            "distances strictly shrink"),
+        dense.result(f"{dense.checks} automorphisms within 2^-n of "
+                     f"{nembeddings} embeddings (n <= {depth})")))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,16 @@ sampling depths with the default configuration and asserts zero failures.
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 
+import hashlib
+import json
 import sys
+from pathlib import Path
 
 from qendo.cli import main
 from qendo.suites import RunConfig, run_suite
 
 _CFG = RunConfig()
+_DIGESTS = Path(__file__).parents[1] / "perfbench" / "digests.json"
 _CACHE = {}
 
 
@@ -117,6 +121,11 @@ def test_criterion_12_determinism(capsys):
     first = capsys.readouterr().out
     code_b = main(["suite", "all"])
     second = capsys.readouterr().out
-    ok = code_a == 0 and code_b == 0 and first == second and len(first) > 0
-    _report(12, "suite all twice: byte-identical, exit 0", ok,
-            f"exit codes {code_a}/{code_b}, equal={first == second}")
+    digests = json.loads(_DIGESTS.read_text())
+    golden = hashlib.sha256(first.encode("utf-8")).hexdigest() == \
+        digests["suite_all"][str(_CFG.seed)]
+    ok = (code_a == 0 and code_b == 0 and first == second and len(first) > 0
+          and golden)
+    _report(12, "suite all twice: byte-identical, exit 0, recorded digest", ok,
+            f"exit codes {code_a}/{code_b}, equal={first == second}, "
+            f"digest matches={golden}")

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qendo.actions import (
+    MAX_FAILURE_MESSAGES,
     ActionReport,
     ForestError,
     LabelledForest,
@@ -196,7 +197,7 @@ def test_verify_action_on_branching_forest():
     assert verify_action(BRANCHED, SMALL_CORPUS, points).ok
 
 
-def test_composition_fails_on_rank_skipping_forest():
+def _rank_skip_counterexample():
     # rank-4 point; g collapses four points to three, f then merges the
     # bottom two.  Stepwise the intermediate truncation to rank 2 loses the
     # third point, so the two routes land on different nodes.
@@ -206,6 +207,11 @@ def test_composition_fails_on_rank_skipping_forest():
         Piece(RatInterval(None, F(1), False, True), F(0), F(0)),
         Piece(RatInterval(F(1), None, False, False), F(1), F(0)),
     ))                          # {0,1,2} -> {0,2}, {0,1} -> {0}
+    return f, g, p
+
+
+def test_composition_fails_on_rank_skipping_forest():
+    f, g, p = _rank_skip_counterexample()
     stepwise = act(SKIPPY, f, act(SKIPPY, g, p))
     composite = act(SKIPPY, ComposedEndo((f, g)), p)
     assert act(SKIPPY, g, p) == OrbitPoint("m", (F(0), F(1)))
@@ -214,6 +220,15 @@ def test_composition_fails_on_rank_skipping_forest():
     report = verify_action(SKIPPY, [f, g], [p])
     assert not report.ok
     assert any("composition law" in msg for msg in report.failures)
+
+
+def test_verify_action_counts_failures_beyond_the_kept_messages():
+    f, g, p = _rank_skip_counterexample()
+    report = verify_action(SKIPPY, [f, g] * 7, [p])
+    # f after g fails at every pair of positions (7 x 7); nothing else does
+    assert str(report).splitlines()[0] == "197 action-law checks: 49 failures"
+    assert report.failed == 49
+    assert len(report.failures) == MAX_FAILURE_MESSAGES
 
 
 # -- fixpoints ------------------------------------------------------------------

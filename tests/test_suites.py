@@ -1,13 +1,19 @@
-"""Suite plumbing: generator flags, determinism, dispatch errors."""
+"""Suite plumbing: generator flags, determinism, dispatch errors, the
+property counter, and a golden report."""
 
+import hashlib
 import random
 
 import pytest
 
+from qendo import suites
+from qendo.cli import main
 from qendo.endo import classify
 from qendo.ratcore import union_contains
 from qendo.suites import (
+    PropertyResult,
     RunConfig,
+    _Check,
     random_interval_union,
     random_monotone_endo,
     run_suite,
@@ -62,3 +68,45 @@ def test_run_suite_seed_flows_into_rng():
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nope")
+
+
+def test_check_with_no_checks_fails():
+    assert _Check("empty").result("nothing sampled") == PropertyResult(
+        "empty", False, "nothing sampled; 0 failures")
+
+
+def test_check_failure_count_and_ok_agree():
+    check = _Check("p")
+    assert all(check(True) for _ in range(3))
+    assert check.result("three checks") == PropertyResult(
+        "p", True, "three checks; 0 failures")
+    assert check(False) is False
+    check.count(5, 2)
+    assert (check.checks, check.failures) == (9, 3)
+    assert check.result("nine checks") == PropertyResult(
+        "p", False, "nine checks; 3 failures")
+
+
+def test_check_custom_noun_and_no_count():
+    check = _Check("classes-convex")
+    check(True)
+    assert check.result("4000 triples", noun="convexity failures").detail == \
+        "4000 triples; 0 convexity failures"
+    assert check.result("no count", noun=None).detail == "no count"
+
+
+def test_certificate_bound_failure_is_counted(monkeypatch):
+    monkeypatch.setattr(suites, "_marker_bounds_ok", lambda cert, imgs: False)
+    props = {p.name: p for p in run_suite("generic").properties}
+    for variant in ("plus", "minus", "pm"):
+        p = props[f"certificate-{variant}"]
+        assert not p.ok
+        assert p.detail.endswith("; 1 failures"), p.detail
+    assert props["certificate-core"].ok
+
+
+def test_rows_report_is_golden(capsys):
+    assert main(["--seed", "7", "--format", "rows", "suite", "all"]) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode("utf-8")).hexdigest()
+    assert digest == \
+        "113c7d2716a942c8d76c8e800068044a5f404c0dcd59d421624b9837ae5b2500"
