@@ -214,15 +214,31 @@ class RhoReport:
 
 def _change_pairs(op: GridOp):
     """All pairs of argument rows with different values, with their
-    difference supports as bitmasks."""
-    rows = list(itertools.product(op.grid, repeat=op.arity))
-    for a, b in itertools.combinations(rows, 2):
-        if op.table[a] != op.table[b]:
-            mask = 0
-            for i in range(op.arity):
-                if a[i] != b[i]:
-                    mask |= 1 << i
-            yield a, b, mask
+    difference supports as bitmasks, in itertools.combinations order.
+
+    Each row is encoded once as an integer with one bit field per
+    coordinate (the grid position of its value), so two rows differ
+    exactly at the fields where their codes' XOR is nonzero; each XOR is
+    turned into a support mask once."""
+    arity = op.arity
+    position = {v: i for i, v in enumerate(op.grid)}
+    width = len(op.grid).bit_length()
+    field = (1 << width) - 1
+    rows = list(itertools.product(op.grid, repeat=arity))
+    # the same product over each coordinate's shifted bit fields
+    fields = [[position[v] << width * i for v in op.grid] for i in range(arity)]
+    codes = [sum(t) for t in itertools.product(*fields)]
+    values = [op.table[row] for row in rows]
+    masks: Dict[int, int] = {}  # code XOR -> support mask
+    for j, (a, code_a, value_a) in enumerate(zip(rows, codes, values)):
+        for k in range(j + 1, len(rows)):
+            if values[k] != value_a:
+                diff = code_a ^ codes[k]
+                mask = masks.get(diff)
+                if mask is None:
+                    mask = masks[diff] = sum(1 << i for i in range(arity)
+                                             if diff >> width * i & field)
+                yield a, rows[k], mask
 
 
 def _single_step(op: GridOp, a: Tuple[Rat, ...], b: Tuple[Rat, ...]):

@@ -5,10 +5,12 @@ and `enum_in_gap(lo, hi)`, the elements strictly between lo and hi (None =
 unbounded side) in the order's own deterministic enumeration.  A gap with
 both ends given and lo not below hi is an error: enum_in_gap raises
 ValueError, at the call or at the first next().  A gap with an unbounded
-side is never an error, only possibly empty, as (max, None) is.  `enum()` is the whole enumeration, `enum_in_gap(None, None)`,
-and `index_of(el)`, where defined, is el's position in it, from 0.  A
-LexSum asks index_of of its index order and of each fibre on its own, so
-a fibre's index_of counts positions inside that fibre only.  `min_el` and
+side is never an error, only possibly empty, as (max, None) is.
+
+`enum()` is the whole enumeration, `enum_in_gap(None, None)`, and
+`index_of(el)`, where defined, is el's position in it, from 0.  A LexSum
+asks index_of of its index order and of each fibre on its own, so a
+fibre's index_of counts positions inside that fibre only.  `min_el` and
 `max_el` are the order's least and greatest elements, None where there
 is none.  Elements of one spec compare with Python's `<` in the spec's
 order: rationals are Fractions, the adjoined endpoints are Markers that
@@ -29,10 +31,10 @@ instance must not be shared between concurrent evaluations.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import heapq
 import itertools
+from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
@@ -40,6 +42,7 @@ from typing import Callable, Iterator
 
 from .ratcore import (
     Colour,
+    Rat,
     RatInterval,
     SearchExhausted,
     colour,
@@ -49,6 +52,10 @@ from .ratcore import (
 )
 
 FAULT_CAP = 100_000
+
+# memo pair -> its source / target element, the bisect keys of the memo
+_SOURCE = itemgetter(0)
+_TARGET = itemgetter(1)
 
 
 @functools.total_ordering
@@ -103,7 +110,9 @@ class OrderSpec:
 
 class FullQ(OrderSpec):
     def contains(self, el):
-        return isinstance(el, Fraction)
+        # `type(el) is Rat` first: isinstance against Fraction goes
+        # through ABCMeta
+        return type(el) is Rat or isinstance(el, Fraction)
 
     def enum_in_gap(self, lo, hi):
         return enumerated_in_interval(lo, hi)
@@ -128,28 +137,29 @@ class ColouredQ(OrderSpec):
     def contains(self, el):
         if el is Marker.MIN or el is Marker.MAX:
             return el is self.min_el or el is self.max_el
-        return isinstance(el, Fraction)
+        return type(el) is Rat or isinstance(el, Fraction)
 
     def enum_in_gap(self, lo, hi):
+        # the markers inside the gap, then the rationals: ratcore's stream
+        # itself when no marker is inside
         if lo is Marker.MAX or hi is Marker.MIN:
             # nothing lies above +end or below -end
             if lo is not None and hi is not None:
                 raise ValueError(f"empty gap ({lo}, {hi})")
-            return
-        for m in self._markers:
-            if (lo is None or lo < m) and (hi is None or m < hi):
-                yield m
-        rlo = None if (lo is None or lo is Marker.MIN) else lo
-        rhi = None if (hi is None or hi is Marker.MAX) else hi
-        yield from enumerated_in_interval(rlo, rhi)
+            return iter(())
+        rationals = enumerated_in_interval(
+            None if lo is Marker.MIN else lo, None if hi is Marker.MAX else hi)
+        markers = [m for m in self._markers
+                   if (lo is None or lo < m) and (hi is None or m < hi)]
+        return itertools.chain(markers, rationals) if markers else rationals
 
     def colour_label(self, el):
-        if isinstance(el, Marker):
+        if el is Marker.MIN or el is Marker.MAX:
             return Colour.BLUE
         return colour(el)
 
     def index_of(self, el):
-        if isinstance(el, Marker):
+        if el is Marker.MIN or el is Marker.MAX:
             return self._markers.index(el)
         return len(self._markers) + rat_index(el)
 
@@ -163,7 +173,7 @@ class QMinusFinite(OrderSpec):
         self.excluded = frozenset(excluded)
 
     def contains(self, el):
-        return isinstance(el, Fraction) and el not in self.excluded
+        return (type(el) is Rat or isinstance(el, Fraction)) and el not in self.excluded
 
     def enum_in_gap(self, lo, hi):
         return (x for x in enumerated_in_interval(lo, hi)
@@ -184,7 +194,8 @@ class IntervalQ(OrderSpec):
         self._index = {}
 
     def contains(self, el):
-        return isinstance(el, Fraction) and self.interval.contains(el)
+        return ((type(el) is Rat or isinstance(el, Fraction))
+                and self.interval.contains(el))
 
     def enum_in_gap(self, lo, hi):
         w = intersect_intervals(self.interval, RatInterval(lo, hi))
@@ -322,9 +333,9 @@ class FactorOrder(LexSum):
         if not (isinstance(el, tuple) and len(el) == 2):
             return False
         q, y = el
-        if not isinstance(q, Fraction):
+        if not (type(q) is Rat or isinstance(q, Fraction)):
             return False
-        if isinstance(y, Fraction):
+        if type(y) is Rat or isinstance(y, Fraction):
             return self.h.eval(y) == q
         return self.fibre(q).contains(y)
 
@@ -439,7 +450,7 @@ class LazyIso:
                 raise ConstraintViolation(
                     f"seed pair {self.source.format_el(x)} -> "
                     f"{self.target.format_el(y)} violates {c.name}")
-        i = self._locate(x, 0)
+        i = bisect_left(self._pairs, x, key=_SOURCE)
         # order-compatibility with both neighbours
         if i > 0 and not self._pairs[i - 1][1] < y:
             raise ConstraintViolation(
@@ -454,36 +465,45 @@ class LazyIso:
         self._fwd[x] = y
         self._bwd[y] = x
 
-    def _locate(self, el, key_idx):
-        return bisect.bisect_left(self._pairs, el, key=itemgetter(key_idx))
-
     def _extend(self, el, side):
         # side 'target': el is a source point needing an image; 'source':
-        # el is a target point needing a preimage
+        # el is a target point needing a preimage.  The cost: one bisect of
+        # the memo, one stream (the first constraint stream offered, else
+        # the other spec's gap enumeration), each candidate checked for
+        # membership and then against the constraints in order, and at most
+        # FAULT_CAP + 1 candidates scanned.
+        pairs = self._pairs
+        constraints = self.constraints
         forward = side == "target"
         if forward:
-            key_idx, val_idx, own, other = 0, 1, self.source, self.target
+            own, other, val_idx = self.source, self.target, 1
+            i = bisect_left(pairs, el, key=_SOURCE)
         else:
-            key_idx, val_idx, own, other = 1, 0, self.target, self.source
-        i = self._locate(el, key_idx)
-        lo = self._pairs[i - 1][val_idx] if i > 0 else None
-        hi = self._pairs[i][val_idx] if i < len(self._pairs) else None
+            own, other, val_idx = self.target, self.source, 0
+            i = bisect_left(pairs, el, key=_TARGET)
+        lo = pairs[i - 1][val_idx] if i else None
+        hi = pairs[i][val_idx] if i < len(pairs) else None
 
-        stream = None
-        for c in self.constraints:
+        for c in constraints:
             stream = c.candidate_stream(el, lo, hi, side)
             if stream is not None:
                 break
-        if stream is None:
+        else:
             stream = other.enum_in_gap(lo, hi)
 
-        for steps, cand in enumerate(stream):
+        contains = other.contains
+        steps = 0
+        for cand in stream:
             if steps > FAULT_CAP:
                 break
-            if not other.contains(cand):
+            steps += 1
+            if not contains(cand):
                 continue
             x, y = (el, cand) if forward else (cand, el)
-            if all(c.admissible(x, y) for c in self.constraints):
+            for c in constraints:
+                if not c.admissible(x, y):
+                    break
+            else:
                 self._insert(i, x, y)
                 return cand
         raise SearchExhausted(

@@ -246,7 +246,9 @@ def colour(x: Rat) -> Colour:
     (both odd) is blue.  Both classes are dense and coterminal; see
     colour_witness for the constructive density search.
     """
-    return Colour.RED if (x.numerator + x.denominator) % 2 == 1 else Colour.BLUE
+    if type(x) is not Rat:
+        x = Rat(x)
+    return Colour.RED if (x._numerator + x._denominator) % 2 == 1 else Colour.BLUE
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +279,10 @@ def _descend(a, b, left, right):
         runs.append((False, j))
 
 
-def _positive_index(x: Rat) -> int:
-    # 1-based Calkin-Wilf position of a positive rational: its Stern-Brocot
-    # path, run by run (the continued-fraction terms), each run's bits
-    # going above the bits before it
-    p, q = x.numerator, x.denominator
+def _positive_index(p: int, q: int) -> int:
+    # 1-based Calkin-Wilf position of the positive rational p/q in lowest
+    # terms: its Stern-Brocot path, run by run (the continued-fraction
+    # terms), each run's bits going above the bits before it
     k = d = 0
     while p != q:
         if p > q:
@@ -325,10 +326,13 @@ def nth_rational(n: int) -> Rat:
 
 def rat_index(x: Rat) -> int:
     """Inverse of nth_rational (exact, total)."""
-    if x == 0:
+    if type(x) is not Rat:
+        x = Rat(x)
+    n = x._numerator
+    if n == 0:
         return 0
-    k = _positive_index(abs(x))
-    return 2 * k - 1 if x > 0 else 2 * k
+    k = _positive_index(abs(n), x._denominator)
+    return 2 * k - 1 if n > 0 else 2 * k
 
 
 # ---------------------------------------------------------------------------
@@ -354,21 +358,28 @@ def simplest_between(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
     shallowest Stern-Brocot node (reflected for a negative interval), found
     by one integer walk from the root that takes whole runs of moves.
     """
-    if lo is not None and hi is not None and lo >= hi:
-        raise ValueError("empty open interval")
-    if lo is None and hi is None:
-        return Rat(0)
+    if lo is not None and type(lo) is not Rat:
+        lo = Rat(lo)
+    if hi is not None and type(hi) is not Rat:
+        hi = Rat(hi)
     if lo is None:
-        f = math.floor(hi)
-        return Rat(f if f < hi else f - 1)
+        if hi is None:
+            return _rat(0, 1)
+        hn, hd = hi._numerator, hi._denominator
+        f = hn // hd
+        return _rat(f if f * hd < hn else f - 1, 1)
+    ln, ld = lo._numerator, lo._denominator
     if hi is None:
-        return Rat(math.floor(lo) + 1)
-    if lo < 0 < hi:
-        return Rat(0)
-    if hi <= 0:
-        return -simplest_between(-hi, -lo)
-    (p, q), _, _, _ = _descend(lo.as_integer_ratio(), hi.as_integer_ratio(),
-                               (0, 1), (1, 0))
+        return _rat(ln // ld + 1, 1)
+    hn, hd = hi._numerator, hi._denominator
+    if ln * hd >= hn * ld:
+        raise ValueError("empty open interval")
+    if ln < 0 < hn:
+        return _rat(0, 1)
+    if hn <= 0:
+        (p, q), _, _, _ = _descend((-hn, hd), (-ln, ld), (0, 1), (1, 0))
+        return _rat(-p, q)
+    (p, q), _, _, _ = _descend((ln, ld), (hn, hd), (0, 1), (1, 0))
     return _rat(p, q)
 
 
@@ -387,7 +398,7 @@ def colour_witness(lo: Rat, hi: Rat, want: Colour) -> Rat:
     while True:  # the queue never empties: each pop adds two gaps
         a, b = queue.popleft()
         m = simplest_between(a, b)
-        if m.denominator > DENOMINATOR_BOUND:
+        if m._denominator > DENOMINATOR_BOUND:
             raise SearchExhausted(f"colour witness search for {want}",
                                   f"DENOMINATOR_BOUND={DENOMINATOR_BOUND}",
                                   lo, hi)
@@ -434,22 +445,35 @@ def enumerated_in_interval(lo: Optional[Rat], hi: Optional[Rat],
         heapq.heappush(heap, (2 * k - (sign > 0), sign, k, node, left, right, a, b))
         return True
 
-    if ((lo is None or lo < 0 or lo_closed and lo == 0)
-            and (hi is None or hi > 0 or hi_closed and hi == 0)):
+    # the bounds as Rat, and the integer parts of the finite ones
+    if lo is not None:
+        if type(lo) is not Rat:
+            lo = Rat(lo)
+        ln, ld = lo._numerator, lo._denominator
+    if hi is not None:
+        if type(hi) is not Rat:
+            hi = Rat(hi)
+        hn, hd = hi._numerator, hi._denominator
+    if ((lo is None or ln < 0 or lo_closed and ln == 0)
+            and (hi is None or hn > 0 or hi_closed and hn == 0)):
         yield _rat(0, 1)
+    # a side of 0 is walked only where the interval reaches past 0
     zero, inf = (0, 1), (1, 0)
-    positive = push(1, 1, zero if lo is None or lo <= 0 else lo.as_integer_ratio(),
-                    inf if hi is None else hi.as_integer_ratio(), zero, inf)
-    negative = push(-1, 1, zero if hi is None or hi >= 0 else (-hi).as_integer_ratio(),
-                    inf if lo is None else (-lo).as_integer_ratio(), zero, inf)
+    positive = (hi is None or hn > 0) and push(
+        1, 1, zero if lo is None or ln <= 0 else (ln, ld),
+        inf if hi is None else (hn, hd), zero, inf)
+    negative = (lo is None or ln < 0) and push(
+        -1, 1, zero if hi is None or hn >= 0 else (-hn, hd),
+        inf if lo is None else (-ln, ld), zero, inf)
     # an interval without interior points is empty unless it is [x, x]
     if not (positive or negative or lo == hi and lo_closed and hi_closed):
         raise ValueError("empty interval" if lo_closed or hi_closed
                          else "empty open interval")
     for x, closed in ((lo, lo_closed), (hi, hi_closed and hi != lo)):
-        if closed and x != 0:
-            node = abs(x).as_integer_ratio()
-            heapq.heappush(heap, (rat_index(x), 1 if x > 0 else -1, 0, node,
+        if closed and x._numerator:
+            n = x._numerator
+            node = (abs(n), x._denominator)
+            heapq.heappush(heap, (rat_index(x), 1 if n > 0 else -1, 0, node,
                                   None, None, node, node))
     while heap:
         _, sign, k, node, left, right, a, b = heapq.heappop(heap)

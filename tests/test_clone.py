@@ -217,6 +217,28 @@ def test_either_equal_matches_the_quadratic_scan(op):
     assert preserves_either_equal(op) == _either_equal_quadratic(op)
 
 
+def _change_pairs_by_coordinates(op):
+    # every pair of rows compared coordinate by coordinate: the reference
+    # for _change_pairs' encoded rows
+    rows = list(itertools.product(op.grid, repeat=op.arity))
+    for a, b in itertools.combinations(rows, 2):
+        if op.table[a] != op.table[b]:
+            yield a, b, sum(1 << i for i in range(op.arity) if a[i] != b[i])
+
+
+@settings(max_examples=200, deadline=None)
+@given(grid_ops())
+def test_change_pairs_match_the_coordinate_scan(op):
+    assert list(_change_pairs(op)) == list(_change_pairs_by_coordinates(op))
+
+
+def test_change_pairs_on_a_grid_of_four():
+    # four grid values take two bits per coordinate
+    grid = tuple(F(i) for i in range(4))
+    op = GridOp.from_function(3, grid, lambda x, y, z: max(x, min(y, z)))
+    assert list(_change_pairs(op)) == list(_change_pairs_by_coordinates(op))
+
+
 def test_characterization_on_grid_of_four():
     grid = tuple(F(i) for i in range(4))
     op = GridOp.from_function(3, grid, lambda x, y, z: max(x, min(y, z)))

@@ -493,3 +493,164 @@ def test_memo_stays_partial_automorphism(requests):
     pairs = iso.memo_pairs()
     for (x1, y1), (x2, y2) in zip(pairs, pairs[1:]):
         assert x1 < x2 and y1 < y2
+
+
+# -- the engine against a written-out reference ------------------------------
+
+import bisect  # noqa: E402
+from operator import itemgetter  # noqa: E402
+
+from qendo import generic  # noqa: E402
+from qendo.generic import PPair, extend_pair, generic_embedding  # noqa: E402
+from qendo.partialmap import FinitePartialMap  # noqa: E402
+
+
+class _ReferenceIso(LazyIso):
+    """LazyIso with the extension step written out plainly: a fresh
+    itemgetter per bisect, enumerate over the stream and an all() over the
+    constraints for each candidate.  It must choose every partner the
+    engine chooses."""
+
+    def _extend(self, el, side):
+        forward = side == "target"
+        if forward:
+            key_idx, val_idx, own, other = 0, 1, self.source, self.target
+        else:
+            key_idx, val_idx, own, other = 1, 0, self.target, self.source
+        i = bisect.bisect_left(self._pairs, el, key=itemgetter(key_idx))
+        lo = self._pairs[i - 1][val_idx] if i > 0 else None
+        hi = self._pairs[i][val_idx] if i < len(self._pairs) else None
+
+        stream = None
+        for c in self.constraints:
+            stream = c.candidate_stream(el, lo, hi, side)
+            if stream is not None:
+                break
+        if stream is None:
+            stream = other.enum_in_gap(lo, hi)
+
+        for steps, cand in enumerate(stream):
+            if steps > lazyiso.FAULT_CAP:
+                break
+            if not other.contains(cand):
+                continue
+            x, y = (el, cand) if forward else (cand, el)
+            if all(c.admissible(x, y) for c in self.constraints):
+                self._insert(i, x, y)
+                return cand
+        raise SearchExhausted(
+            f"back-and-forth search for a partner of {own.format_el(el)}",
+            f"FAULT_CAP={lazyiso.FAULT_CAP}", lo, hi, other.format_el)
+
+
+def _reference_build(source, target, seed=(), constraints=()):
+    return _ReferenceIso(source, target, seed=seed, constraints=constraints)
+
+
+MID_Q = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+
+# case -> (a fresh target spec, a strategy for its elements)
+ENGINE_CASES = {
+    "FullQ": lambda: (FullQ(), MID_Q),
+    "RedPoints-bounded": lambda: (RedPoints(ColouredQ(True, True)),
+                                  st.sampled_from(_RED_SAMPLE)),
+    "LexSum": lambda: (_product(), st.tuples(MID_Q, MID_Q)),
+    "QMinusFinite": lambda: (QMinusFinite({F(0), F(1, 2)}),
+                             MID_Q.filter(lambda x: x not in (0, F(1, 2)))),
+    "FactorOrder": lambda: (FactorOrder(_FloorMap()),
+                            st.sampled_from([el for _, el in
+                                             _brute_elements("factor")])),
+}
+
+
+def _requests(draw, sources, targets, backward_share, most=30):
+    # a random sequence of forward and backward evaluations
+    n = draw(st.integers(1, most))
+    return [(True, draw(targets)) if draw(st.integers(0, 99)) < backward_share
+            else (False, draw(sources)) for _ in range(n)]
+
+
+def _run(iso, requests):
+    # each evaluation's value, or the message of the search that ran out
+    out = []
+    for backward, el in requests:
+        try:
+            out.append((iso.eval_bwd if backward else iso.eval_fwd)(el))
+        except SearchExhausted as exc:
+            out.append(str(exc))
+    return out
+
+
+@pytest.mark.parametrize("case", sorted(ENGINE_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_engine_matches_the_reference_extension(case, data):
+    target, elements = ENGINE_CASES[case]()
+    # LexSum is evaluated mostly backward, into the sum
+    share = 80 if case == "LexSum" else 50
+    requests = _requests(data.draw, MID_Q, elements, share)
+    iso = build(FullQ(), target)
+    reference = _reference_build(FullQ(), ENGINE_CASES[case]()[0])
+    assert _run(iso, requests) == _run(reference, requests)
+    assert iso.memo_pairs() == reference.memo_pairs()
+
+
+def _commuting_pair(make):
+    # a generic embedding and an extended commuting pair seeded by one
+    # non-trivial step (u, s) -> (u, t), every iso built by make
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(generic, "build", make)
+        g, cert = generic_embedding("core")
+        gu = g.eval(F(0))
+        s = next(iter(cert.image_points_between(gu, None)))
+        t = next(iter(cert.image_points_between(s, None)))
+        a = FinitePartialMap.from_pairs([(gu, gu), (s, t)])
+        b = FinitePartialMap.from_pairs(
+            [(F(0), F(0)), (cert.inverse_image(s), cert.inverse_image(t))])
+        pair = extend_pair(g, cert, PPair(a, b))
+    return cert, pair
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_engine_matches_the_reference_on_extend_pair_constraints(data):
+    # Some sequences send alpha into a search that scans FAULT_CAP class
+    # points without an admissible one; a lower cap keeps those searches
+    # short, and both engines must run out on the same ones.
+    requests = _requests(data.draw, MID_Q, MID_Q, 50, most=12)
+    states = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lazyiso, "FAULT_CAP", 1_000)
+        for make in (build, _reference_build):
+            cert, pair = _commuting_pair(make)
+            assert isinstance(pair.alpha_iso, _ReferenceIso) == (make is _reference_build)
+            states.append((_run(pair.alpha_iso, requests), pair.alpha_iso.memo_pairs(),
+                           cert.index_iso.memo_pairs(), cert.red_iso.memo_pairs()))
+    assert states[0] == states[1]
+
+
+@pytest.mark.parametrize("make", [build, _reference_build], ids=["engine", "reference"])
+@pytest.mark.parametrize("admissible_at, accepted", [(3, True), (4, False)])
+def test_fault_cap_bounds_the_scan_index(monkeypatch, make, admissible_at, accepted):
+    # the stream offers 10, 11, 12, ...; only 10 + admissible_at is
+    # admissible.  With FAULT_CAP = 3 the scan covers indices 0..3
+    monkeypatch.setattr(lazyiso, "FAULT_CAP", 3)
+    wanted = F(10 + admissible_at)
+    offered = Constraint("offered", lambda x: True, lambda y: y == wanted,
+                         target_stream=lambda x, lo, hi: (F(10 + k) for k in range(20)))
+    iso = make(FullQ(), FullQ(), constraints=[offered])
+    if accepted:
+        assert iso.eval_fwd(F(0)) == wanted
+    else:
+        with pytest.raises(SearchExhausted, match="FAULT_CAP=3"):
+            iso.eval_fwd(F(0))
+        assert iso.memo_pairs() == ()
+
+
+@pytest.mark.parametrize("make", [build, _reference_build], ids=["engine", "reference"])
+def test_constraint_stream_candidates_pass_the_membership_check(make):
+    # a constraint stream may offer non-members: 10 is not in the target
+    offered = Constraint("offered", lambda x: True, lambda y: True,
+                         target_stream=lambda x, lo, hi: iter((F(10), F(11))))
+    iso = make(FullQ(), QMinusFinite({F(10)}), constraints=[offered])
+    assert iso.eval_fwd(F(0)) == F(11)

@@ -623,3 +623,69 @@ def test_values_stay_rat_end_to_end():
     _all_rat(emb.eval(x) for x in (F(0), F(-7, 3), F(5, 2), 4))
     for iso in (cert.red_iso, cert.index_iso):
         _all_rat(iso.memo_pairs())
+
+
+# ---------------------------------------------------------------------------
+# operand types of the primitives
+# ---------------------------------------------------------------------------
+
+def _operand_forms(x):
+    # x as an int (where it is one), a Fraction and a Rat
+    if x is None:
+        return [None]
+    forms = [F(x), Rat(x)]
+    if x.denominator == 1:
+        forms.insert(0, int(x))
+    return forms
+
+
+def _outcome(fn, *args):
+    # fn's result, or the ValueError it raises
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return ValueError, str(exc)
+
+
+def _rat_results(outcome):
+    if isinstance(outcome, tuple) and outcome[0] is ValueError:
+        return
+    for x in outcome if isinstance(outcome, list) else [outcome]:
+        assert type(x) is Rat, repr(x)
+
+
+_PRIMITIVE_BOUND = st.one_of(st.none(), st.integers(-4, 4).map(F),
+                             st.fractions(-4, 4, max_denominator=7))
+
+
+@given(_PRIMITIVE_BOUND, _PRIMITIVE_BOUND, st.booleans(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_primitives_agree_on_int_fraction_and_rat_operands(a, b, lo_closed, hi_closed):
+    # the same values as int, Fraction and Rat give the same results, and
+    # every rational result is a Rat
+    lo_closed = lo_closed and a is not None
+    hi_closed = hi_closed and b is not None
+
+    def results(lo, hi):
+        out = {
+            "simplest_between": _outcome(simplest_between, lo, hi),
+            "enumerated_in_interval": _outcome(lambda: list(itertools.islice(
+                enumerated_in_interval(lo, hi, lo_closed, hi_closed), 25))),
+        }
+        if lo is not None and hi is not None:
+            for want in Colour:
+                out[f"colour_witness {want}"] = _outcome(colour_witness, lo, hi, want)
+        for end, x in (("lo", lo), ("hi", hi)):
+            if x is not None:
+                out[f"colour {end}"] = colour(x)
+                out[f"rat_index {end}"] = rat_index(x)
+        return out
+
+    want = results(None if a is None else Rat(a), None if b is None else Rat(b))
+    for lo in _operand_forms(a):
+        for hi in _operand_forms(b):
+            got = results(lo, hi)
+            assert got == want, (type(lo), type(hi))
+            for name, outcome in got.items():
+                if not name.startswith(("colour ", "rat_index")):
+                    _rat_results(outcome)
