@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .endo import ComposedEndo, PiecewiseEndo, constant_map, idempotent_with_image, identity_map
-from .ratcore import Rat, format_rat
+from .ratcore import Rat
 
 __all__ = [
     "LabelledForest",
@@ -144,7 +144,7 @@ class OrbitPoint:
         object.__setattr__(self, "B", tuple(sorted(set(self.B))))
 
     def __str__(self) -> str:
-        inner = ", ".join(format_rat(b) for b in self.B)
+        inner = ", ".join(map(str, self.B))
         return f"({self.node}; {{{inner}}})"
 
 

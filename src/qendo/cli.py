@@ -16,13 +16,14 @@ usage or parse error, 3 when a bounded search reached its cap.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import List, Optional
 
-from .actions import ForestError, LabelledForest, OrbitPoint, act
+from .actions import LabelledForest, OrbitPoint, act
 from .endo import PiecewiseEndo, cancellability_witness, classify, epi_mono_factorize
 from .generic import VARIANTS, generic_embedding
-from .ratcore import Rat, SearchExhausted, format_rat, nth_rational, parse_rat
+from .ratcore import Rat, SearchExhausted, nth_rational, parse_rat
 from .suites import SUITE_NAMES, RunConfig, run_suite
 
 __all__ = ["main", "build_parser"]
@@ -95,7 +96,7 @@ def _union_str(ivs) -> str:
 def _kind_line(rep) -> str:
     kind = rep.kind
     if kind.constant:
-        return (f"constant at {format_rat(rep.constant_value)}; "
+        return (f"constant at {rep.constant_value}; "
                 f"missing {_union_str(rep.missing)}")
     if kind.injective and kind.surjective:
         return "automorphism"
@@ -118,26 +119,24 @@ def cmd_classify(args, cfg: RunConfig) -> int:
     if rep.non_injective_pair is not None:
         x1, x2 = rep.non_injective_pair
         lines.append(
-            f"collapsing pair: f({format_rat(x1)}) = f({format_rat(x2)}) "
-            f"= {format_rat(f.eval(x1))}")
+            f"collapsing pair: f({x1}) = f({x2}) = {f.eval(x1)}")
     if rep.non_surjective_value is not None:
         lines.append(
-            f"value never attained: {format_rat(rep.non_surjective_value)}")
+            f"value never attained: {rep.non_surjective_value}")
     if wit.left is None:
         lines.append("left-cancellation witness: none (map is injective)")
     else:
         c1, c2 = wit.left
         lines.append(
             "left-cancellation witness: constants at "
-            f"{format_rat(c1.eval(Rat(0)))} and "
-            f"{format_rat(c2.eval(Rat(0)))} compose equally through the map")
+            f"{c1.eval(Rat(0))} and {c2.eval(Rat(0))} compose equally "
+            "through the map")
     if wit.right is None:
         lines.append("right-cancellation witness: none (map is surjective)")
     else:
         lines.append(
             "right-cancellation witness: two maps with equal composites "
-            "after the map, differing at "
-            f"{format_rat(rep.non_surjective_value)}")
+            f"after the map, differing at {rep.non_surjective_value}")
     print("\n".join(lines))
     return 0
 
@@ -161,7 +160,7 @@ def cmd_factorize(args, cfg: RunConfig) -> int:
                      + (f"yes ({len(mono_vals)} sorted samples)" if strictly
                         else "NO"))
     if bad:
-        lines.append(f"composite FAILED at {format_rat(bad[0])}")
+        lines.append(f"composite FAILED at {bad[0]}")
     elif not probe:
         lines.append("composite not verified (0 points)")
     else:
@@ -175,8 +174,7 @@ def cmd_factorize(args, cfg: RunConfig) -> int:
 def cmd_suite(args, cfg: RunConfig) -> int:
     if args.forest is not None:
         forest = LabelledForest.parse(_read(args.forest))
-        cfg = RunConfig(seed=cfg.seed, budget=cfg.budget, fmt=cfg.fmt,
-                        extra_forest=forest)
+        cfg = dataclasses.replace(cfg, extra_forest=forest)
     names: List[str] = list(SUITE_NAMES) if args.name == "all" else [args.name]
     results = [run_suite(n, cfg) for n in names]
     print("\n\n".join(r.render(cfg) for r in results))
@@ -191,7 +189,7 @@ def cmd_generic(args, cfg: RunConfig) -> int:
         x = nth_rational(i)
         y = g.eval(x)
         q = cert.class_of(y)
-        lines.append(f"  e({i}) = {format_rat(x)} -> {format_rat(y)}   "
+        lines.append(f"  e({i}) = {x} -> {y}   "
                      f"class {order.format_el(q)} "
                      f"({cert.colour_of_index(q).name.lower()})")
     lines.append("memo snapshot:")
@@ -225,10 +223,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     cfg = RunConfig(seed=args.seed, budget=args.budget, fmt=args.fmt)
     try:
         return _COMMANDS[args.command](args, cfg)
-    except (ForestError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ForestError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SearchExhausted as exc:

@@ -30,13 +30,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .endo import ComposedEndo, PiecewiseEndo, classify, compose
-from .ratcore import Rat, format_rat, nth_rational, parse_rat
+from .ratcore import Rat, nth_rational, parse_rat
 from .topology import DistResult, UltraMetricContext, dist
 
 __all__ = [
     "FinitaryOp",
-    "projection",
-    "unary_op",
     "clone_compose",
     "GridOp",
     "RhoReport",
@@ -82,14 +80,6 @@ class FinitaryOp:
     def __str__(self) -> str:
         core = f"pi_{self.j}^({self.arity})"
         return core if self.unary is None else f"u o {core}"
-
-
-def projection(arity: int, j: int) -> FinitaryOp:
-    return FinitaryOp(arity, j)
-
-
-def unary_op(arity: int, j: int, u) -> FinitaryOp:
-    return FinitaryOp(arity, j, u)
 
 
 def _compose_unaries(outer, inner):
@@ -157,11 +147,11 @@ class GridOp:
         return sorted(self.table.items())
 
     def __str__(self) -> str:
-        lines = ["grid: " + ", ".join(format_rat(x) for x in self.grid),
+        lines = ["grid: " + ", ".join(map(str, self.grid)),
                  f"arity: {self.arity}"]
         for args, val in self.rows():
-            lines.append(" ".join(format_rat(a) for a in args)
-                         + " -> " + format_rat(val))
+            lines.append(" ".join(map(str, args))
+                         + " -> " + str(val))
         return "\n".join(lines)
 
     @staticmethod
@@ -207,8 +197,8 @@ class RhoReport:
             return "preserves either-equal"
         lines = ["violates either-equal:"]
         for args, val in self.witness:
-            lines.append("  f(" + ", ".join(format_rat(a) for a in args)
-                         + ") = " + format_rat(val))
+            lines.append("  f(" + ", ".join(map(str, args))
+                         + ") = " + str(val))
         return "\n".join(lines)
 
 
@@ -363,7 +353,7 @@ def tuple_compose_identity(f: GridOp, f2: GridOp,
         stray = next((p for p in pts if p not in f.grid), None)
         if stray is not None:
             raise ValueError(
-                f"image point {format_rat(stray)} of map #{idx} is off the grid")
+                f"image point {stray} of map #{idx} is off the grid")
         images.append(pts)
     hypothesis = all(f.table[args] == f2.table[args]
                      for args in itertools.product(*images))

@@ -25,7 +25,6 @@ from .ratcore import (
     Rat,
     RatInterval,
     _reduced,
-    format_rat,
     gap_witness_point,
     intersect_intervals,
     merge_intervals,
@@ -78,7 +77,7 @@ class Piece:
     def __str__(self):
         c = self.intercept
         sign, mag = ("-", -c) if c < 0 else ("+", c)
-        return f"{self.interval} : {format_rat(self.slope)}*x {sign} {format_rat(mag)}"
+        return f"{self.interval} : {self.slope}*x {sign} {mag}"
 
     @staticmethod
     def parse(text: str) -> "Piece":
@@ -481,7 +480,7 @@ def right_inverse(g: PiecewiseEndo, fixset=()) -> PiecewiseEndo:
     report = classify(g)
     if not report.kind.surjective:
         raise ValueError(
-            f"map is not surjective; {format_rat(report.non_surjective_value)} "
+            f"map is not surjective; {report.non_surjective_value} "
             "has no preimage")
     return pseudo_section(g, fixset=fixset)
 
@@ -492,7 +491,7 @@ def divide(f: PiecewiseEndo, g: PiecewiseEndo) -> PiecewiseEndo:
     stray = union_difference_witness(f.image_union(), g.image_union())
     if stray is not None:
         raise ValueError(
-            f"no solution: {format_rat(stray)} is a value of the dividend "
+            f"no solution: {stray} is a value of the dividend "
             "but not of the divisor")
     return compose(pseudo_section(g), f)
 
@@ -562,7 +561,7 @@ def copoint_embedding(y: Rat) -> LazyEndo:
     """An order-embedding of the line whose image avoids exactly the point
     y's copoint obstruction: values land in Q minus {y}."""
     iso = build(FullQ(), QMinusFinite({Rat(y)}))
-    return LazyEndo(iso.eval_fwd, label=f"avoid {format_rat(Rat(y))}")
+    return LazyEndo(iso.eval_fwd, label=f"avoid {Rat(y)}")
 
 
 # ---------------------------------------------------------------------------

@@ -33,7 +33,7 @@ from .lazyiso import (
     LazyIso,
     LexSum,
     Marker,
-    RedPoints,
+    RedQ,
     build,
 )
 from .partialmap import FinitePartialMap
@@ -42,7 +42,6 @@ from .ratcore import (
     Rat,
     RatInterval,
     SearchExhausted,
-    format_rat,
     intersect_intervals,
     nth_rational,
     union_contains,
@@ -129,8 +128,10 @@ class GenericCert:
 
 class DirectCert(GenericCert):
     """Certificate built from scratch: an index iso spreads the line over
-    (coloured index) × (line), and a red iso enumerates where the image
-    points go.  The image point of red class q sits at index pair (q, 0)."""
+    (coloured index) × (line), and a red iso from the line onto the red
+    rationals, which are the red classes of the index order, enumerates
+    where the image points go.  The image point of red class q sits at
+    index pair (q, 0)."""
 
     def __init__(self, variant: str):
         if variant not in VARIANTS:
@@ -143,12 +144,11 @@ class DirectCert(GenericCert):
         line = FullQ()
         self._product = LexSum(self.index_order, lambda q: line)
         self.index_iso = build(line, self._product)
-        self.red_iso = build(line, RedPoints(self.index_order))
+        self.red_iso = build(line, RedQ())
         self.embedding = LazyEndo(self._embed, label=f"generic {variant}")
 
     def _embed(self, x: Rat) -> Rat:
-        q = self.red_iso.eval_fwd(x)
-        return self.index_iso.eval_bwd((q, Rat(0)))
+        return self.representative(self.red_iso.eval_fwd(x))
 
     def class_of(self, x: Rat):
         return self.index_iso.eval_fwd(Rat(x))[0]
@@ -166,7 +166,7 @@ class DirectCert(GenericCert):
     def inverse_image(self, x: Rat) -> Rat:
         q, c = self.index_iso.eval_fwd(Rat(x))
         if c != 0 or self.colour_of_index(q) != Colour.RED:
-            raise ValueError(f"{format_rat(Rat(x))} is not an image point")
+            raise ValueError(f"{Rat(x)} is not an image point")
         return self.red_iso.eval_bwd(q)
 
     def class_points(self, q) -> Iterator[Rat]:
@@ -246,15 +246,12 @@ def generic_embedding(variant: str = "core"):
 # ---------------------------------------------------------------------------
 
 def sim_related(A, x: Rat, y: Rat) -> bool:
-    """At most one point of A strictly between x and y.
-
-    A is either a certificate (class query, exact for image-anchored use)
-    or a finite tuple of RatInterval (counted exactly)."""
+    """At most one point of A strictly between x and y, where A is a
+    finite tuple of RatInterval; the points are counted exactly.  For the
+    image of a certified embedding, compare `cert.class_of` values."""
     x, y = Rat(x), Rat(y)
     if x == y:
         return True
-    if isinstance(A, GenericCert):
-        return A.class_of(x) == A.class_of(y)
     lo, hi = (x, y) if x < y else (y, x)
     window = RatInterval(lo, hi)
     count = 0
@@ -268,14 +265,6 @@ def sim_related(A, x: Rat, y: Rat) -> bool:
         if count > 1:
             return False
     return True
-
-
-def class_info(cert: GenericCert, x: Rat):
-    """(class index, colour, representative-or-None) for the class of x."""
-    q = cert.class_of(x)
-    colour = cert.colour_of_index(q)
-    rep = cert.representative(q) if colour == Colour.RED else None
-    return q, colour, rep
 
 
 # ---------------------------------------------------------------------------
@@ -323,15 +312,13 @@ def p_check(g, cert: GenericCert, p: PPair) -> List[Tuple[int, str]]:
     for x, y in a.pairs:
         cx, cy = cert.colour_of_index(c(x)), cert.colour_of_index(c(y))
         if cx != cy:
-            out.append((1, f"{format_rat(x)} maps {cx} class to {cy} class"))
+            out.append((1, f"{x} maps {cx} class to {cy} class"))
         for marker in (Marker.MIN, Marker.MAX):
             if (c(x) is marker) != (c(y) is marker):
-                out.append((1, f"{format_rat(x)} does not preserve the "
-                               f"{marker} endpoint class"))
+                out.append((1, f"{x} does not preserve the {marker} endpoint class"))
     for (x1, y1), (x2, y2) in itertools.combinations(a.pairs, 2):
         if (c(x1) == c(x2)) != (c(y1) == c(y2)):
-            out.append((1, f"relatedness of {format_rat(x1)},{format_rat(x2)} "
-                           "not mirrored by their images"))
+            out.append((1, f"relatedness of {x1},{x2} not mirrored by their images"))
     # (2)/(3) red classes must bring their image point along
     for clause, pts, pool, side in ((2, a.domain(), dom_a, "domain"),
                                     (3, a.image(), im_a, "image")):
@@ -340,17 +327,15 @@ def p_check(g, cert: GenericCert, p: PPair) -> List[Tuple[int, str]]:
             if cert.colour_of_index(q) == Colour.RED:
                 rep = cert.representative(q)
                 if rep not in pool:
-                    out.append((clause,
-                                f"red class of {format_rat(x)} has image point "
-                                f"{format_rat(rep)} missing from the {side} of a"))
+                    out.append((clause, f"red class of {x} has image point {rep} "
+                                        f"missing from the {side} of a"))
     # (4)/(5) g carries b into a
     for clause, pts, pool, side in ((4, b.domain(), dom_a, "domain"),
                                     (5, b.image(), im_a, "image")):
         for u in pts:
             gu = g.eval(u)
             if gu not in pool:
-                out.append((clause, f"g({format_rat(u)}) = {format_rat(gu)} "
-                                    f"missing from the {side} of a"))
+                out.append((clause, f"g({u}) = {gu} missing from the {side} of a"))
     # (6)/(7) a agrees with g·b·g⁻¹ on image points
     b_inv = b.inverse()
     a_inv = a.inverse()
@@ -358,18 +343,16 @@ def p_check(g, cert: GenericCert, p: PPair) -> List[Tuple[int, str]]:
         if cert.in_image(x):
             w = cert.inverse_image(x)
             if b.apply(w) is None:
-                out.append((6, f"g⁻¹({format_rat(x)}) = {format_rat(w)} "
-                               "missing from the domain of b"))
+                out.append((6, f"g⁻¹({x}) = {w} missing from the domain of b"))
             elif g.eval(b.apply(w)) != a.apply(x):
-                out.append((6, f"g·b·g⁻¹ and a disagree at {format_rat(x)}"))
+                out.append((6, f"g·b·g⁻¹ and a disagree at {x}"))
     for y in a.image():
         if cert.in_image(y):
             w = cert.inverse_image(y)
             if b_inv.apply(w) is None:
-                out.append((7, f"g⁻¹({format_rat(y)}) = {format_rat(w)} "
-                               "missing from the image of b"))
+                out.append((7, f"g⁻¹({y}) = {w} missing from the image of b"))
             elif g.eval(b_inv.apply(w)) != a_inv.apply(y):
-                out.append((7, f"g·b⁻¹·g⁻¹ and a⁻¹ disagree at {format_rat(y)}"))
+                out.append((7, f"g·b⁻¹·g⁻¹ and a⁻¹ disagree at {y}"))
     return out
 
 
@@ -489,7 +472,7 @@ def absorb(f: PiecewiseEndo):
     if not report.kind.injective:
         x1, x2 = report.non_injective_pair
         raise ValueError(
-            f"map is not injective: f({format_rat(x1)}) = f({format_rat(x2)})")
+            f"map is not injective: f({x1}) = f({x2})")
     image = f.image_union()
     below_unbounded = image[0].lo is None
     above_unbounded = image[-1].hi is None

@@ -7,15 +7,20 @@ both ends given and lo not below hi is an error: enum_in_gap raises
 ValueError, at the call or at the first next().  A gap with an unbounded
 side is never an error, only possibly empty, as (max, None) is.
 
-`enum()` is the whole enumeration, `enum_in_gap(None, None)`, and
-`index_of(el)`, where defined, is el's position in it, from 0.  A LexSum
-asks index_of of its index order and of each fibre on its own, so a
-fibre's index_of counts positions inside that fibre only.  `min_el` and
+`enum_in_gap(None, None)` is the whole enumeration, and `index_of(el)`,
+where defined, is el's position in it, from 0.  A LexSum asks index_of
+of its index order and of each fibre on its own, so a fibre's index_of
+counts positions inside that fibre only.  `min_el` and
 `max_el` are the order's least and greatest elements, None where there
 is none.  Elements of one spec compare with Python's `<` in the spec's
 order: rationals are Fractions, the adjoined endpoints are Markers that
 sort below (MIN) or above (MAX) everything else, and a LexSum's pairs
 compare as tuples.
+
+FullQ is the rationals in ratcore's enumeration.  ColouredQ adds the
+dense two-colouring and optional blue endpoints; its red elements are
+RedQ, the rationals whose numerator and denominator sum to an odd number,
+enumerated as FullQ's stream with the blue ones left out.
 
 A LazyIso holds a growing finite partial isomorphism between two specs
 and extends it on demand: evaluating at a fresh point inserts the
@@ -92,19 +97,16 @@ class OrderSpec:
     def contains(self, el) -> bool:
         raise NotImplementedError
 
-    def enum(self) -> Iterator:
-        return self.enum_in_gap(None, None)
-
     def enum_in_gap(self, lo, hi) -> Iterator:
         """Elements strictly between lo and hi (None = unbounded side), in
-        the order of enum()."""
+        the order of the whole enumeration enum_in_gap(None, None)."""
         raise NotImplementedError
 
     def format_el(self, el) -> str:
         return str(el)
 
     def index_of(self, el) -> int:
-        """Position in enum() (used by LexSum)."""
+        """Position in the whole enumeration (used by LexSum)."""
         raise NotImplementedError
 
 
@@ -166,6 +168,24 @@ class ColouredQ(OrderSpec):
     def __repr__(self):
         tags = ",".join(m.value for m in self._markers)
         return f"ColouredQ({tags})" if tags else "ColouredQ"
+
+
+class RedQ(OrderSpec):
+    """The red rationals: the red elements of every ColouredQ, whose
+    adjoined endpoints are blue.  Dense and endpoint-free.  The parity
+    tests are ratcore.colour's rule, inlined for Rat."""
+
+    def contains(self, el):
+        if type(el) is Rat:
+            return (el._numerator + el._denominator) % 2 == 1
+        return isinstance(el, Fraction) and colour(el) is Colour.RED
+
+    def enum_in_gap(self, lo, hi):
+        return (x for x in enumerated_in_interval(lo, hi)
+                if (x._numerator + x._denominator) % 2)
+
+    def __repr__(self):
+        return "RedQ"
 
 
 class QMinusFinite(OrderSpec):
@@ -349,27 +369,6 @@ class FactorOrder(LexSum):
     def format_el(self, el):
         q, y = el
         return f"pt:{q}" if y == "pt" else f"im:{q}@{y}"
-
-
-class RedPoints(OrderSpec):
-    """Suborder of the red elements of a coloured spec (dense, endpoint-free:
-    adjoined endpoints are blue by construction)."""
-
-    def __init__(self, base: OrderSpec):
-        self.base = base
-
-    def contains(self, el):
-        return self.base.contains(el) and self.base.colour_label(el) == Colour.RED
-
-    def enum_in_gap(self, lo, hi):
-        return (el for el in self.base.enum_in_gap(lo, hi)
-                if self.base.colour_label(el) == Colour.RED)
-
-    def format_el(self, el):
-        return self.base.format_el(el)
-
-    def __repr__(self):
-        return f"RedPoints({self.base!r})"
 
 
 # ---------------------------------------------------------------------------

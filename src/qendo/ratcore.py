@@ -716,6 +716,3 @@ def parse_rat(text: str) -> Rat:
     except (ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"bad rational: {text!r}") from exc
 
-
-def format_rat(x: Rat) -> str:
-    return str(x)

@@ -16,13 +16,12 @@ from typing import List, Optional, Tuple
 
 from .actions import LabelledForest, OrbitPoint, act, containment_check, fixpoint_check, verify_action
 from .clone import (
+    FinitaryOp,
     GridOp,
     clone_compose,
     essential_positions,
     lift_convergence,
     preserves_either_equal,
-    projection,
-    unary_op,
     unary_reconstruction,
 )
 from .endo import (
@@ -639,7 +638,7 @@ def suite_clone(cfg: RunConfig) -> SuiteResult:
         for arity in (1, 2, 3):
             grid = tuple(Rat(i) for i in range(size))
             for j in range(1, arity + 1):
-                op = GridOp.restriction(projection(arity, j), grid)
+                op = GridOp.restriction(FinitaryOp(arity, j), grid)
                 char(preserves_either_equal(op).preserves
                      and unary_reconstruction(op) is not None)
             for v in grid:
@@ -653,8 +652,8 @@ def suite_clone(cfg: RunConfig) -> SuiteResult:
         [random_monotone_endo(rng, max_cuts=2) for _ in range(6)]
     grid3 = (Rat(0), Rat(1), Rat(2))
     for _ in range(ncompositions):
-        f = unary_op(2, rng.randint(1, 2), rng.choice(unaries))
-        gs = [unary_op(2, rng.randint(1, 2), rng.choice(unaries))
+        f = FinitaryOp(2, rng.randint(1, 2), rng.choice(unaries))
+        gs = [FinitaryOp(2, rng.randint(1, 2), rng.choice(unaries))
               for _ in range(2)]
         h = clone_compose(f, gs)
         closure(preserves_either_equal(GridOp.restriction(h, grid3)).preserves)

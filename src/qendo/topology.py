@@ -17,13 +17,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .endo import LazyEndo, Piece, PiecewiseEndo
 from .lazyiso import FullQ, build
 from .ratcore import (
     Rat,
-    format_rat,
     least_index_in_interval,
     nth_rational,
     rat_index,
@@ -96,16 +95,6 @@ class DistResult:
         return f"{shown} ({self.verdict})"
 
 
-def _boundary_points(f: PiecewiseEndo) -> List[Rat]:
-    pts = []
-    for p in f.pieces:
-        if p.interval.lo is not None:
-            pts.append(p.interval.lo)
-        if p.interval.hi is not None:
-            pts.append(p.interval.hi)
-    return pts
-
-
 def _walker(f: PiecewiseEndo) -> Callable[[Rat], Piece]:
     # the piece of f holding each point of an increasing sequence, found by
     # a cursor that only moves forward
@@ -143,7 +132,7 @@ def _piecewise_least_difference(f: PiecewiseEndo, g: PiecewiseEndo) -> Optional[
             best = n
 
     f_at, g_at = _walker(fc), _walker(gc)
-    cuts = sorted(set(_boundary_points(fc) + _boundary_points(gc)))
+    cuts = sorted(set(fc._cuts + gc._cuts))
     lo = None
     for hi in cuts + [None]:
         # the open region (lo, hi) lies inside one piece of each map
@@ -172,11 +161,11 @@ def dist(ctx: UltraMetricContext, f, g) -> DistResult:
             return DistResult(Rat(0), None, None, "equal (symbolic)", True)
         probe = ctx.tuple_at(n)
         return DistResult(Rat(1, 2 ** n), n, probe,
-                          f"differ at e({n}) = {format_rat(probe[0])}", True)
+                          f"differ at e({n}) = {probe[0]}", True)
     for n in range(ctx.depth):
         args = ctx.tuple_at(n)
         if ctx.evaluate(f, args) != ctx.evaluate(g, args):
-            shown = ", ".join(format_rat(a) for a in args)
+            shown = ", ".join(map(str, args))
             return DistResult(Rat(1, 2 ** n), n, args,
                               f"differ at e({n}) = ({shown})", True)
     return DistResult(Rat(0), None, None,

@@ -192,6 +192,15 @@ def test_suite_actions_takes_extra_forest(files, capsys):
     assert "across 4 forests" in out
 
 
+def test_suite_forest_keeps_the_global_flags(files, capsys):
+    code = main(["--seed", "7", "--budget", "10", "suite", "actions",
+                 "--forest", files("chain.forest", CHAIN_FOREST)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.startswith("suite actions (seed=7, budget=10, depth=2048)\n")
+    assert "across 4 forests" in out
+
+
 def test_act_same_size_image(files, capsys):
     code = main(["act", files("chain.forest", CHAIN_FOREST),
                  files("step.map", STEP_MAP), "top", "0,1"])

@@ -16,9 +16,7 @@ from qendo.clone import (
     essential_positions,
     lift_convergence,
     preserves_either_equal,
-    projection,
     tuple_compose_identity,
-    unary_op,
     unary_reconstruction,
 )
 from qendo.clone import _change_pairs, _single_step
@@ -39,7 +37,7 @@ MIN2 = GridOp.from_function(2, GRID01, min)
 
 
 def test_projection_evaluates():
-    p = projection(3, 2)
+    p = FinitaryOp(3, 2)
     assert p.evaluate((F(5), F(7), F(9))) == F(7)
     with pytest.raises(ValueError, match="arguments"):
         p.evaluate((F(1),))
@@ -53,17 +51,17 @@ def test_finitary_op_validation():
 
 
 def test_clone_compose_projection_law():
-    g1 = unary_op(2, 1, affine_map(F(2), F(0)))
-    g2 = projection(2, 2)
-    assert clone_compose(projection(2, 1), [g1, g2]) is g1
-    assert clone_compose(projection(2, 2), [g1, g2]) is g2
+    g1 = FinitaryOp(2, 1, affine_map(F(2), F(0)))
+    g2 = FinitaryOp(2, 2)
+    assert clone_compose(FinitaryOp(2, 1), [g1, g2]) is g1
+    assert clone_compose(FinitaryOp(2, 2), [g1, g2]) is g2
 
 
 def test_clone_compose_unary_chains():
     u = affine_map(F(1), F(1))      # x + 1
     v = affine_map(F(2), F(0))      # 2x
-    f = unary_op(1, 1, u)
-    g = unary_op(3, 2, v)
+    f = FinitaryOp(1, 1, u)
+    g = FinitaryOp(3, 2, v)
     h = clone_compose(f, [g])
     assert (h.arity, h.j) == (3, 2)
     for args in itertools.product([F(0), F(1), F(-1, 2)], repeat=3):
@@ -72,24 +70,24 @@ def test_clone_compose_unary_chains():
 
 def test_clone_compose_unary_with_projection_inner():
     u = affine_map(F(1), F(1))
-    f = unary_op(2, 2, u)
-    h = clone_compose(f, [projection(3, 1), projection(3, 3)])
+    f = FinitaryOp(2, 2, u)
+    h = clone_compose(f, [FinitaryOp(3, 1), FinitaryOp(3, 3)])
     assert (h.arity, h.j) == (3, 3)
     assert h.evaluate((F(0), F(0), F(5))) == F(6)
 
 
 def test_clone_compose_identity_unary_with_projections():
-    f = unary_op(2, 1, identity_map())
-    h = clone_compose(f, [projection(2, 2), projection(2, 1)])
+    f = FinitaryOp(2, 1, identity_map())
+    h = clone_compose(f, [FinitaryOp(2, 2), FinitaryOp(2, 1)])
     assert (h.arity, h.j) == (2, 2)
     assert h.evaluate((F(3), F(4))) == F(4)
 
 
 def test_clone_compose_arity_errors():
     with pytest.raises(ValueError, match="arity mismatch"):
-        clone_compose(projection(2, 1), [projection(2, 1)])
+        clone_compose(FinitaryOp(2, 1), [FinitaryOp(2, 1)])
     with pytest.raises(ValueError, match="arity mismatch"):
-        clone_compose(projection(2, 1), [projection(2, 1), projection(3, 1)])
+        clone_compose(FinitaryOp(2, 1), [FinitaryOp(2, 1), FinitaryOp(3, 1)])
 
 
 @settings(max_examples=50, deadline=None)
@@ -97,8 +95,8 @@ def test_clone_compose_arity_errors():
        st.integers(1, 3), st.integers(1, 3),
        st.fractions(min_value=-5, max_value=5, max_denominator=6))
 def test_compose_stays_essentially_unary(u, v, j1, j2, x):
-    f = unary_op(2, j1 if j1 <= 2 else 1, u)
-    gs = [unary_op(3, j2, v), projection(3, (j2 % 3) + 1)]
+    f = FinitaryOp(2, j1 if j1 <= 2 else 1, u)
+    gs = [FinitaryOp(3, j2, v), FinitaryOp(3, (j2 % 3) + 1)]
     h = clone_compose(f, gs)
     assert isinstance(h, FinitaryOp) and h.arity == 3
     args = (x, x + 1, x - 1)
@@ -123,7 +121,7 @@ def test_gridop_text_roundtrip():
 
 
 def test_projection_preserves():
-    op = GridOp.restriction(projection(2, 1), GRID01)
+    op = GridOp.restriction(FinitaryOp(2, 1), GRID01)
     report = preserves_either_equal(op)
     assert report.preserves and report.witness is None
     assert "preserves" in str(report)
@@ -142,19 +140,19 @@ def test_min_violates_with_proof_shaped_witness():
 
 
 def test_unary_restriction_preserves():
-    op = GridOp.restriction(unary_op(1, 1, affine_map(F(1), F(1))), GRID01)
+    op = GridOp.restriction(FinitaryOp(1, 1, affine_map(F(1), F(1))), GRID01)
     assert preserves_either_equal(op).preserves
 
 
 def test_essential_positions_examples():
-    assert essential_positions(GridOp.restriction(projection(2, 1), GRID01)) == (1,)
+    assert essential_positions(GridOp.restriction(FinitaryOp(2, 1), GRID01)) == (1,)
     const = GridOp.from_function(2, GRID01, lambda x, y: F(7))
     assert essential_positions(const) == ()
     assert essential_positions(MIN2) == (1, 2)
 
 
 def test_unary_reconstruction():
-    op = GridOp.restriction(unary_op(2, 2, affine_map(F(3), F(1))), GRID01)
+    op = GridOp.restriction(FinitaryOp(2, 2, affine_map(F(3), F(1))), GRID01)
     j, u = unary_reconstruction(op)
     assert j == 2 and u == {F(0): F(1), F(1): F(4)}
     assert unary_reconstruction(MIN2) is None
@@ -254,8 +252,8 @@ def test_compositions_restrict_to_preserving_tables():
     unaries = [identity_map(), constant_map(F(1)), affine_map(F(2), F(0)),
                idempotent_with_image((F(0), F(1)))]
     for _ in range(60):
-        f = unary_op(2, rng.randint(1, 2), rng.choice(unaries))
-        gs = [unary_op(2, rng.randint(1, 2), rng.choice(unaries))
+        f = FinitaryOp(2, rng.randint(1, 2), rng.choice(unaries))
+        gs = [FinitaryOp(2, rng.randint(1, 2), rng.choice(unaries))
               for _ in range(2)]
         h = clone_compose(f, gs)
         grid = (F(0), F(1), F(2))

@@ -15,7 +15,6 @@ from qendo.generic import (
     PPair,
     PPairError,
     absorb,
-    class_info,
     compose_certified,
     extend_pair,
     generic_embedding,
@@ -86,16 +85,16 @@ def test_generic_core_structure():
         if x1 < x2:
             assert g.eval(x1) < g.eval(x2)
     for x, y in zip(SAMPLE[:25], imgs):
-        q, colour, rep = class_info(cert, y)
-        assert colour == Colour.RED
-        assert rep == y
+        q = cert.class_of(y)
+        assert cert.colour_of_index(q) == Colour.RED
+        assert cert.representative(q) == y
         assert cert.in_image(y)
         assert cert.inverse_image(y) == x
     # a non-image point is never claimed as an image point
     for q in [cert.class_of(imgs[0])]:
         other = next(pt for pt in cert.class_points(q) if pt != imgs[0])
         assert not cert.in_image(other)
-        assert sim_related(cert, other, imgs[0])
+        assert cert.class_of(other) == q
 
 
 def test_classes_weakly_monotone():
@@ -301,8 +300,9 @@ def test_compose_certified():
     for x in SAMPLE[:12]:
         y = gg.eval(x)
         assert y == g2.eval(g1.eval(x))
-        q, colour, rep = class_info(cert, y)
-        assert colour == Colour.RED and rep == y
+        q = cert.class_of(y)
+        assert cert.colour_of_index(q) == Colour.RED
+        assert cert.representative(q) == y
         assert cert.inverse_image(y) == x
     # between two composite image points there is a blue and a red class
     qa = cert.class_of(gg.eval(F(0)))
@@ -329,8 +329,9 @@ def test_absorb_doubling():
         assert y == g.eval(f.eval(x))
         assert cert.in_image(y)
         assert cert.inverse_image(y) == x
-        q, colour, rep = class_info(cert, y)
-        assert colour == Colour.RED and rep == y
+        q = cert.class_of(y)
+        assert cert.colour_of_index(q) == Colour.RED
+        assert cert.representative(q) == y
     qa, qb = cert.class_of(comp.eval(F(0))), cert.class_of(comp.eval(F(1)))
     assert cert.blue_index_between(qa, qb) is not None
     assert cert.red_index_between(qa, qb) is not None

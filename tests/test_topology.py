@@ -94,9 +94,9 @@ def test_dist_indistinguishable_reported():
 
 
 def test_dist_arity_mismatch():
-    from qendo.clone import projection
+    from qendo.clone import FinitaryOp
     with pytest.raises(ValueError, match="arity mismatch"):
-        dist(CTX, projection(2, 1), projection(2, 1))
+        dist(CTX, FinitaryOp(2, 1), FinitaryOp(2, 1))
 
 
 def test_subbasic_examples():
