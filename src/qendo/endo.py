@@ -529,7 +529,7 @@ class LazyEndo:
     label: str = "lazy"
 
     def eval(self, x: Rat) -> Rat:
-        return self.fn(Rat(x))
+        return self.fn(x if type(x) is Rat else Rat(x))
 
     def __call__(self, x):
         return self.eval(x)

@@ -50,6 +50,7 @@ from .ratcore import (
 VARIANTS = ("core", "plus", "minus", "pm")
 
 SEARCH_CAP = 100_000
+_ZERO = Rat(0)  # an image point's index pair is (q, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +158,7 @@ class DirectCert(GenericCert):
         return self.index_order.colour_label(q)
 
     def representative(self, q) -> Rat:
-        return self.index_iso.eval_bwd((q, Rat(0)))
+        return self.index_iso.eval_bwd((q, _ZERO))
 
     def in_image(self, x: Rat) -> bool:
         q, c = self.index_iso.eval_fwd(Rat(x))

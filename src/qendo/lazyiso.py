@@ -205,8 +205,8 @@ class QMinusFinite(OrderSpec):
 
 class IntervalQ(OrderSpec):
     """The rationals of one RatInterval, in global enumeration order.
-    index_of scans that enumeration once, resuming where it last stopped.
-    The scan starts on first use: most fibres are only asked `contains`."""
+    index_of scans that enumeration once, resuming where it last stopped;
+    it starts on first use, as most fibres are only asked `contains`."""
 
     def __init__(self, interval: RatInterval):
         self.interval = interval
@@ -224,14 +224,17 @@ class IntervalQ(OrderSpec):
         return enumerated_in_interval(w.lo, w.hi, w.lo_closed, w.hi_closed)
 
     def index_of(self, el):
-        if self._scan is None:
-            iv = self.interval
-            self._scan = enumerate(enumerated_in_interval(
-                iv.lo, iv.hi, iv.lo_closed, iv.hi_closed))
         index = self._index
-        while el not in index:
-            j, y = next(self._scan)
-            index[y] = j
+        if el not in index:
+            if not self.contains(el):  # the scan would never reach it
+                raise ValueError(f"{el} is not in {self.interval}")
+            if self._scan is None:
+                iv = self.interval
+                self._scan = enumerate(enumerated_in_interval(
+                    iv.lo, iv.hi, iv.lo_closed, iv.hi_closed))
+            while el not in index:
+                j, y = next(self._scan)
+                index[y] = j
         return index[el]
 
 

@@ -9,25 +9,25 @@ each positive value followed by its negative), a parity two-colouring
 whose colour classes are both dense, and an exact interval type used by
 the piecewise machinery.
 
-A positive rational's Calkin-Wilf index, in binary, is a leading 1 followed
-by its Stern-Brocot path read backwards (1 for a right move, 0 for a left
-move): the first move from the root is the lowest bit.  So the shallowest
-Stern-Brocot node of a positive interval has the least index in it, and
-the interval searches below are one integer walk down the Stern-Brocot
-tree, `_descend`, that makes a `Rat` only at the API boundary, with no
-gcd: every node of the tree is in lowest terms (Graham, Knuth and
-Patashnik, Concrete Mathematics 4.5).
+A positive rational's Calkin-Wilf index (Calkin and Wilf, 2000), in binary,
+is a leading 1 followed by its Stern-Brocot path read backwards (1 for a
+right move, 0 for a left move): the first move from the root is the lowest
+bit.  So the shallowest Stern-Brocot node of a positive interval has the
+least index in it, and the interval searches below are one integer walk
+down the Stern-Brocot tree, `_descend`, that builds the node's index as it
+goes when asked, and makes a `Rat` only at the API boundary, with no gcd:
+every node of the tree is in lowest terms (Concrete Mathematics 4.5).
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import sys
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Callable, Iterator, Optional
 
 _HASH_MODULUS = sys.hash_info.modulus
@@ -255,28 +255,29 @@ def colour(x: Rat) -> Colour:
 # enumeration
 # ---------------------------------------------------------------------------
 
-def _descend(a, b, left, right):
+def _descend(a, b, left, right, k=0):
     """Shallowest Stern-Brocot node strictly between the open bounds a < b.
 
     The search runs in the subtree (left, right), whose root is their
     mediant, where left <= a and b <= right.  Values are (p, q) integer
     pairs, 1/0 being +inf.  Each step takes a whole run of same-direction
     moves with one floor division (Graham, Knuth and Patashnik, Concrete
-    Mathematics 4.5).  Returns the node, its subtree bounds and the runs
-    taken, top-down, as (is_right, length) pairs.
+    Mathematics 4.5), and puts the run's bits into k, the subtree root's
+    index, above the bits so far and below the top 1.  Returns the node,
+    its subtree bounds and its index; k = 0 asks for none and gets 0.
     """
     (an, ad), (bn, bd), (ln, ld), (rn, rd) = a, b, left, right
-    runs = []
+    t = 1 << k.bit_length() >> 1  # the top 1 of k, 0 when k is
     while True:
         j = (an * ld - ln * ad) // (rn * ad - an * rd)  # left + j*right <= a
-        if j:
+        if j:  # j right moves: j ones under the top 1, which moves up j places
             ln, ld = ln + j * rn, ld + j * rd
-            runs.append((True, j))
+            k, t = k + 2 * ((t << j) - t), t << j
         j = (rn * bd - bn * rd) // (bn * ld - ln * bd)  # j*left + right >= b
         if not j:
-            return (ln + rn, ld + rd), (ln, ld), (rn, rd), runs
+            return (ln + rn, ld + rd), (ln, ld), (rn, rd), k
         rn, rd = rn + j * ln, rd + j * ld
-        runs.append((False, j))
+        k, t = k + (t << j) - t, t << j  # j left moves: j zeros under it
 
 
 def _positive_index(p: int, q: int) -> int:
@@ -389,8 +390,8 @@ DENOMINATOR_BOUND = 10 ** 6
 def colour_witness(lo: Rat, hi: Rat, want: Colour) -> Rat:
     """A rational of the requested colour strictly between lo and hi.
 
-    Breadth-first over mediant refinements; denominators provably stay
-    tiny in practice but DENOMINATOR_BOUND is enforced as a hard stop.
+    Breadth-first over gaps, each split at its simplest rational; a split
+    point past DENOMINATOR_BOUND in denominator raises SearchExhausted.
     """
     if lo >= hi:
         raise ValueError("need lo < hi")
@@ -404,8 +405,17 @@ def colour_witness(lo: Rat, hi: Rat, want: Colour) -> Rat:
                                   lo, hi)
         if colour(m) == want:
             return m
-        queue.append((a, m))
-        queue.append((m, b))
+        queue.extend(((a, m), (m, b)))
+
+
+def _push(heap, sign, k, a, b, left, right) -> bool:
+    # the gap (a, b) of the subtree (left, right) whose root has index k,
+    # times sign, as a heap entry; returns whether the gap has a node
+    if a[0] * b[1] >= b[0] * a[1]:
+        return False
+    node, left, right, k = _descend(a, b, left, right, k)
+    heappush(heap, (2 * k - (sign > 0), sign, k, node, left, right, a, b))
+    return True
 
 
 def enumerated_in_interval(lo: Optional[Rat], hi: Optional[Rat],
@@ -414,56 +424,42 @@ def enumerated_in_interval(lo: Optional[Rat], hi: Optional[Rat],
     """Rationals in an interval, in enumeration order.
 
     None bounds are infinite, and a finite end is in the interval where it
-    is closed; [x, x] yields x alone, and an empty interval raises
-    ValueError on the first next().
+    is closed; [x, x] yields x alone.  An empty interval, or a closed
+    infinite end, raises ValueError on the first next().
     0 comes first when it is inside.  Each side of 0 is a lazy heap walk of
     the Stern-Brocot tree, the negative side reflected: the least-index
     element of an open subinterval is its shallowest node, `_descend` finds
     it, and popping it splits the subinterval there, each half walking on
     from that node within the node's subtree.  A heap entry carries the
-    node's index, extended by the runs of its walk, so no index is ever
-    recomputed from the value.  A closed end other than 0 enters the same
-    heap, keyed by its own index, as an entry whose gap is empty, so
-    popping it pushes nothing.  Used for least-index witness selection.
+    node's index, which `_descend` builds from the subtree root's index as
+    it walks.  A closed end other than 0 enters the same heap, keyed by
+    its own index, as an entry whose gap is empty, so popping it pushes
+    nothing.  Used for least-index witness selection.
     """
     heap = []
-
-    def push(sign, k, a, b, left, right):
-        # gap (a, b) of the subtree (left, right) whose root has index k,
-        # times sign; each run goes above the bits so far, below the top 1.
-        # Returns whether the gap has a node.
-        if a[0] * b[1] >= b[0] * a[1]:
-            return False
-        node, left, right, runs = _descend(a, b, left, right)
-        d = k.bit_length() - 1
-        k ^= 1 << d
-        for is_right, j in runs:
-            if is_right:
-                k |= ((1 << j) - 1) << d
-            d += j
-        k |= 1 << d
-        heapq.heappush(heap, (2 * k - (sign > 0), sign, k, node, left, right, a, b))
-        return True
-
     # the bounds as Rat, and the integer parts of the finite ones
     if lo is not None:
         if type(lo) is not Rat:
             lo = Rat(lo)
         ln, ld = lo._numerator, lo._denominator
+    elif lo_closed:
+        raise ValueError("-inf endpoint must be open")
     if hi is not None:
         if type(hi) is not Rat:
             hi = Rat(hi)
         hn, hd = hi._numerator, hi._denominator
+    elif hi_closed:
+        raise ValueError("+inf endpoint must be open")
     if ((lo is None or ln < 0 or lo_closed and ln == 0)
             and (hi is None or hn > 0 or hi_closed and hn == 0)):
         yield _rat(0, 1)
     # a side of 0 is walked only where the interval reaches past 0
     zero, inf = (0, 1), (1, 0)
-    positive = (hi is None or hn > 0) and push(
-        1, 1, zero if lo is None or ln <= 0 else (ln, ld),
+    positive = (hi is None or hn > 0) and _push(
+        heap, 1, 1, zero if lo is None or ln <= 0 else (ln, ld),
         inf if hi is None else (hn, hd), zero, inf)
-    negative = (lo is None or ln < 0) and push(
-        -1, 1, zero if hi is None or hn >= 0 else (-hn, hd),
+    negative = (lo is None or ln < 0) and _push(
+        heap, -1, 1, zero if hi is None or hn >= 0 else (-hn, hd),
         inf if lo is None else (-ln, ld), zero, inf)
     # an interval without interior points is empty unless it is [x, x]
     if not (positive or negative or lo == hi and lo_closed and hi_closed):
@@ -473,13 +469,13 @@ def enumerated_in_interval(lo: Optional[Rat], hi: Optional[Rat],
         if closed and x._numerator:
             n = x._numerator
             node = (abs(n), x._denominator)
-            heapq.heappush(heap, (rat_index(x), 1 if n > 0 else -1, 0, node,
-                                  None, None, node, node))
+            heappush(heap, (rat_index(x), 1 if n > 0 else -1, 0, node,
+                            None, None, node, node))
     while heap:
-        _, sign, k, node, left, right, a, b = heapq.heappop(heap)
+        _, sign, k, node, left, right, a, b = heappop(heap)
         yield _rat(sign * node[0], node[1])
-        push(sign, k, a, node, left, right)
-        push(sign, k, node, b, left, right)
+        _push(heap, sign, k, a, node, left, right)
+        _push(heap, sign, k, node, b, left, right)
 
 
 def least_index_in_interval(lo, hi, pred: Optional[Callable[[Rat], bool]] = None,

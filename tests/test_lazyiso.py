@@ -3,6 +3,7 @@
 import functools
 import itertools
 import math
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -322,6 +323,30 @@ def test_iso_into_factor_order():
     pairs = iso.memo_pairs()
     for (x1, y1), (x2, y2) in zip(pairs, pairs[1:]):
         assert x1 < x2 and y1 < y2
+
+
+@pytest.mark.parametrize("interval, outside", [
+    (RatInterval(F(0), F(1)), [F(2), F(0), F(1), F(-1, 2)]),
+    (RatInterval(F(1), F(1), True, True), [F(2), F(0)]),
+    (RatInterval(F(0), None), [F(0), F(-1), F(-7, 3)]),
+    (RatInterval(None, F(1), False, True), [F(2), F(3, 2)]),
+], ids=["bounded", "point", "unbounded-above", "unbounded-below"])
+def test_interval_q_index_of_outside_is_a_value_error(interval, outside):
+    # a non-member would scan the interval's enumeration forever, or off
+    # the end of [1, 1] into a bare StopIteration
+    spec = IntervalQ(interval)
+    walk = enumerated_in_interval(interval.lo, interval.hi,
+                                  interval.lo_closed, interval.hi_closed)
+    members = list(itertools.islice(walk, 5))
+    for x in outside:
+        with pytest.raises(ValueError, match=f"^{re.escape(str(x))} is not in"):
+            spec.index_of(x)
+    # refusals leave the scan intact: members get their positions, and a
+    # non-member is refused again once the scan has run
+    assert [spec.index_of(x) for x in reversed(members)] == \
+        list(range(len(members)))[::-1]
+    with pytest.raises(ValueError):
+        spec.index_of(outside[0])
 
 
 # -- element order against a written-out reference --------------------------

@@ -292,6 +292,8 @@ def test_interval_rationals_order():
 import heapq  # noqa: E402
 import itertools  # noqa: E402
 import math  # noqa: E402
+import re  # noqa: E402
+import tracemalloc  # noqa: E402
 
 from qendo import ratcore  # noqa: E402
 from qendo.ratcore import SearchExhausted  # noqa: E402
@@ -422,6 +424,76 @@ def test_simplest_between_takes_runs_not_steps():
     assert simplest_between(F(177033183232), F(2200749116387)) == 177033183233
 
 
+# ---------------------------------------------------------------------------
+# the walk builds the Calkin-Wilf index as it goes
+# ---------------------------------------------------------------------------
+
+_ZERO, _INF = (0, 1), (1, 0)
+
+
+def _pair(x):
+    return _INF if x is None else (x.numerator, x.denominator)
+
+
+def _check_walk_index(a, b, levels):
+    # from the root, whose index is 1, and then from the child subtrees
+    # that enumerated_in_interval pushes when it pops each node, `levels`
+    # deep: the index the walk returns is the found node's, and asking for
+    # none finds the same node with index 0
+    gaps = [(a, b, _ZERO, _INF, 1)]
+    for _ in range(levels):
+        children = []
+        for a, b, left, right, k in gaps:
+            if a[0] * b[1] >= b[0] * a[1]:
+                continue
+            node, sub_left, sub_right, index = ratcore._descend(a, b, left, right, k)
+            assert index == ratcore._positive_index(*node)
+            assert 2 * index - 1 == _oracle_rat_index(F(*node))
+            assert ratcore._descend(a, b, left, right) == (node, sub_left, sub_right, 0)
+            children += [(a, node, sub_left, sub_right, index),
+                         (node, b, sub_left, sub_right, index)]
+        gaps = children
+
+
+_POSITIVE_END = st.one_of(st.none(), st.fractions(min_value=0, max_value=40,
+                                                  max_denominator=40))
+
+
+@given(_POSITIVE_END, _POSITIVE_END)
+@settings(max_examples=300)
+def test_walk_index_matches_positive_index(a, b):
+    # random open gaps of the positive side (the negative side walks the
+    # reflected gap), None being +inf
+    if a is None or (b is not None and b < a):
+        a, b = b, a
+    if a is None or a == b:
+        return
+    _check_walk_index(_pair(a), _pair(b), levels=4)
+
+
+def test_walk_index_matches_positive_index_on_adjacent_enumerated_pairs():
+    for x, y in zip(_FIRST_6000, _FIRST_6000[1:]):
+        if y <= 0:
+            x, y = -y, -x
+        _check_walk_index(_pair(x), _pair(y), levels=2)
+
+
+def test_a_long_run_builds_no_index_when_none_is_asked():
+    # the walk into (157306025, 194302164) starts with a run of 157306025
+    # right moves: that run's index bits alone take about 20 MB
+    lo, hi = F(157306025), F(194302164)
+    for search in (lambda: simplest_between(lo, hi),
+                   lambda: colour_witness(lo, hi, Colour.RED),
+                   lambda: colour_witness(lo, hi, Colour.BLUE)):
+        tracemalloc.start()
+        try:
+            search()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
 def test_least_index_in_empty_interval_is_a_value_error():
     with pytest.raises(ValueError, match="empty open interval"):
         least_index_in_interval(F(1), F(0))
@@ -435,6 +507,20 @@ def test_enumerated_in_empty_interval_is_a_value_error():
         with pytest.raises(ValueError, match="empty"):
             next(enumerated_in_interval(lo, hi, lo_closed, hi_closed))
     assert list(enumerated_in_interval(F(1), F(1), True, True)) == [F(1)]
+
+
+def test_enumerated_with_a_closed_infinite_end_is_a_value_error():
+    # RatInterval's messages, on the first next(), before 0 is yielded
+    for lo, hi, lo_closed, hi_closed, message in (
+            (None, F(1), True, False, "-inf endpoint must be open"),
+            (F(1), None, False, True, "+inf endpoint must be open"),
+            (None, None, True, True, "-inf endpoint must be open"),
+            (None, None, False, True, "+inf endpoint must be open")):
+        walk = enumerated_in_interval(lo, hi, lo_closed, hi_closed)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            next(walk)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            RatInterval(lo, hi, lo_closed, hi_closed)
 
 
 def test_least_index_limit_raises_search_exhausted():
