@@ -544,7 +544,7 @@ class ComposedEndo:
     factors: tuple
 
     def eval(self, x: Rat) -> Rat:
-        v = Rat(x)
+        v = x if type(x) is Rat else Rat(x)
         for f in reversed(self.factors):
             v = f.eval(v)
         return v

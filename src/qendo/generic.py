@@ -40,9 +40,7 @@ from .partialmap import FinitePartialMap
 from .ratcore import (
     Colour,
     Rat,
-    RatInterval,
     SearchExhausted,
-    intersect_intervals,
     nth_rational,
     union_contains,
 )
@@ -152,7 +150,7 @@ class DirectCert(GenericCert):
         return self.representative(self.red_iso.eval_fwd(x))
 
     def class_of(self, x: Rat):
-        return self.index_iso.eval_fwd(Rat(x))[0]
+        return self.index_iso.eval_fwd(x if type(x) is Rat else Rat(x))[0]
 
     def colour_of_index(self, q) -> Colour:
         return self.index_order.colour_label(q)
@@ -161,12 +159,12 @@ class DirectCert(GenericCert):
         return self.index_iso.eval_bwd((q, _ZERO))
 
     def in_image(self, x: Rat) -> bool:
-        q, c = self.index_iso.eval_fwd(Rat(x))
-        return c == 0 and self.colour_of_index(q) == Colour.RED
+        q, c = self.index_iso.eval_fwd(x if type(x) is Rat else Rat(x))
+        return c == 0 and self.colour_of_index(q) is Colour.RED
 
     def inverse_image(self, x: Rat) -> Rat:
-        q, c = self.index_iso.eval_fwd(Rat(x))
-        if c != 0 or self.colour_of_index(q) != Colour.RED:
+        q, c = self.index_iso.eval_fwd(x if type(x) is Rat else Rat(x))
+        if c != 0 or self.colour_of_index(q) is not Colour.RED:
             raise ValueError(f"{Rat(x)} is not an image point")
         return self.red_iso.eval_bwd(q)
 
@@ -249,18 +247,25 @@ def generic_embedding(variant: str = "core"):
 def sim_related(A, x: Rat, y: Rat) -> bool:
     """At most one point of A strictly between x and y, where A is a
     finite tuple of RatInterval; the points are counted exactly.  For the
-    image of a certified embedding, compare `cert.class_of` values."""
+    image of a certified embedding, compare `cert.class_of` values.
+
+    The count reads interval bounds only.  With lo < hi the ordered pair,
+    an interval misses the open window (lo, hi) exactly when it ends at or
+    below lo or starts at or above hi, whether that end is open or closed
+    (an infinite end never misses).  A degenerate interval that meets the
+    window adds its one point; any other interval that meets it meets it
+    in an interval with interior, so infinitely many points.  This holds
+    for any tuple of intervals, overlapping or not, so A need not be
+    merged first."""
     x, y = Rat(x), Rat(y)
     if x == y:
         return True
     lo, hi = (x, y) if x < y else (y, x)
-    window = RatInterval(lo, hi)
     count = 0
     for iv in A:
-        got = intersect_intervals(iv, window)
-        if got is None:
+        if (iv.hi is not None and iv.hi <= lo) or (iv.lo is not None and iv.lo >= hi):
             continue
-        if not got.is_degenerate():
+        if not iv.is_degenerate():
             return False  # an interval's worth of points in between
         count += 1
         if count > 1:

@@ -156,6 +156,8 @@ class ColouredQ(OrderSpec):
         return itertools.chain(markers, rationals) if markers else rationals
 
     def colour_label(self, el):
+        if type(el) is Rat:  # ratcore.colour's parity rule, as in RedQ
+            return Colour.RED if (el._numerator + el._denominator) % 2 else Colour.BLUE
         if el is Marker.MIN or el is Marker.MAX:
             return Colour.BLUE
         return colour(el)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qendo import actions
 from qendo.actions import (
     MAX_FAILURE_MESSAGES,
     ActionReport,
@@ -24,10 +25,12 @@ from qendo.endo import (
     affine_map,
     compose,
     constant_map,
+    copoint_embedding,
     idempotent_with_image,
     identity_map,
 )
 from qendo.ratcore import RatInterval
+from qendo.topology import automorphism_near
 
 from util import monotone_endos
 
@@ -230,6 +233,118 @@ def test_verify_action_counts_failures_beyond_the_kept_messages():
     assert report.failed == 49
     assert len(report.failures) == MAX_FAILURE_MESSAGES
 
+
+
+def _verify_action_recomputing(forest, fs, points):
+    # verify_action as it was before it kept act(g, p) between passes:
+    # every pass recomputes act(forest, g, p).  It calls actions.act, so a
+    # patched act sees its calls too.
+    act = actions.act
+    ident = identity_map()
+    checks = failed = 0
+    failures = []
+
+    def note(msg):
+        nonlocal failed
+        failed += 1
+        if len(failures) < MAX_FAILURE_MESSAGES:
+            failures.append(msg)
+
+    for p in points:
+        checks += 1
+        q = act(forest, ident, p)
+        if q != p:
+            note(f"identity law: {p} became {q}")
+    for i, f in enumerate(fs):
+        for j, g in enumerate(fs):
+            fg = ComposedEndo((f, g))
+            for p in points:
+                checks += 1
+                two_step = act(forest, f, act(forest, g, p))
+                one_step = act(forest, fg, p)
+                if two_step != one_step:
+                    note(
+                        f"composition law at {p} with maps #{i} after #{j}: "
+                        f"stepwise {two_step}, composite {one_step}")
+    return ActionReport(checks, failed, tuple(failures))
+
+
+def lazy_corpus():
+    """Fresh maps, two of them lazily built: their values depend on the
+    order in which they are asked for."""
+    return [copoint_embedding(F(0)), staircase(0, 1), constant_map(F(5)),
+            automorphism_near(affine_map(F(2), F(-1)), 4), affine_map(F(1), F(1))]
+
+
+def action_cases():
+    f, g, p = _rank_skip_counterexample()
+    return [
+        (CHAIN, lambda: SMALL_CORPUS, POINTS),
+        (SKIPPY, lambda: [f, g], [p]),
+        (SKIPPY, lambda: [f, g] * 7, [p]),
+        (CHAIN, lazy_corpus, POINTS),
+    ]
+
+
+class Recording:
+    """Wraps a map, logging (map number, argument, value) per evaluation."""
+
+    def __init__(self, n, inner, log):
+        self.n, self.inner, self.log = n, inner, log
+
+    def eval(self, x):
+        y = self.inner.eval(x)
+        self.log.append((self.n, x, y))
+        return y
+
+
+def _first_evaluations(log):
+    # the order in which each (map, argument) is first asked for: what a
+    # lazily built map's values depend on
+    seen = set()
+    out = []
+    for n, x, y in log:
+        if (n, x) not in seen:
+            seen.add((n, x))
+            out.append((n, x, y))
+    return out
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_verify_action_matches_recomputing_every_pass(case):
+    forest, corpus, points = action_cases()[case]
+    assert verify_action(forest, corpus(), points) == \
+        _verify_action_recomputing(forest, corpus(), points)
+
+
+@pytest.mark.parametrize("case", range(4))
+def test_verify_action_evaluates_each_map_in_the_recomputing_order(case):
+    forest, corpus, points = action_cases()[case]
+    logs = []
+    for run in (verify_action, _verify_action_recomputing):
+        log = []
+        run(forest, [Recording(n, m, log) for n, m in enumerate(corpus())], points)
+        logs.append(log)
+    kept, recomputed = logs
+    assert _first_evaluations(kept) == _first_evaluations(recomputed)
+    assert set(kept) == set(recomputed)
+    assert len(kept) < len(recomputed)  # the repeats are what was dropped
+
+
+def test_verify_action_acts_once_per_map_and_point(monkeypatch):
+    calls = []
+
+    def counting_act(forest, f, p):
+        calls.append(f)
+        return act(forest, f, p)
+
+    monkeypatch.setattr(actions, "act", counting_act)
+    nf, np_ = len(SMALL_CORPUS), len(POINTS)
+    verify_action(CHAIN, SMALL_CORPUS, POINTS)
+    assert len(calls) == np_ + nf * np_ + 2 * nf * nf * np_
+    calls.clear()
+    _verify_action_recomputing(CHAIN, SMALL_CORPUS, POINTS)
+    assert len(calls) == np_ + 3 * nf * nf * np_
 
 # -- fixpoints ------------------------------------------------------------------
 

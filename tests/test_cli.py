@@ -225,6 +225,17 @@ def test_act_wrong_point_size(files, capsys):
     assert "needs 2 elements" in err
 
 
+@pytest.mark.parametrize("values, repeated", [
+    ("0,0", "0"), ("0,0/5", "0"), ("1/2, 2/4", "1/2"), ("3,1,3", "3")])
+def test_act_rejects_a_repeated_value(files, capsys, values, repeated):
+    code = main(["act", files("chain.forest", CHAIN_FOREST),
+                 files("id.map", IDENTITY_MAP), "top", values])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: value {repeated} is repeated in the set {values!r}\n")
+
 def test_generic_report(capsys):
     code = main(["generic", "core", "--points", "4"])
     out = capsys.readouterr().out

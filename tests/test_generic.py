@@ -22,9 +22,17 @@ from qendo.generic import (
     recover_witness,
     sim_related,
 )
-from qendo.lazyiso import Marker
+from qendo.lazyiso import ColouredQ, Marker
 from qendo.partialmap import EMPTY_MAP, FinitePartialMap
-from qendo.ratcore import Colour, RatInterval, SearchExhausted, nth_rational
+from qendo.ratcore import (
+    Colour,
+    Rat,
+    RatInterval,
+    SearchExhausted,
+    colour,
+    intersect_intervals,
+    nth_rational,
+)
 
 SAMPLE = [nth_rational(i) for i in range(40)]
 
@@ -76,6 +84,75 @@ def test_sim_classes_convex(A, x, y, z):
     if x < z < y and sim_related(A, x, y):
         assert sim_related(A, x, z)
 
+
+def _sim_related_by_intersection(A, x, y):
+    # the construction sim_related used before it compared bounds: a window
+    # interval intersected with each interval of A
+    x, y = Rat(x), Rat(y)
+    if x == y:
+        return True
+    lo, hi = (x, y) if x < y else (y, x)
+    window = RatInterval(lo, hi)
+    count = 0
+    for iv in A:
+        got = intersect_intervals(iv, window)
+        if got is None:
+            continue
+        if not got.is_degenerate():
+            return False
+        count += 1
+        if count > 1:
+            return False
+    return True
+
+
+# a coarse grid, so that drawn intervals overlap, touch, repeat and share
+# ends with the drawn points
+GRID = [F(n, 2) for n in range(-6, 7)]
+
+
+@st.composite
+def raw_intervals(draw):
+    """Any valid RatInterval over GRID: open or closed ends, unbounded
+    ends, degenerate points."""
+    lo = draw(st.none() | st.sampled_from(GRID))
+    hi = draw(st.none() | st.sampled_from([v for v in GRID if lo is None or v >= lo]))
+    if lo is not None and lo == hi:
+        return RatInterval(lo, hi, True, True)
+    lo_closed = lo is not None and draw(st.booleans())
+    hi_closed = hi is not None and draw(st.booleans())
+    return RatInterval(lo, hi, lo_closed, hi_closed)
+
+
+@st.composite
+def union_and_pair(draw):
+    A = tuple(draw(st.lists(raw_intervals(), max_size=5)))
+    ends = [v for iv in A for v in (iv.lo, iv.hi) if v is not None]
+    point = st.sampled_from(GRID + [F(1, 3), F(-7, 4)])
+    if ends:
+        point = point | st.sampled_from(ends)
+    x = draw(point)
+    y = draw(st.just(x) | point)
+    return A, x, y
+
+
+@settings(max_examples=600, deadline=None)
+@given(union_and_pair())
+def test_sim_related_matches_the_intersection_count(case):
+    A, x, y = case
+    assert sim_related(A, x, y) == _sim_related_by_intersection(A, x, y)
+    assert sim_related(A, y, x) == _sim_related_by_intersection(A, y, x)
+
+
+def test_sim_related_touching_ends_are_outside_the_window():
+    for closed in (False, True):
+        A = (RatInterval(None, F(0), False, closed),
+             RatInterval(F(1), None, closed, False))
+        assert sim_related(A, F(0), F(1))
+        assert sim_related(A, F(1), F(0))
+    point = (RatInterval(F(0), F(0), True, True),) * 2
+    assert sim_related(point, F(0), F(1))
+    assert not sim_related(point, F(-1), F(1))  # the repeated point counts twice
 
 def test_generic_core_structure():
     g, cert = generic_embedding("core")
@@ -395,3 +472,48 @@ def test_recover_through_composite_cert_past_recoloured_classes(monkeypatch):
     monkeypatch.setattr(lazyiso, "FAULT_CAP", 2000)
     g, cert = absorb(PiecewiseEndo.parse(STEP))
     _check_recovery(cert.embedding, cert, F(2), cert.embedding.eval(F(0)))
+
+
+# -- certificate queries on non-Rat arguments ----------------------------------
+
+@pytest.mark.parametrize("variant", generic.VARIANTS)
+def test_cert_queries_answer_fractions_and_ints_as_their_rats(variant):
+    g, cert = generic_embedding(variant)
+    images = [g.eval(x) for x in SAMPLE[:12]]
+    others = [F(1, 3), F(-5, 2), F(0), F(7)] + [y + F(1, 97) for y in images]
+    for y in images + others:
+        for alias in (F(y.numerator, y.denominator), y.numerator):
+            if alias != y:
+                continue  # an int stands only for an integral value
+            assert type(alias) is not Rat
+            assert cert.class_of(alias) == cert.class_of(Rat(y))
+            assert cert.in_image(alias) is cert.in_image(Rat(y))
+            if cert.in_image(y):
+                assert cert.inverse_image(alias) == cert.inverse_image(Rat(y))
+            else:
+                with pytest.raises(ValueError, match=re.escape(f"{y} is not an image point")):
+                    cert.inverse_image(alias)
+
+
+@pytest.mark.parametrize("variant", generic.VARIANTS)
+def test_cert_queries_build_the_same_memo_from_fractions_as_from_rats(variant):
+    (g1, by_rat), (g2, by_fraction) = generic_embedding(variant), generic_embedding(variant)
+    for x in SAMPLE[:15]:
+        y = g1.eval(x)
+        assert g2.eval(F(x)) == y
+        for z in (y, y + F(1, 5), y - F(1, 3)):
+            assert by_fraction.class_of(F(z)) == by_rat.class_of(Rat(z))
+            assert by_fraction.in_image(F(z)) is by_rat.in_image(Rat(z))
+        assert by_fraction.inverse_image(F(y)) == by_rat.inverse_image(Rat(y))
+    assert by_fraction.memo_snapshot() == by_rat.memo_snapshot()
+
+
+def test_coloured_q_colour_label_is_ratcore_colour():
+    values = [nth_rational(i) for i in range(200)] + [Rat(-7, 3), Rat(10**30 + 1, 2)]
+    for order in (ColouredQ(), ColouredQ(True, False), ColouredQ(False, True),
+                  ColouredQ(True, True)):
+        for v in values:
+            assert order.colour_label(v) is colour(v)
+            assert order.colour_label(F(v)) is colour(F(v)) is colour(v)
+        assert order.colour_label(Marker.MIN) is Colour.BLUE
+        assert order.colour_label(Marker.MAX) is Colour.BLUE
