@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .endo import ComposedEndo, PiecewiseEndo, constant_map, idempotent_with_image, identity_map
-from .ratcore import Rat
+from .ratcore import Rat, content_lines
 
 __all__ = [
     "LabelledForest",
@@ -116,14 +116,11 @@ class LabelledForest:
     @staticmethod
     def parse(text: str) -> "LabelledForest":
         rows: List[Tuple[str, Optional[str], int]] = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in content_lines(text):
             parts = line.split()
             if len(parts) != 3:
                 raise ForestError(
-                    f"line {lineno}: expected 'id parent label', got {raw!r}")
+                    f"line {lineno}: expected 'id parent label', got {line!r}")
             node, par, lab = parts
             try:
                 labnum = int(lab)

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .endo import ComposedEndo, PiecewiseEndo, classify, compose
-from .ratcore import Rat, nth_rational, parse_rat
+from .ratcore import Rat, content_lines, nth_rational, parse_rat
 from .topology import DistResult, UltraMetricContext, dist
 
 __all__ = [
@@ -159,10 +159,7 @@ class GridOp:
         grid: Optional[Tuple[Rat, ...]] = None
         arity: Optional[int] = None
         table: Dict[Tuple[Rat, ...], Rat] = {}
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in content_lines(text):
             if line.startswith("grid:"):
                 grid = tuple(parse_rat(t.strip())
                              for t in line[len("grid:"):].split(","))

@@ -25,6 +25,7 @@ from .ratcore import (
     Rat,
     RatInterval,
     _reduced,
+    content_lines,
     gap_witness_point,
     intersect_intervals,
     merge_intervals,
@@ -66,10 +67,9 @@ class Piece:
         return _reduced(s._numerator * n * cd + c._numerator * sd_d, sd_d * cd)
 
     def image(self) -> RatInterval:
+        if self.slope == 0:
+            return point_interval(self.intercept)
         iv = self.interval
-        if iv.is_degenerate() or self.slope == 0:
-            return point_interval(self.value_at(iv.lo) if iv.is_degenerate()
-                                  else self.intercept)
         lo = None if iv.lo is None else self.value_at(iv.lo)
         hi = None if iv.hi is None else self.value_at(iv.hi)
         return RatInterval(lo, hi, iv.lo_closed, iv.hi_closed)
@@ -140,18 +140,17 @@ class PiecewiseEndo:
             x = Rat(x)
         return self.pieces[self.piece_index(x)].value_at(x)
 
-    def __call__(self, x: Rat) -> Rat:
-        return self.eval(x)
-
     # -- normal form -------------------------------------------------------
 
     def canonical(self) -> "PiecewiseEndo":
         """The one form of this map: _tidy(), then every cut point at which
         both neighbouring formulas agree goes to a flat neighbour, else to
-        the left one.  Equal maps have equal canonical forms.  The form is
-        computed once per map and is its own canonical form, which it
-        marks with True rather than a reference to itself, so dropping a
-        map frees it without the cyclic collector."""
+        the left one.  Equal maps have equal canonical forms.  In it every
+        one-point piece is a plateau, and each piece's image ends before
+        the next one's starts: where two meet at one value, exactly one of
+        them holds it.  The form is computed once per map and is its own
+        canonical form, which it marks with True rather than a reference to
+        itself, so dropping a map frees it without the cyclic collector."""
         done = self.__dict__.get("_canonical")
         if done is None:
             done = self._tidy()._settled()  # always a new map
@@ -220,10 +219,7 @@ class PiecewiseEndo:
         """The solution set of f(x) = q; convex by weak monotonicity."""
         parts = []
         for p in self.pieces:
-            if p.interval.is_degenerate():
-                if p.value_at(p.interval.lo) == q:
-                    parts.append(p.interval)
-            elif p.slope == 0:
+            if p.slope == 0:
                 if p.intercept == q:
                     parts.append(p.interval)
             else:
@@ -244,10 +240,7 @@ class PiecewiseEndo:
     @staticmethod
     def parse(text: str) -> "PiecewiseEndo":
         pieces = []
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+        for lineno, line in content_lines(text):
             try:
                 pieces.append(Piece.parse(line))
             except ValueError as e:
@@ -373,18 +366,13 @@ def cancellability_witness(f: PiecewiseEndo) -> CancellabilityWitness:
         left = (constant_map(x1), constant_map(x2))
     right = None
     if not report.kind.surjective:
+        # identity below y, x + 1 above, y or y + 1 at y, which f never takes
         y = report.non_surjective_value
-        jump = PiecewiseEndo((
+        right = tuple(PiecewiseEndo((
             Piece(RatInterval(None, y), Rat(1), Rat(0)),
-            Piece(point_interval(y), Rat(0), Rat(y)),
-            Piece(RatInterval(y, None, False, False), Rat(1), Rat(1)),
-        ))
-        bump = PiecewiseEndo((
-            Piece(RatInterval(None, y), Rat(1), Rat(0)),
-            Piece(point_interval(y), Rat(0), Rat(y) + 1),
-            Piece(RatInterval(y, None, False, False), Rat(1), Rat(1)),
-        ))
-        right = (jump, bump)
+            Piece(point_interval(y), Rat(0), v),
+            Piece(RatInterval(y, None), Rat(1), Rat(1)),
+        )) for v in (y, y + 1))
     return CancellabilityWitness(left, right)
 
 
@@ -412,66 +400,43 @@ def _section_point(iv: RatInterval) -> Rat:
 def pseudo_section(g: PiecewiseEndo, fixset=()) -> PiecewiseEndo:
     """Total weakly monotone s with g(s(y)) = y for every y in the image of
     g; over image gaps s is locally constant.  Points of fixset are run
-    through their own pieces where possible (first fix wins per value)."""
+    through their own pieces where possible (first fix wins per value).
+
+    One sweep over g's canonical pieces, whose images are disjoint and
+    rise from piece to piece: where two meet at a value, the piece holding
+    the cut holds that value and the other leaves it open.  s inverts each
+    sloped piece on its image, sends each plateau's value (one-point
+    pieces are plateaus) to one point of the plateau, and holds each gap
+    at the value just below it; below the first image, a plateau's as the
+    first piece is unbounded below, it holds that plateau's point."""
     g = g.canonical()
     preferred = {}
     for x in fixset:
         preferred.setdefault(g.eval(Rat(x)), Rat(x))
-
     pieces = []
-    # frontier: (value, covered) — values below are dealt with; `covered`
-    # says whether the frontier value itself already has a preimage
-    frontier = None
-
-    def emit(iv, slope, intercept):
-        pieces.append(Piece(iv, slope, intercept))
-
-    last_anchor = None  # a domain point available for gap-filling constants
+    # the image so far ends at `end`, which it holds iff `covered`; s takes
+    # the value `anchor` just below `end`
+    end = covered = anchor = None
     for p in g.pieces:
         J = p.image()
-        if p.slope == 0 or p.interval.is_degenerate():
-            v = J.lo
-            sec = p.interval.lo if p.interval.is_degenerate() else _section_point(p.interval)
-            if v in preferred and p.interval.contains(preferred[v]):
-                sec = preferred[v]
-            if frontier is None:
-                emit(RatInterval(None, v), Rat(0), sec)
-            else:
-                fv, fcovered = frontier
-                if fcovered and fv == v:
-                    continue  # this value already has a preimage
-                if fv < v:
-                    # image gap (fv, v): fill with the last anchor
-                    emit(RatInterval(fv, v, not fcovered, False), Rat(0), last_anchor)
-                elif not fcovered and fv == v:
-                    pass  # v is exactly the uncovered frontier point
-            emit(point_interval(v), Rat(0), sec)
-            frontier = (v, True)
-            last_anchor = sec
-            continue
-        # strictly increasing piece: invert the affine formula on its image
-        inv_slope = 1 / p.slope
-        inv_intercept = -p.intercept / p.slope
-        lo, lo_closed = J.lo, J.lo_closed
-        if frontier is not None:
-            fv, fcovered = frontier
-            if lo is None or lo < fv or (lo == fv and lo_closed and fcovered):
-                lo, lo_closed = fv, not fcovered
-            elif lo > fv:
-                emit(RatInterval(fv, lo, not fcovered, not lo_closed),
-                     Rat(0), last_anchor)
-            elif lo == fv and not lo_closed and not fcovered:
-                # single-point hole in the image: patch it with the anchor
-                emit(point_interval(fv), Rat(0), last_anchor)
-        emit(RatInterval(lo, J.hi, lo_closed, J.hi_closed), inv_slope, inv_intercept)
-        if J.hi is None:
-            frontier = None
+        if p.slope == 0:
+            sec = preferred.get(J.lo)
+            if sec is None or not p.interval.contains(sec):
+                sec = _section_point(p.interval)
+            part = Piece(J, Rat(0), sec)
+            top = sec
         else:
-            frontier = (J.hi, J.hi_closed)
-        last_anchor = p.interval.hi if p.interval.hi is not None else None
-    if frontier is not None:
-        fv, fcovered = frontier
-        emit(RatInterval(fv, None, not fcovered, False), Rat(0), last_anchor)
+            part = Piece(J, 1 / p.slope, -p.intercept / p.slope)
+            top = p.interval.hi
+        if J.lo is not None and (end is None or end < J.lo):
+            pieces.append(Piece(
+                RatInterval(end, J.lo, end is not None and not covered,
+                            not J.lo_closed),
+                Rat(0), sec if end is None else anchor))
+        pieces.append(part)
+        end, covered, anchor = J.hi, J.hi_closed, top
+    if end is not None:
+        pieces.append(Piece(RatInterval(end, None, not covered), Rat(0), anchor))
     return PiecewiseEndo(tuple(pieces))._tidy()
 
 
@@ -531,9 +496,6 @@ class LazyEndo:
     def eval(self, x: Rat) -> Rat:
         return self.fn(x if type(x) is Rat else Rat(x))
 
-    def __call__(self, x):
-        return self.eval(x)
-
     def __str__(self):
         return f"<{self.label}>"
 
@@ -548,9 +510,6 @@ class ComposedEndo:
         for f in reversed(self.factors):
             v = f.eval(v)
         return v
-
-    def __call__(self, x):
-        return self.eval(x)
 
     def __str__(self):
         return " . ".join(getattr(f, "label", "map") if not isinstance(f, PiecewiseEndo)

@@ -701,6 +701,15 @@ def union_difference_witness(a_union, b_union) -> Optional[Rat]:
     return None
 
 
+def content_lines(text: str):
+    """(line number, the text before any '#', stripped) for each line of
+    text that has content; line numbers count from 1."""
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.partition("#")[0].strip()
+        if line:
+            yield lineno, line
+
+
 def parse_rat(text: str) -> Rat:
     """Parse 'p/q' or 'p' exactly (no floats)."""
     s = text.strip()

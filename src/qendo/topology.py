@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import isqrt
 from typing import Callable, Optional, Tuple
 
-from .endo import LazyEndo, Piece, PiecewiseEndo
+from .endo import LazyEndo, PiecewiseEndo
 from .lazyiso import FullQ, build
 from .ratcore import (
     Rat,
@@ -95,30 +95,15 @@ class DistResult:
         return f"{shown} ({self.verdict})"
 
 
-def _walker(f: PiecewiseEndo) -> Callable[[Rat], Piece]:
-    # the piece of f holding each point of an increasing sequence, found by
-    # a cursor that only moves forward
-    pieces = f.pieces
-    i = 0
-
-    def piece_at(x: Rat) -> Piece:
-        nonlocal i
-        while not pieces[i].interval.contains(x):
-            i += 1
-        return pieces[i]
-
-    return piece_at
-
-
 def _piecewise_least_difference(f: PiecewiseEndo, g: PiecewiseEndo) -> Optional[int]:
     """Least enumeration index where the two maps differ; None if equal.
 
     Exact: the comparison is piece-by-piece on the common refinement, so
     the answer does not depend on any probe depth.  One pass visits each
-    region's simplest point and each cut in increasing order, with a
-    forward-only cursor into each map's pieces, so the pass takes
-    O(n + m) piece steps over the n + m pieces, besides the witness scans
-    of the regions where the formulas differ.
+    region's simplest point and each cut in increasing order and finds
+    each map's piece there by one binary search, so the pass takes
+    O((n + m) log(n + m)) steps over the n + m pieces, besides the witness
+    scans of the regions where the formulas differ.
     """
     fc, gc = f.canonical(), g.canonical()
     if fc == gc:
@@ -131,20 +116,19 @@ def _piecewise_least_difference(f: PiecewiseEndo, g: PiecewiseEndo) -> Optional[
         if best is None or n < best:
             best = n
 
-    f_at, g_at = _walker(fc), _walker(gc)
     cuts = sorted(set(fc._cuts + gc._cuts))
     lo = None
     for hi in cuts + [None]:
         # the open region (lo, hi) lies inside one piece of each map
         mid = simplest_between(lo, hi)
-        fp, gp = f_at(mid), g_at(mid)
+        fp, gp = fc.pieces[fc.piece_index(mid)], gc.pieces[gc.piece_index(mid)]
         if (fp.slope, fp.intercept) != (gp.slope, gp.intercept):
             # the maps differ everywhere on this open region except possibly
             # at one crossing point, so the witness scan ends quickly
             offer(least_index_in_interval(
                 lo, hi, pred=lambda x: fp.value_at(x) != gp.value_at(x)))
         if hi is not None:
-            fp, gp = f_at(hi), g_at(hi)
+            fp, gp = fc.pieces[fc.piece_index(hi)], gc.pieces[gc.piece_index(hi)]
             if fp.value_at(hi) != gp.value_at(hi):
                 offer(hi)
         lo = hi

@@ -1,9 +1,13 @@
 """Command-line harness: frozen reports, exit codes, error surfacing."""
 
+from pathlib import Path
+
 import pytest
 
 from qendo import lazyiso
+from qendo.actions import LabelledForest
 from qendo.cli import main
+from qendo.endo import PiecewiseEndo
 
 STEP_MAP = "(-inf,0) : 1*x + 0\n[0,+inf) : 1*x + 1\n"
 IDENTITY_MAP = "(-inf,+inf) : 1*x\n"
@@ -12,6 +16,17 @@ CONSTANT_MAP = "(-inf,+inf) : 0*x + 2\n"
 BAD_MAP = "(-inf,0) : 1*x\nwhat is this\n"
 CHAIN_FOREST = "root - 0\nmid root 1\ntop mid 2\n"
 BAD_ROOT_FOREST = "root - 1\nmid root 2\n"
+
+
+def readme_block(heading):
+    """The first fenced block after a heading in README's File formats."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    after = text[text.index(heading):]
+    return after.split("```\n")[1]
+
+
+README_MAP = readme_block("**Map files**")
+README_FOREST = readme_block("**Forest files**")
 
 
 @pytest.fixture
@@ -69,6 +84,21 @@ def test_classify_parse_error_names_line(files, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 2" in err
+
+
+def test_readme_examples_parse_with_trailing_comments():
+    assert "# a plateau" in README_MAP
+    f = PiecewiseEndo.parse(README_MAP)
+    assert [str(p.interval) for p in f.pieces] == ["(-inf,0)", "[0,1]", "(1,+inf)"]
+    forest = LabelledForest.parse(README_FOREST + "leaf top 3   # a comment\n")
+    assert forest.label["leaf"] == 3
+
+
+def test_classify_readme_map(files, capsys):
+    code = main(["classify", files("readme.map", README_MAP)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert "classification: neither injective nor surjective; missing [0,1)" in out
 
 
 def test_factorize_plateau(files, capsys):

@@ -482,3 +482,97 @@ def test_factor_order_membership_matches_the_fibres(f):
     q = f.eval(y)
     for el in (q, (q,), (q, y, y), [q, y], ("q", y), (q, "q"), (None, y)):
         assert not order.contains(el)
+
+
+# -- sections: one sweep over the canonical form ------------------------------
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(wide_endos(), monotone_endos()))
+def test_canonical_images_are_disjoint_and_rise(f):
+    pieces = f.canonical().pieces
+    for p in pieces:
+        if p.interval.is_degenerate():
+            assert p.slope == 0
+    for left, right in zip(pieces, pieces[1:]):
+        a, b = left.image(), right.image()
+        assert a.hi < b.lo or (a.hi == b.lo and a.hi_closed != b.lo_closed)
+
+
+def _section_point_oracle(iv):
+    if iv.is_degenerate():
+        return iv.lo
+    if iv.hi is not None and iv.hi_closed:
+        return iv.hi
+    if iv.lo is not None and iv.lo_closed:
+        return iv.lo
+    if iv.lo is None and iv.hi is None:
+        return Rat(0)
+    if iv.lo is None:
+        return iv.hi - 1
+    if iv.hi is None:
+        return iv.lo + 1
+    return (iv.lo + iv.hi) / 2
+
+
+def _pseudo_section_oracle(g, fixset=()):
+    # the frontier sweep pseudo_section used before it relied on the
+    # canonical form's disjoint images: it clips overlapping images, skips
+    # values already covered and patches one-point holes
+    g = g.canonical()
+    preferred = {}
+    for x in fixset:
+        preferred.setdefault(g.eval(Rat(x)), Rat(x))
+    pieces = []
+    frontier = None
+    last_anchor = None
+    for p in g.pieces:
+        J = p.image()
+        if p.slope == 0 or p.interval.is_degenerate():
+            v = J.lo
+            sec = (p.interval.lo if p.interval.is_degenerate()
+                   else _section_point_oracle(p.interval))
+            if v in preferred and p.interval.contains(preferred[v]):
+                sec = preferred[v]
+            if frontier is None:
+                pieces.append(Piece(RatInterval(None, v), Rat(0), sec))
+            else:
+                fv, fcovered = frontier
+                if fcovered and fv == v:
+                    continue
+                if fv < v:
+                    pieces.append(Piece(RatInterval(fv, v, not fcovered, False),
+                                        Rat(0), last_anchor))
+            pieces.append(Piece(point_interval(v), Rat(0), sec))
+            frontier = (v, True)
+            last_anchor = sec
+            continue
+        lo, lo_closed = J.lo, J.lo_closed
+        if frontier is not None:
+            fv, fcovered = frontier
+            if lo is None or lo < fv or (lo == fv and lo_closed and fcovered):
+                lo, lo_closed = fv, not fcovered
+            elif lo > fv:
+                pieces.append(Piece(RatInterval(fv, lo, not fcovered, not lo_closed),
+                                    Rat(0), last_anchor))
+            elif lo == fv and not lo_closed and not fcovered:
+                pieces.append(Piece(point_interval(fv), Rat(0), last_anchor))
+        pieces.append(Piece(RatInterval(lo, J.hi, lo_closed, J.hi_closed),
+                            1 / p.slope, -p.intercept / p.slope))
+        frontier = None if J.hi is None else (J.hi, J.hi_closed)
+        last_anchor = p.interval.hi
+    if frontier is not None:
+        fv, fcovered = frontier
+        pieces.append(Piece(RatInterval(fv, None, not fcovered, False),
+                            Rat(0), last_anchor))
+    return PiecewiseEndo(tuple(pieces))._tidy()
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.one_of(wide_endos(), monotone_endos()),
+       st.lists(st.fractions(min_value=-30, max_value=30, max_denominator=4),
+                max_size=4))
+def test_pseudo_section_matches_the_frontier_oracle(g, fixset):
+    for fixes in (fixset, ()):
+        got, want = pseudo_section(g, fixes), _pseudo_section_oracle(g, fixes)
+        assert got == want
+        assert str(got) == str(want)

@@ -13,6 +13,7 @@ from qendo.ratcore import (
     RatInterval,
     colour,
     colour_witness,
+    content_lines,
     enumerated_in_interval,
     least_index_in_interval,
     nth_rational,
@@ -154,6 +155,11 @@ def test_least_index_in_interval():
     assert least_index_in_interval(None, None) == F(0)
     assert least_index_in_interval(
         F(0), F(1), pred=lambda x: colour(x) == Colour.BLUE) == F(1, 3)
+
+
+def test_content_lines_drop_comments_and_blank_lines():
+    text = "# header\n\n  a b  # note\n#\nc#d\n   \n  e\n"
+    assert list(content_lines(text)) == [(3, "a b"), (5, "c"), (7, "e")]
 
 
 def test_interval_basics():
