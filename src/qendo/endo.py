@@ -32,7 +32,6 @@ from .ratcore import (
     parse_rat,
     point_interval,
     simplest_between,
-    union_difference_witness,
     union_gaps,
 )
 
@@ -448,17 +447,6 @@ def right_inverse(g: PiecewiseEndo, fixset=()) -> PiecewiseEndo:
             f"map is not surjective; {report.non_surjective_value} "
             "has no preimage")
     return pseudo_section(g, fixset=fixset)
-
-
-def divide(f: PiecewiseEndo, g: PiecewiseEndo) -> PiecewiseEndo:
-    """An h with g∘h = f, which exists iff the image of f lies inside the
-    image of g."""
-    stray = union_difference_witness(f.image_union(), g.image_union())
-    if stray is not None:
-        raise ValueError(
-            f"no solution: {stray} is a value of the dividend "
-            "but not of the divisor")
-    return compose(pseudo_section(g), f)
 
 
 def idempotent_with_image(points) -> PiecewiseEndo:

@@ -109,19 +109,13 @@ class GenericCert:
             if (lo is None or lo < rep) and (hi is None or rep < hi):
                 yield rep
 
-    def red_index_between(self, qlo, qhi):
-        return self._index_between(qlo, qhi, Colour.RED)
-
     def blue_index_between(self, qlo, qhi):
-        return self._index_between(qlo, qhi, Colour.BLUE)
-
-    def _index_between(self, qlo, qhi, want: Colour):
         for steps, q in enumerate(self.index_order.enum_in_gap(qlo, qhi)):
             if steps > SEARCH_CAP:
                 break
-            if self.colour_of_index(q) == want:
+            if self.colour_of_index(q) == Colour.BLUE:
                 return q
-        raise SearchExhausted(f"{want} class search", f"SEARCH_CAP={SEARCH_CAP}",
+        raise SearchExhausted("blue class search", f"SEARCH_CAP={SEARCH_CAP}",
                               qlo, qhi, self.index_order.format_el)
 
 
@@ -283,11 +277,33 @@ class PPair:
     b: FinitePartialMap
 
 
+class CoordinateIso:
+    """An automorphism of the line in a DirectCert's coordinates: with
+    (q, b) = idx(x), x goes to idx⁻¹((ι(q), φ_q(b))).  `phi` holds φ_q
+    for the classes that need one; every other class maps by the
+    identity.  It keeps no memo of its own."""
+
+    def __init__(self, idx: LazyIso, iota: LazyIso, phi: dict):
+        self.idx, self.iota, self.phi = idx, iota, phi
+
+    def eval_fwd(self, x):
+        q, b = self.idx.eval_fwd(x if type(x) is Rat else Rat(x))
+        phi = self.phi.get(q)
+        return self.idx.eval_bwd(
+            (self.iota.eval_fwd(q), b if phi is None else phi.eval_fwd(b)))
+
+    def eval_bwd(self, y):
+        r, c = self.idx.eval_fwd(y if type(y) is Rat else Rat(y))
+        q = self.iota.eval_bwd(r)
+        phi = self.phi.get(q)
+        return self.idx.eval_bwd((q, c if phi is None else phi.eval_bwd(c)))
+
+
 @dataclass
 class CommutingPair:
     alpha: LazyEndo
     beta: LazyEndo
-    alpha_iso: LazyIso = None
+    alpha_iso: CoordinateIso = None
     cert: GenericCert = None
 
 
@@ -363,43 +379,45 @@ def p_check(g, cert: GenericCert, p: PPair) -> List[Tuple[int, str]]:
 
 
 def extend_pair(g, cert: GenericCert, p: PPair) -> CommutingPair:
-    """Grow a compatible pair (a, b) into commuting automorphisms:
-    α extends a, keeping the image of g setwise and sending each class
-    onto the class an index iso prescribes; β = g⁻¹∘α∘g extends b
-    automatically."""
+    """Grow a compatible pair (a, b) into commuting automorphisms: α
+    extends a, and β = g⁻¹∘α∘g extends b.
+
+    α is built in the coordinates of the DirectCert under cert (reached
+    through `.outer`), whose index iso idx sends x to (q, b): q is x's
+    class and b its place in the class.  α(x) = idx⁻¹((ι(q), φ_q(b))),
+    where ι is a colour-preserving iso of the index order seeded with a's
+    class pairs, colours read from cert itself, and φ_q is an iso of the
+    line seeded with the b → c coordinates of a's pairs in class q.  A
+    class whose pairs all keep their coordinate maps by the identity.
+    An image point is (q, 0) with q red, and p_check puts 0 → 0 among
+    the pairs of every red class that a meets, so α keeps the order, the
+    classes and the image of g by construction.
+
+    On a DirectCert nothing here can get stuck: ι and each φ_q are plain
+    back-and-forth on dense orders.  On a ComposedCert, ι runs on the
+    recoloured outer index order, which is not homogeneous, so its
+    search can still fail."""
     violations = p_check(g, cert, p)
     if violations:
         raise PPairError(violations)
 
-    abar = {}
+    base = cert
+    while isinstance(base, ComposedCert):
+        base = base.outer
+    idx = base.index_iso
+    classes, moves = {}, {}
     for x, y in p.a.pairs:
-        abar[cert.class_of(x)] = cert.class_of(y)
-    index_iso = build(cert.index_order, cert.index_order,
-                      seed=sorted(abar.items()),
-                      constraints=[Constraint("index colour",
-                                              cert.colour_of_index,
-                                              cert.colour_of_index)])
-
-    def image_points(x, lo, hi):
-        # image points pair with image points: search only those
-        return cert.image_points_between(lo, hi) if cert.in_image(x) else None
-
-    def block_points(index_map):
-        # the points of the class index_map assigns to x's class
-        def stream(x, lo, hi):
-            return (pt for pt in cert.class_points(index_map(cert.class_of(x)))
-                    if (lo is None or lo < pt) and (hi is None or pt < hi))
-        return stream
-
-    stab = Constraint("image of g", cert.in_image, cert.in_image,
-                      image_points, image_points)
-    block = Constraint("class block",
-                       lambda x: index_iso.eval_fwd(cert.class_of(x)),
-                       cert.class_of,
-                       block_points(index_iso.eval_bwd),
-                       block_points(index_iso.eval_fwd))
-    alpha_iso = build(FullQ(), FullQ(), seed=p.a.pairs,
-                      constraints=[stab, block])
+        (q, b), (r, c) = idx.eval_fwd(x), idx.eval_fwd(y)
+        classes[q] = r
+        moves.setdefault(q, []).append((b, c))
+    iota = build(cert.index_order, cert.index_order,
+                 seed=sorted(classes.items()),
+                 constraints=[Constraint("index colour",
+                                         cert.colour_of_index,
+                                         cert.colour_of_index)])
+    phi = {q: build(FullQ(), FullQ(), seed=pairs)
+           for q, pairs in moves.items() if any(b != c for b, c in pairs)}
+    alpha_iso = CoordinateIso(idx, iota, phi)
 
     def beta_fn(x):
         return cert.inverse_image(alpha_iso.eval_fwd(g.eval(x)))

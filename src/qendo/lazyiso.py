@@ -26,9 +26,9 @@ A LazyIso holds a growing finite partial isomorphism between two specs
 and extends it on demand: evaluating at a fresh point inserts the
 admissible partner of least index in the other spec's own enumeration
 (back-and-forth, made deterministic).  Each Constraint admits a pair
-(x, y) when x's source key equals y's target key (a colour, membership
-of a set, the class a block map prescribes), and may route the candidate
-search to a denser sub-stream.
+(x, y) when x's source key equals y's target key, such as a colour.  The
+search scans the other spec's gap enumeration, which yields members only,
+and tests each candidate against the constraints.
 
 All element values are immutable; a LazyIso mutates only its memo, so one
 instance must not be shared between concurrent evaluations.
@@ -386,30 +386,15 @@ class ConstraintViolation(ValueError):
 
 class Constraint:
     """Admit the pair (x, y) when source_key(x) == target_key(y); the
-    source key is computed first.
+    source key is computed first."""
 
-    A stream, where given, routes the candidate search: stream(x, lo, hi)
-    returns a denser stream of candidates for the partner of x within the
-    (lo, hi) gap, or None to defer to the spec's own gap enumeration.
-    target_stream serves forward evaluation (x a source point) and
-    source_stream backward evaluation (x a target point)."""
-
-    def __init__(self, name, source_key, target_key,
-                 source_stream=None, target_stream=None):
+    def __init__(self, name, source_key, target_key):
         self.name = name
         self.source_key = source_key
         self.target_key = target_key
-        self.source_stream = source_stream
-        self.target_stream = target_stream
 
     def admissible(self, x, y) -> bool:
         return self.source_key(x) == self.target_key(y)
-
-    def candidate_stream(self, x, lo, hi, side):
-        """The stream for the given side ('target' for forward evaluation,
-        'source' for backward), or None when there is none."""
-        stream = self.target_stream if side == "target" else self.source_stream
-        return None if stream is None else stream(x, lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -472,10 +457,9 @@ class LazyIso:
     def _extend(self, el, side):
         # side 'target': el is a source point needing an image; 'source':
         # el is a target point needing a preimage.  The cost: one bisect of
-        # the memo, one stream (the first constraint stream offered, else
-        # the other spec's gap enumeration), each candidate checked for
-        # membership and then against the constraints in order, and at most
-        # FAULT_CAP + 1 candidates scanned.
+        # the memo, one gap stream of the other spec (members only, so no
+        # membership test), each candidate checked against the constraints
+        # in order, and at most FAULT_CAP + 1 candidates scanned.
         pairs = self._pairs
         constraints = self.constraints
         forward = side == "target"
@@ -488,21 +472,11 @@ class LazyIso:
         lo = pairs[i - 1][val_idx] if i else None
         hi = pairs[i][val_idx] if i < len(pairs) else None
 
-        for c in constraints:
-            stream = c.candidate_stream(el, lo, hi, side)
-            if stream is not None:
-                break
-        else:
-            stream = other.enum_in_gap(lo, hi)
-
-        contains = other.contains
         steps = 0
-        for cand in stream:
+        for cand in other.enum_in_gap(lo, hi):
             if steps > FAULT_CAP:
                 break
             steps += 1
-            if not contains(cand):
-                continue
             x, y = (el, cand) if forward else (cand, el)
             for c in constraints:
                 if not c.admissible(x, y):

@@ -3,7 +3,7 @@
 A finite partial map is stored as a tuple of (x, y) pairs sorted by x.  The
 only maps of interest here are the strictly increasing injective ones --
 finite partial automorphisms of the dense order -- and the module provides
-validation, merging and inversion for them.
+validation and inversion for them.
 """
 
 from __future__ import annotations
@@ -11,12 +11,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Tuple
 
-from .ratcore import Rat, parse_rat
+from .ratcore import Rat
 
 
 class MergeConflictError(ValueError):
-    """Two partial maps disagree at a shared point, or their union is not
-    order-preserving."""
+    """A point is given two different images."""
 
 
 @dataclass(frozen=True)
@@ -58,32 +57,8 @@ class FinitePartialMap:
             raise ValueError("only partial automorphisms invert cleanly")
         return FinitePartialMap.from_pairs((y, x) for x, y in self.pairs)
 
-    def merge(self, other: "FinitePartialMap") -> "FinitePartialMap":
-        """Union of the graphs; raises MergeConflictError if the union is not
-        a partial automorphism, naming a violating point."""
-        merged = FinitePartialMap.from_pairs(self.pairs + other.pairs)
-        pairs = merged.pairs
-        for (x1, y1), (x2, y2) in zip(pairs, pairs[1:]):
-            if y1 >= y2:
-                raise MergeConflictError(
-                    f"order violated at {x1} -> {y1} vs {x2} -> {y2}")
-        return merged
-
     def __str__(self):
         return ", ".join(f"{x} -> {y}" for x, y in self.pairs)
-
-    @staticmethod
-    def parse(text: str) -> "FinitePartialMap":
-        s = text.strip()
-        if not s:
-            return FinitePartialMap(())
-        pairs = []
-        for chunk in s.split(","):
-            left, arrow, right = chunk.partition("->")
-            if not arrow:
-                raise ValueError(f"bad pair: {chunk!r}")
-            pairs.append((parse_rat(left), parse_rat(right)))
-        return FinitePartialMap.from_pairs(pairs)
 
 
 EMPTY_MAP = FinitePartialMap(())

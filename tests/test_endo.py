@@ -18,7 +18,6 @@ from qendo.endo import (
     compose,
     constant_map,
     copoint_embedding,
-    divide,
     epi_mono_factorize,
     idempotent_with_image,
     identity_map,
@@ -220,18 +219,6 @@ def test_pseudo_section_fills_gaps():
     for x in SAMPLE:
         y = ONE_JUMP.eval(x)
         assert ONE_JUMP.eval(s.eval(y)) == y
-
-
-def test_divide_exact():
-    e = idempotent_with_image([F(0), F(1)])
-    f = constant_map(F(0))
-    h = divide(f, e)
-    assert compose(e, h) == f
-
-
-def test_divide_witness():
-    with pytest.raises(ValueError, match="1/2"):
-        divide(identity_map(), ONE_JUMP)
 
 
 def test_idempotent_with_image():

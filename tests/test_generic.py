@@ -187,10 +187,10 @@ def test_blue_and_red_between_image_classes():
     a, b = g.eval(F(0)), g.eval(F(1))
     qa, qb = cert.class_of(a), cert.class_of(b)
     blue = cert.blue_index_between(qa, qb)
-    red = cert.red_index_between(qa, qb)
     assert cert.colour_of_index(blue) == Colour.BLUE
-    assert cert.colour_of_index(red) == Colour.RED
-    rep = cert.representative(red)
+    rep = next(iter(cert.image_points_between(a, b)))
+    assert cert.colour_of(rep) == Colour.RED
+    assert qa < cert.class_of(rep) < qb
     assert a < rep < b
 
 
@@ -207,22 +207,19 @@ def test_image_points_between_inside_one_class_is_empty():
 
 def test_class_search_cap_raises_search_exhausted(monkeypatch):
     # with a cap of 0 only the first class of the gap is looked at, so the
-    # search for the other colour gives up
+    # blue search gives up where that class is red: g(0) lands in class 0,
+    # the first rational of the enumeration, between g(-1) and g(1)
     g, cert = generic_embedding("core")
-    qa, qb = cert.class_of(g.eval(F(0))), cert.class_of(g.eval(F(1)))
-    first = next(iter(cert.index_order.enum_in_gap(qa, qb)))
+    assert cert.class_of(g.eval(F(0))) == 0
+    qa, qb = cert.class_of(g.eval(F(-1))), cert.class_of(g.eval(F(1)))
+    assert next(iter(cert.index_order.enum_in_gap(qa, qb))) == 0
+    assert cert.colour_of_index(cert.blue_index_between(qa, qb)) == Colour.BLUE
     monkeypatch.setattr(generic, "SEARCH_CAP", 0)
-    if cert.colour_of_index(first) == Colour.RED:
-        assert cert.red_index_between(qa, qb) == first
-        search, name = cert.blue_index_between, "blue"
-    else:
-        assert cert.blue_index_between(qa, qb) == first
-        search, name = cert.red_index_between, "red"
     fmt = cert.index_order.format_el
     gap = re.escape(f"in the gap ({fmt(qa)}, {fmt(qb)})")
     with pytest.raises(SearchExhausted,
-                       match=f"{name} class search .*SEARCH_CAP=0 {gap}"):
-        search(qa, qb)
+                       match=f"blue class search .*SEARCH_CAP=0 {gap}"):
+        cert.blue_index_between(qa, qb)
 
 
 def test_bounded_variants():
@@ -382,11 +379,12 @@ def test_compose_certified():
         assert cert.representative(q) == y
         assert cert.inverse_image(y) == x
     # between two composite image points there is a blue and a red class
-    qa = cert.class_of(gg.eval(F(0)))
-    qb = cert.class_of(gg.eval(F(1)))
+    a, b = gg.eval(F(0)), gg.eval(F(1))
+    qa, qb = cert.class_of(a), cert.class_of(b)
     assert cert.colour_of_index(cert.blue_index_between(qa, qb)) == Colour.BLUE
-    red = cert.red_index_between(qa, qb)
-    assert gg.eval(F(0)) < cert.representative(red) < gg.eval(F(1))
+    rep = next(iter(cert.image_points_between(a, b)))
+    assert cert.colour_of(rep) == Colour.RED
+    assert a < rep < b
 
 
 def test_compose_variant_mismatch():
@@ -409,9 +407,10 @@ def test_absorb_doubling():
         q = cert.class_of(y)
         assert cert.colour_of_index(q) == Colour.RED
         assert cert.representative(q) == y
-    qa, qb = cert.class_of(comp.eval(F(0))), cert.class_of(comp.eval(F(1)))
-    assert cert.blue_index_between(qa, qb) is not None
-    assert cert.red_index_between(qa, qb) is not None
+    a, b = comp.eval(F(0)), comp.eval(F(1))
+    qa, qb = cert.class_of(a), cert.class_of(b)
+    assert cert.colour_of_index(cert.blue_index_between(qa, qb)) == Colour.BLUE
+    assert a < next(iter(cert.image_points_between(a, b))) < b
 
 
 def test_absorb_identity():
@@ -467,8 +466,9 @@ def test_recover_through_composite_cert_at_recoloured_class():
 def test_recover_through_composite_cert_past_recoloured_classes(monkeypatch):
     # s = (g∘f)(0) moves down, so the classes of g([0,1)), red for g but
     # blue for g∘f, are shifted by the index iso; keyed on g's colours it
-    # sends a red class of g∘f to one of them, where α then finds no
-    # image point (a small cap makes that search fail fast)
+    # would send a red class of g∘f to one of them, and α would carry an
+    # image point of g∘f out of the image (a small cap makes a failing
+    # index search end fast)
     monkeypatch.setattr(lazyiso, "FAULT_CAP", 2000)
     g, cert = absorb(PiecewiseEndo.parse(STEP))
     _check_recovery(cert.embedding, cert, F(2), cert.embedding.eval(F(0)))

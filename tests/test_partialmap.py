@@ -15,8 +15,6 @@ def test_sorting_and_text():
     m = pm((3, 5), (0, 1), (1, 2))
     assert m.domain() == (F(0), F(1), F(3))
     assert str(m) == "0 -> 1, 1 -> 2, 3 -> 5"
-    assert FinitePartialMap.parse("0 -> 1, 1 -> 2, 3 -> 5") == m
-    assert FinitePartialMap.parse("") == EMPTY_MAP
 
 
 def test_partial_automorphism_check():
@@ -31,22 +29,6 @@ def test_inverse():
     assert m.inverse() == pm((1, 0), (F(3, 2), F(1, 2)))
     with pytest.raises(ValueError):
         pm((0, 1), (2, 1)).inverse()
-
-
-def test_merge_ok():
-    a = pm((0, 0), (2, 3))
-    b = pm((1, 1))
-    assert a.merge(b) == pm((0, 0), (1, 1), (2, 3))
-    # overlapping but consistent
-    assert a.merge(pm((0, 0))) == a
-
-
-def test_merge_conflicts():
-    with pytest.raises(MergeConflictError) as exc:
-        pm((0, 0)).merge(pm((0, 1)))
-    assert "0" in str(exc.value)
-    with pytest.raises(MergeConflictError):
-        pm((0, 5)).merge(pm((1, 4)))  # order violated
 
 
 @given(st.lists(st.tuples(st.fractions(max_denominator=10),
