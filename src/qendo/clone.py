@@ -311,6 +311,9 @@ def unary_reconstruction(op: GridOp) -> Optional[Tuple[int, Dict[Rat, Rat]]]:
 # the finite-image composition identity
 # ---------------------------------------------------------------------------
 
+COMPOSITE_SAMPLES = 200  # tuples on which the two composites are compared
+
+
 @dataclass(frozen=True)
 class CompositionIdentityReport:
     hypothesis_holds: bool
@@ -333,10 +336,10 @@ class CompositionIdentityReport:
 
 
 def tuple_compose_identity(f: GridOp, f2: GridOp,
-                           hs: Sequence[PiecewiseEndo],
-                           samples: int = 200) -> CompositionIdentityReport:
+                           hs: Sequence[PiecewiseEndo]) -> CompositionIdentityReport:
     """Check that agreement on the product of the unary images transfers
-    to the full composites f(h_1 x_1, ..., h_n x_n)."""
+    to the full composites f(h_1 x_1, ..., h_n x_n), compared on the first
+    COMPOSITE_SAMPLES tuples of the enumeration."""
     if f.arity != f2.arity or len(hs) != f.arity:
         raise ValueError("arity mismatch")
     if f.grid != f2.grid:
@@ -358,13 +361,13 @@ def tuple_compose_identity(f: GridOp, f2: GridOp,
         return CompositionIdentityReport(False, None, 0)
     ctx = UltraMetricContext(k=f.arity)
     agree = True
-    for n in range(samples):
+    for n in range(COMPOSITE_SAMPLES):
         args = ctx.tuple_at(n)
         inner = tuple(h.eval(x) for h, x in zip(hs, args))
         if f.table[inner] != f2.table[inner]:
             agree = False
             break
-    return CompositionIdentityReport(True, agree, samples)
+    return CompositionIdentityReport(True, agree, COMPOSITE_SAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -409,19 +412,21 @@ def lift_convergence(fs: Callable[[int], object], f, j: int, k: int,
     each n <= N.  Conclusion, checked by evaluation: the k-ary distance of
     fs(n) o pi_j from f o pi_j is at most 2^(-m(n)), where m(n) is the
     first tuple index whose j-th component lies outside the first n
-    enumerated rationals.
+    enumerated rationals.  fs(n) is called once per n, so both distances
+    are about one map even when fs builds a fresh one on each call.
     """
     ctx1 = UltraMetricContext(k=1)
     ctxk = UltraMetricContext(k=k)
     rows = []
     for n in range(N + 1):
-        d1 = dist(ctx1, fs(n), f)
+        fn = fs(n)
+        d1 = dist(ctx1, fn, f)
         if d1.value > Rat(1, 2 ** n):
             return LiftReport(
                 False,
                 f"unary distance at n={n} is {d1} but must be at most 2^-{n}",
                 tuple(rows))
-        gn = FinitaryOp(k, j, fs(n))
+        gn = FinitaryOp(k, j, fn)
         g = FinitaryOp(k, j, f)
         dk = dist(ctxk, gn, g)
         prefix = {nth_rational(i) for i in range(n)}

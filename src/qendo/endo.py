@@ -396,10 +396,9 @@ def _section_point(iv: RatInterval) -> Rat:
     return (iv.lo + iv.hi) / 2
 
 
-def pseudo_section(g: PiecewiseEndo, fixset=()) -> PiecewiseEndo:
+def pseudo_section(g: PiecewiseEndo) -> PiecewiseEndo:
     """Total weakly monotone s with g(s(y)) = y for every y in the image of
-    g; over image gaps s is locally constant.  Points of fixset are run
-    through their own pieces where possible (first fix wins per value).
+    g; over image gaps s is locally constant.
 
     One sweep over g's canonical pieces, whose images are disjoint and
     rise from piece to piece: where two meet at a value, the piece holding
@@ -409,9 +408,6 @@ def pseudo_section(g: PiecewiseEndo, fixset=()) -> PiecewiseEndo:
     at the value just below it; below the first image, a plateau's as the
     first piece is unbounded below, it holds that plateau's point."""
     g = g.canonical()
-    preferred = {}
-    for x in fixset:
-        preferred.setdefault(g.eval(Rat(x)), Rat(x))
     pieces = []
     # the image so far ends at `end`, which it holds iff `covered`; s takes
     # the value `anchor` just below `end`
@@ -419,11 +415,8 @@ def pseudo_section(g: PiecewiseEndo, fixset=()) -> PiecewiseEndo:
     for p in g.pieces:
         J = p.image()
         if p.slope == 0:
-            sec = preferred.get(J.lo)
-            if sec is None or not p.interval.contains(sec):
-                sec = _section_point(p.interval)
+            sec = top = _section_point(p.interval)
             part = Piece(J, Rat(0), sec)
-            top = sec
         else:
             part = Piece(J, 1 / p.slope, -p.intercept / p.slope)
             top = p.interval.hi
@@ -439,14 +432,14 @@ def pseudo_section(g: PiecewiseEndo, fixset=()) -> PiecewiseEndo:
     return PiecewiseEndo(tuple(pieces))._tidy()
 
 
-def right_inverse(g: PiecewiseEndo, fixset=()) -> PiecewiseEndo:
-    """For surjective g, an h with g∘h = identity."""
+def right_inverse(g: PiecewiseEndo) -> PiecewiseEndo:
+    """For surjective g, an h with g∘h = identity: its pseudo-section."""
     report = classify(g)
     if not report.kind.surjective:
         raise ValueError(
             f"map is not surjective; {report.non_surjective_value} "
             "has no preimage")
-    return pseudo_section(g, fixset=fixset)
+    return pseudo_section(g)
 
 
 def idempotent_with_image(points) -> PiecewiseEndo:

@@ -60,10 +60,12 @@ class GenericCert:
     embedding.  Class indices live in `index_order` (a dense order,
     possibly with blue endpoint markers) and are coloured by
     `colour_of_index`; every red index carries exactly one image point,
-    its representative."""
+    its representative.  `index_iso` sends the line onto index_order ×
+    line, x to (its class, its place in the class)."""
 
     variant: str
     index_order = None
+    index_iso = None
     embedding = None
 
     def class_of(self, x: Rat):
@@ -82,9 +84,6 @@ class GenericCert:
         raise NotImplementedError
 
     def class_points(self, q) -> Iterator[Rat]:
-        raise NotImplementedError
-
-    def memo_snapshot(self) -> str:
         raise NotImplementedError
 
     # -- derived queries ----------------------------------------------------
@@ -197,6 +196,7 @@ class ComposedCert(GenericCert):
         self.embedding = embedding
         self.variant = outer.variant
         self.index_order = outer.index_order
+        self.index_iso = outer.index_iso
 
     def class_of(self, x: Rat):
         return self.outer.class_of(x)
@@ -221,9 +221,6 @@ class ComposedCert(GenericCert):
 
     def class_points(self, q) -> Iterator[Rat]:
         return self.outer.class_points(q)
-
-    def memo_snapshot(self) -> str:
-        return f"composite over:\n{self.outer.memo_snapshot()}"
 
 
 def generic_embedding(variant: str = "core"):
@@ -304,7 +301,6 @@ class CommutingPair:
     alpha: LazyEndo
     beta: LazyEndo
     alpha_iso: CoordinateIso = None
-    cert: GenericCert = None
 
 
 class PPairError(ValueError):
@@ -382,8 +378,8 @@ def extend_pair(g, cert: GenericCert, p: PPair) -> CommutingPair:
     """Grow a compatible pair (a, b) into commuting automorphisms: α
     extends a, and β = g⁻¹∘α∘g extends b.
 
-    α is built in the coordinates of the DirectCert under cert (reached
-    through `.outer`), whose index iso idx sends x to (q, b): q is x's
+    α is built in the coordinates of cert's index iso idx (a ComposedCert
+    shares its outer certificate's), which sends x to (q, b): q is x's
     class and b its place in the class.  α(x) = idx⁻¹((ι(q), φ_q(b))),
     where ι is a colour-preserving iso of the index order seeded with a's
     class pairs, colours read from cert itself, and φ_q is an iso of the
@@ -401,10 +397,7 @@ def extend_pair(g, cert: GenericCert, p: PPair) -> CommutingPair:
     if violations:
         raise PPairError(violations)
 
-    base = cert
-    while isinstance(base, ComposedCert):
-        base = base.outer
-    idx = base.index_iso
+    idx = cert.index_iso
     classes, moves = {}, {}
     for x, y in p.a.pairs:
         (q, b), (r, c) = idx.eval_fwd(x), idx.eval_fwd(y)
@@ -412,9 +405,8 @@ def extend_pair(g, cert: GenericCert, p: PPair) -> CommutingPair:
         moves.setdefault(q, []).append((b, c))
     iota = build(cert.index_order, cert.index_order,
                  seed=sorted(classes.items()),
-                 constraints=[Constraint("index colour",
-                                         cert.colour_of_index,
-                                         cert.colour_of_index)])
+                 constraint=Constraint("index colour", cert.colour_of_index,
+                                       cert.colour_of_index))
     phi = {q: build(FullQ(), FullQ(), seed=pairs)
            for q, pairs in moves.items() if any(b != c for b, c in pairs)}
     alpha_iso = CoordinateIso(idx, iota, phi)
@@ -426,7 +418,6 @@ def extend_pair(g, cert: GenericCert, p: PPair) -> CommutingPair:
         alpha=LazyEndo(alpha_iso.eval_fwd, label="alpha"),
         beta=LazyEndo(beta_fn, label="beta"),
         alpha_iso=alpha_iso,
-        cert=cert,
     )
 
 

@@ -25,10 +25,11 @@ enumerated as FullQ's stream with the blue ones left out.
 A LazyIso holds a growing finite partial isomorphism between two specs
 and extends it on demand: evaluating at a fresh point inserts the
 admissible partner of least index in the other spec's own enumeration
-(back-and-forth, made deterministic).  Each Constraint admits a pair
-(x, y) when x's source key equals y's target key, such as a colour.  The
-search scans the other spec's gap enumeration, which yields members only,
-and tests each candidate against the constraints.
+(back-and-forth, made deterministic).  An iso may carry one Constraint,
+which admits a pair (x, y) when x's source key equals y's target key,
+such as a colour.  The search scans the other spec's gap enumeration,
+which yields members only, and tests each candidate against the
+constraint, if any.
 
 All element values are immutable; a LazyIso mutates only its memo, so one
 instance must not be shared between concurrent evaluations.
@@ -43,7 +44,7 @@ from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Optional
 
 from .ratcore import (
     Colour,
@@ -410,10 +411,10 @@ class LazyIso:
     """
 
     def __init__(self, source: OrderSpec, target: OrderSpec, seed=(),
-                 constraints=()):
+                 constraint: Optional[Constraint] = None):
         self.source = source
         self.target = target
-        self.constraints = tuple(constraints)
+        self.constraint = constraint
         self._pairs = []  # sorted by source order
         self._fwd = {}
         self._bwd = {}
@@ -434,11 +435,11 @@ class LazyIso:
             raise ConstraintViolation(
                 f"seed pair outside orders: {self.source.format_el(x)} -> "
                 f"{self.target.format_el(y)}")
-        for c in self.constraints:
-            if not c.admissible(x, y):
-                raise ConstraintViolation(
-                    f"seed pair {self.source.format_el(x)} -> "
-                    f"{self.target.format_el(y)} violates {c.name}")
+        c = self.constraint
+        if c is not None and not c.admissible(x, y):
+            raise ConstraintViolation(
+                f"seed pair {self.source.format_el(x)} -> "
+                f"{self.target.format_el(y)} violates {c.name}")
         i = bisect_left(self._pairs, x, key=_SOURCE)
         # order-compatibility with both neighbours
         if i > 0 and not self._pairs[i - 1][1] < y:
@@ -458,10 +459,10 @@ class LazyIso:
         # side 'target': el is a source point needing an image; 'source':
         # el is a target point needing a preimage.  The cost: one bisect of
         # the memo, one gap stream of the other spec (members only, so no
-        # membership test), each candidate checked against the constraints
-        # in order, and at most FAULT_CAP + 1 candidates scanned.
+        # membership test), each candidate checked against the constraint,
+        # and at most FAULT_CAP + 1 candidates scanned.
         pairs = self._pairs
-        constraints = self.constraints
+        c = self.constraint
         forward = side == "target"
         if forward:
             own, other, val_idx = self.source, self.target, 1
@@ -478,10 +479,7 @@ class LazyIso:
                 break
             steps += 1
             x, y = (el, cand) if forward else (cand, el)
-            for c in constraints:
-                if not c.admissible(x, y):
-                    break
-            else:
+            if c is None or c.admissible(x, y):
                 self._insert(i, x, y)
                 return cand
         raise SearchExhausted(
@@ -513,7 +511,7 @@ class LazyIso:
             for x, y in self._pairs)
 
 
-def build(source, target, seed=(), constraints=()) -> LazyIso:
-    """Seeded constrained iso; seeds violating a constraint are rejected
-    with the constraint named."""
-    return LazyIso(source, target, seed=seed, constraints=constraints)
+def build(source, target, seed=(), constraint=None) -> LazyIso:
+    """Seeded iso under at most one constraint; a seed pair violating it
+    is rejected with the constraint named."""
+    return LazyIso(source, target, seed=seed, constraint=constraint)

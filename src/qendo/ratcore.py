@@ -690,17 +690,6 @@ def gap_witness_point(iv: RatInterval) -> Rat:
     return simplest_between(iv.lo, iv.hi)
 
 
-def union_difference_witness(a_union, b_union) -> Optional[Rat]:
-    """A point of ∪a not in ∪b, or None if ∪a ⊆ ∪b (exact)."""
-    b_gaps = union_gaps(merge_intervals(b_union))
-    for a_iv in merge_intervals(a_union):
-        for gap in b_gaps:
-            hit = intersect_intervals(a_iv, gap)
-            if hit is not None:
-                return gap_witness_point(hit)
-    return None
-
-
 def content_lines(text: str):
     """(line number, the text before any '#', stripped) for each line of
     text that has content; line numbers count from 1."""

@@ -70,10 +70,6 @@ __all__ = [
     "prefix_approximant",
 ]
 
-SUITE_NAMES = ("ratcore", "sim", "generic", "recover", "factor",
-               "actions", "clone", "topology")
-
-
 @dataclass(frozen=True)
 class RunConfig:
     seed: int = 20260816
@@ -195,8 +191,8 @@ def random_monotone_endo(rng: random.Random, max_cuts: int = 4,
     return PiecewiseEndo(tuple(pieces))
 
 
-def random_interval_union(rng: random.Random, max_parts: int = 3) -> tuple:
-    n = rng.randint(1, max_parts)
+def random_interval_union(rng: random.Random) -> tuple:
+    n = rng.randint(1, 3)
     cuts = sorted({random_fraction(rng, -6, 6, 4) for _ in range(2 * n)})
     ivs = []
     it = iter(cuts)
@@ -365,24 +361,19 @@ def suite_generic(cfg: RunConfig) -> SuiteResult:
 # suite: recover (commuting extensions and recovery)
 # ---------------------------------------------------------------------------
 
-def _sample_witness_points(rng, g, cert, count):
-    """Mix of image, blue, and red-non-image points near the embedding."""
-    out = []
-    while len(out) < count:
-        mode = rng.randrange(3)
-        v = nth_rational(rng.randrange(40))
-        y = g.eval(v)
-        if mode == 0:
-            out.append(y)
-        elif mode == 1:
-            y2 = g.eval(v + 1)
-            qa, qb = cert.class_of(y), cert.class_of(y2)
-            blue = cert.blue_index_between(qa, qb)
-            out.append(next(iter(cert.class_points(blue))))
-        else:
-            q = cert.class_of(y)
-            out.append(next(p for p in cert.class_points(q) if p != y))
-    return out
+def _sample_witness_point(rng, g, cert):
+    """An image, blue, or red non-image point near the embedding."""
+    mode = rng.randrange(3)
+    v = nth_rational(rng.randrange(40))
+    y = g.eval(v)
+    if mode == 0:
+        return y
+    if mode == 1:
+        y2 = g.eval(v + 1)
+        blue = cert.blue_index_between(cert.class_of(y), cert.class_of(y2))
+        return next(iter(cert.class_points(blue)))
+    q = cert.class_of(y)
+    return next(p for p in cert.class_points(q) if p != y)
 
 
 def _random_valid_pair(rng, g, cert) -> PPair:
@@ -433,7 +424,7 @@ def suite_recover(cfg: RunConfig) -> SuiteResult:
     kinds = {"image": 0, "blue": 0, "red": 0}
     while recover.checks < samples:
         u = nth_rational(rng.randrange(30))
-        s = _sample_witness_points(rng, g, cert, 1)[0]
+        s = _sample_witness_point(rng, g, cert)
         if s == g.eval(u):
             continue
         if cert.in_image(s):
@@ -448,7 +439,7 @@ def suite_recover(cfg: RunConfig) -> SuiteResult:
     fixes = _Check("alpha-fixes-image-of-fixed-points")
     for _ in range(samples):
         u = nth_rational(rng.randrange(30))
-        s = _sample_witness_points(rng, g, cert, 1)[0]
+        s = _sample_witness_point(rng, g, cert)
         if s == g.eval(u):
             continue
         cp = recover_witness(g, cert, u, s)
@@ -552,6 +543,19 @@ def _forest_corpus() -> List[LabelledForest]:
     ]
 
 
+def _random_orbit_points(rng, forest, per_node) -> List[OrbitPoint]:
+    """per_node random orbit points at each node of forest, in node order."""
+    points = []
+    for node in forest.nodes():
+        rank = forest.label[node]
+        for _ in range(per_node):
+            B = set()
+            while len(B) < rank:
+                B.add(random_fraction(rng, -6, 6, 4))
+            points.append(OrbitPoint(node, tuple(sorted(B))))
+    return points
+
+
 def suite_actions(cfg: RunConfig) -> SuiteResult:
     rng = _rng(cfg, "actions")
     forests = _forest_corpus()
@@ -563,14 +567,7 @@ def suite_actions(cfg: RunConfig) -> SuiteResult:
     spec = _Check("same-size-specialization")
     contain = _Check("containment")
     for forest in forests:
-        points = []
-        for node in forest.nodes():
-            rank = forest.label[node]
-            for _ in range(6):
-                B = set()
-                while len(B) < rank:
-                    B.add(random_fraction(rng, -6, 6, 4))
-                points.append(OrbitPoint(node, tuple(sorted(B))))
+        points = _random_orbit_points(rng, forest, 6)
         report = verify_action(forest, fs, points)
         laws.count(report.checks, report.failed)
         for f in fs:
@@ -583,19 +580,13 @@ def suite_actions(cfg: RunConfig) -> SuiteResult:
 
     fix = _Check("finite-image-fixpoints")
     for forest in forests:
-        for node in forest.nodes():
-            rank = forest.label[node]
-            for _ in range(12):
-                B = set()
-                while len(B) < rank:
-                    B.add(random_fraction(rng, -6, 6, 4))
-                p = OrbitPoint(node, tuple(sorted(B)))
-                try:
-                    fixpoint_check(forest, p)
-                except AssertionError:
-                    fix(False)
-                else:
-                    fix(True)
+        for p in _random_orbit_points(rng, forest, 12):
+            try:
+                fixpoint_check(forest, p)
+            except AssertionError:
+                fix(False)
+            else:
+                fix(True)
     return SuiteResult("actions", (
         laws.result(f"{laws.checks} identity/composition checks across "
                     f"{len(forests)} forests"),
@@ -742,6 +733,7 @@ _SUITES: dict = {
     "clone": suite_clone,
     "topology": suite_topology,
 }
+SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, cfg: Optional[RunConfig] = None) -> SuiteResult:

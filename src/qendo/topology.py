@@ -199,10 +199,9 @@ class ConvergenceReport:
         return "\n".join(lines)
 
 
-def check_convergence(seq: Callable[[int], object], limit, N: int,
-                      ctx: Optional[UltraMetricContext] = None) -> ConvergenceReport:
+def check_convergence(seq: Callable[[int], object], limit, N: int) -> ConvergenceReport:
     """Distance table of seq(n) against the limit for n = 0..N."""
-    ctx = ctx or UltraMetricContext()
+    ctx = UltraMetricContext()
     rows = tuple((n, dist(ctx, seq(n), limit)) for n in range(N + 1))
     return ConvergenceReport(rows)
 

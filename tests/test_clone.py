@@ -340,3 +340,14 @@ def test_lift_hypothesis_failure():
     assert not rep.hypothesis_ok and not rep.ok
     assert "hypothesis fails" in str(rep)
     assert "2^-1" in rep.hypothesis_note or "n=1" in rep.hypothesis_note
+
+
+def test_lift_calls_the_sequence_once_per_term():
+    calls = []
+
+    def fs(n):
+        calls.append(n)
+        return _prefix_approx(n)
+    rep = lift_convergence(fs, identity_map(), 2, 2, 6)
+    assert rep.ok
+    assert calls == list(range(7))

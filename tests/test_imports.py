@@ -1,4 +1,5 @@
-"""Source hygiene: every name a qendo module imports is used in it."""
+"""Source hygiene: every name a qendo module imports is used in it, and
+every definition it makes is referenced."""
 
 import ast
 import re
@@ -75,23 +76,62 @@ def referenced_words(source: str) -> set:
     return words
 
 
+def unreferenced(modules: dict, readers, exempt=()) -> list:
+    """"label:line: name" for each definition in modules (label -> source)
+    that no source in readers references and exempt does not name."""
+    words = set().union(*map(referenced_words, readers))
+    return [f"{label}:{line}: {name}" for label, source in modules.items()
+            for line, name in definitions(source)
+            if name not in words and name not in exempt]
+
+
+LIB = ("class Box:\n    def __init__(self):\n        pass\n"
+       "    def used(self):\n        pass\n    def spare(self):\n        pass\n"
+       "def helper():\n    return Box().used()\n"
+       "def traced():\n    pass\n"
+       "def orphan():\n    pass\n"
+       "def tested():\n    pass\n"
+       "def entry():\n    pass\n"
+       "__all__ = ['helper']\n")
+USER = "from lib import helper\nhelper()\nTARGETS = ['lib.traced']\n"
+TEST = "from lib import entry, tested\ntested()\nentry()\n"
+
+
 def test_scanner_finds_a_dead_definition():
-    lib = ("class Box:\n    def __init__(self):\n        pass\n"
-           "    def used(self):\n        pass\n    def spare(self):\n        pass\n"
-           "def helper():\n    return Box().used()\n"
-           "def traced():\n    pass\n"
-           "def orphan():\n    pass\n")
-    user = "from lib import helper\nhelper()\nTARGETS = ['lib.traced']\n"
-    words = referenced_words(lib) | referenced_words(user)
-    assert [(line, name) for line, name in definitions(lib)
-            if name not in words] == [(6, "spare"), (12, "orphan")]
+    assert unreferenced({"lib": LIB}, [LIB, USER, TEST]) == [
+        "lib:6: spare", "lib:12: orphan"]
+
+
+def test_scanner_finds_a_definition_only_tests_reach():
+    # `helper` counts through __all__; `traced` is named only by USER
+    got = unreferenced({"lib": LIB}, [LIB], exempt=("entry",))
+    assert got == ["lib:6: spare", "lib:10: traced", "lib:12: orphan",
+                   "lib:14: tested"]
+
+
+def _texts(paths) -> dict:
+    return {path.name: path.read_text(encoding="utf-8") for path in paths}
 
 
 def test_every_definition_is_referenced():
-    words = set()
-    for path in SOURCES:
-        words |= referenced_words(path.read_text(encoding="utf-8"))
-    found = [f"{path.name}:{line}: {name}" for path in MODULES
-             for line, name in definitions(path.read_text(encoding="utf-8"))
-             if name not in words]
-    assert found == []
+    assert unreferenced(_texts(MODULES), _texts(SOURCES).values()) == []
+
+
+# definitions that only tests, demos or perfbench reach, and why each stays
+TEST_ENTRY_POINTS = (
+    ("affine_map", "x -> a*x + b, the simplest injective map the tests build"),
+    ("copoint_embedding", "the embedding whose image misses one point, "
+                          "tested for its copoint obstruction"),
+    ("memo_pairs", "a LazyIso's memo as data, how the tests compare the engine "
+                   "with its reference"),
+)
+
+
+def test_every_definition_has_a_caller_in_the_package():
+    src = _texts(MODULES)
+    exempt = {name for name, _ in TEST_ENTRY_POINTS}
+    assert unreferenced(src, src.values(), exempt) == []
+    # an exemption that the package itself reaches, or that names no
+    # definition, is stale
+    assert {found.rsplit(" ", 1)[1]
+            for found in unreferenced(src, src.values())} == exempt

@@ -78,7 +78,7 @@ def test_punctured_target_never_hits_hole():
 def test_colour_preservation():
     spec = ColouredQ()
     keep = Constraint("colour", spec.colour_label, spec.colour_label)
-    iso = build(spec, spec, seed=[(F(1, 2), F(5, 2))], constraints=[keep])
+    iso = build(spec, spec, seed=[(F(1, 2), F(5, 2))], constraint=keep)
     for x in SAMPLE:
         assert colour(iso.eval_fwd(x)) == colour(x)
     for y in SAMPLE:
@@ -90,7 +90,7 @@ def test_seed_violation_names_constraint():
     keep = Constraint("colour", spec.colour_label, spec.colour_label)
     # 0 is red, 1 is blue
     with pytest.raises(ConstraintViolation, match="colour"):
-        build(spec, spec, seed=[(F(0), F(1))], constraints=[keep])
+        build(spec, spec, seed=[(F(0), F(1))], constraint=keep)
 
 
 def test_non_monotone_seed_rejected():
@@ -156,9 +156,9 @@ def test_fault_cap_raises_search_exhausted(monkeypatch):
     # after more than 3 others in the enumeration
     wanted = Constraint("denominator", lambda x: True,
                         lambda y: y.denominator > 5)
-    assert build(FullQ(), FullQ(), constraints=[wanted]).eval_fwd(F(0)) == F(4, 7)
+    assert build(FullQ(), FullQ(), constraint=wanted).eval_fwd(F(0)) == F(4, 7)
     monkeypatch.setattr(lazyiso, "FAULT_CAP", 3)
-    iso = build(FullQ(), FullQ(), constraints=[wanted])
+    iso = build(FullQ(), FullQ(), constraint=wanted)
     with pytest.raises(SearchExhausted,
                        match=r"partner of 0 .*FAULT_CAP=3 in the gap \(-inf, \+inf\)"):
         iso.eval_fwd(F(0))
@@ -483,7 +483,7 @@ def test_determinism_across_sessions():
     def run():
         spec = ColouredQ()
         keep = Constraint("colour", spec.colour_label, spec.colour_label)
-        iso = build(spec, spec, seed=[(F(-1), F(-3))], constraints=[keep])
+        iso = build(spec, spec, seed=[(F(-1), F(-3))], constraint=keep)
         for x in SAMPLE[:80]:
             iso.eval_fwd(x)
         for y in SAMPLE[80:120]:
@@ -527,7 +527,7 @@ from qendo.partialmap import FinitePartialMap  # noqa: E402
 class _ReferenceIso(LazyIso):
     """LazyIso with the extension step written out plainly: a fresh
     itemgetter per bisect, enumerate over the gap, and a membership test
-    and an all() over the constraints for each candidate.  It must choose
+    and the constraint's test for each candidate.  It must choose
     every partner the engine chooses; the engine leaves out the membership
     test, so a gap enumeration that yields a non-member shows here."""
 
@@ -547,7 +547,7 @@ class _ReferenceIso(LazyIso):
             if not other.contains(cand):
                 continue
             x, y = (el, cand) if forward else (cand, el)
-            if all(c.admissible(x, y) for c in self.constraints):
+            if self.constraint is None or self.constraint.admissible(x, y):
                 self._insert(i, x, y)
                 return cand
         raise SearchExhausted(
@@ -555,8 +555,8 @@ class _ReferenceIso(LazyIso):
             f"FAULT_CAP={lazyiso.FAULT_CAP}", lo, hi, other.format_el)
 
 
-def _reference_build(source, target, seed=(), constraints=()):
-    return _ReferenceIso(source, target, seed=seed, constraints=constraints)
+def _reference_build(source, target, seed=(), constraint=None):
+    return _ReferenceIso(source, target, seed=seed, constraint=constraint)
 
 
 MID_Q = st.fractions(min_value=-6, max_value=6, max_denominator=12)
@@ -702,7 +702,7 @@ def test_fault_cap_bounds_the_scan_index(monkeypatch, make, admissible_at, accep
     monkeypatch.setattr(lazyiso, "FAULT_CAP", 3)
     wanted = nth_rational(admissible_at)
     offered = Constraint("offered", lambda x: True, lambda y: y == wanted)
-    iso = make(FullQ(), FullQ(), constraints=[offered])
+    iso = make(FullQ(), FullQ(), constraint=offered)
     if accepted:
         assert iso.eval_fwd(F(0)) == wanted
     else:

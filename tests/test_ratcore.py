@@ -210,7 +210,6 @@ from qendo.ratcore import (  # noqa: E402
     intersect_intervals,
     merge_intervals,
     union_contains,
-    union_difference_witness,
     union_gaps,
 )
 
@@ -242,14 +241,6 @@ def test_union_gaps():
 def test_gap_witness_point():
     assert gap_witness_point(iv("[0,1)")) == F(1, 2)
     assert gap_witness_point(iv("[3,3]")) == F(3)
-
-
-def test_union_difference_witness():
-    a = [FULL_LINE]
-    b = [iv("(-inf,0)"), iv("[1,+inf)")]
-    assert union_difference_witness(a, b) == F(1, 2)
-    assert union_difference_witness(b, a) is None
-    assert union_difference_witness([iv("[0,1)")], [iv("[0,1)")]) is None
 
 
 def test_intersect_intervals():
