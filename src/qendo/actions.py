@@ -91,9 +91,6 @@ class LabelledForest:
     def nodes(self) -> Tuple[str, ...]:
         return tuple(self.parent)
 
-    def roots(self) -> Tuple[str, ...]:
-        return tuple(n for n, p in self.parent.items() if p is None)
-
     def is_cascade_safe(self) -> bool:
         """True when no branch jumps a rank above a node of rank >= 2.
 

@@ -13,11 +13,6 @@ projection.  ``preserves_either_equal`` decides preservation exactly by a
 lossless reformulation: a violating quadruple of argument rows exists if
 and only if two value-changing row pairs have disjoint change supports.
 
-``tuple_compose_identity`` checks the finite-image composition identity:
-if two operations agree on the product of the images of finite-image
-unary maps h_1..h_n, then composing either with (h_1, .., h_n) applied
-coordinatewise gives the same function everywhere.
-
 ``lift_convergence`` transports a unary convergence hypothesis to k-ary
 operations built by precomposition with a projection, reporting realized
 and guaranteed moduli along the tuple enumeration.
@@ -29,8 +24,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .endo import ComposedEndo, PiecewiseEndo, classify, compose
-from .ratcore import Rat, content_lines, nth_rational, parse_rat
+from .endo import ComposedEndo, PiecewiseEndo, compose
+from .ratcore import Rat, nth_rational
 from .topology import DistResult, UltraMetricContext, dist
 
 __all__ = [
@@ -41,8 +36,6 @@ __all__ = [
     "preserves_either_equal",
     "essential_positions",
     "unary_reconstruction",
-    "CompositionIdentityReport",
-    "tuple_compose_identity",
     "LiftReport",
     "lift_convergence",
 ]
@@ -76,10 +69,6 @@ class FinitaryOp:
                 f"expected {self.arity} arguments, got {len(args)}")
         x = args[self.j - 1]
         return x if self.unary is None else self.unary.eval(x)
-
-    def __str__(self) -> str:
-        core = f"pi_{self.j}^({self.arity})"
-        return core if self.unary is None else f"u o {core}"
 
 
 def _compose_unaries(outer, inner):
@@ -145,36 +134,6 @@ class GridOp:
 
     def rows(self) -> List[Tuple[Tuple[Rat, ...], Rat]]:
         return sorted(self.table.items())
-
-    def __str__(self) -> str:
-        lines = ["grid: " + ", ".join(map(str, self.grid)),
-                 f"arity: {self.arity}"]
-        for args, val in self.rows():
-            lines.append(" ".join(map(str, args))
-                         + " -> " + str(val))
-        return "\n".join(lines)
-
-    @staticmethod
-    def parse(text: str) -> "GridOp":
-        grid: Optional[Tuple[Rat, ...]] = None
-        arity: Optional[int] = None
-        table: Dict[Tuple[Rat, ...], Rat] = {}
-        for lineno, line in content_lines(text):
-            if line.startswith("grid:"):
-                grid = tuple(parse_rat(t.strip())
-                             for t in line[len("grid:"):].split(","))
-                continue
-            if line.startswith("arity:"):
-                arity = int(line[len("arity:"):].strip())
-                continue
-            if "->" not in line:
-                raise ValueError(f"line {lineno}: expected 'args -> value'")
-            left, right = line.split("->")
-            args = tuple(parse_rat(t) for t in left.split())
-            table[args] = parse_rat(right.strip())
-        if grid is None or arity is None:
-            raise ValueError("grid and arity headers are required")
-        return GridOp(arity, grid, table)
 
 
 # ---------------------------------------------------------------------------
@@ -305,69 +264,6 @@ def unary_reconstruction(op: GridOp) -> Optional[Tuple[int, Dict[Rat, Rat]]]:
         if op.table[args] != u[args[j - 1]]:
             return None
     return j, u
-
-
-# ---------------------------------------------------------------------------
-# the finite-image composition identity
-# ---------------------------------------------------------------------------
-
-COMPOSITE_SAMPLES = 200  # tuples on which the two composites are compared
-
-
-@dataclass(frozen=True)
-class CompositionIdentityReport:
-    hypothesis_holds: bool
-    composites_agree: Optional[bool]
-    checked: int
-
-    @property
-    def implication_holds(self) -> bool:
-        return (not self.hypothesis_holds) or bool(self.composites_agree)
-
-    def __bool__(self) -> bool:
-        return self.implication_holds
-
-    def __str__(self) -> str:
-        if not self.hypothesis_holds:
-            return "hypothesis false: the operations differ on the image product"
-        verdict = "agree" if self.composites_agree else "DISAGREE"
-        return (f"operations agree on the image product; composites {verdict} "
-                f"on {self.checked} sampled tuples")
-
-
-def tuple_compose_identity(f: GridOp, f2: GridOp,
-                           hs: Sequence[PiecewiseEndo]) -> CompositionIdentityReport:
-    """Check that agreement on the product of the unary images transfers
-    to the full composites f(h_1 x_1, ..., h_n x_n), compared on the first
-    COMPOSITE_SAMPLES tuples of the enumeration."""
-    if f.arity != f2.arity or len(hs) != f.arity:
-        raise ValueError("arity mismatch")
-    if f.grid != f2.grid:
-        raise ValueError("operations live on different grids")
-    images: List[Tuple[Rat, ...]] = []
-    for idx, h in enumerate(hs, start=1):
-        image = classify(h).image
-        if not all(iv.is_degenerate() for iv in image):
-            raise ValueError(f"map #{idx} does not have finite image")
-        pts = tuple(iv.lo for iv in image)
-        stray = next((p for p in pts if p not in f.grid), None)
-        if stray is not None:
-            raise ValueError(
-                f"image point {stray} of map #{idx} is off the grid")
-        images.append(pts)
-    hypothesis = all(f.table[args] == f2.table[args]
-                     for args in itertools.product(*images))
-    if not hypothesis:
-        return CompositionIdentityReport(False, None, 0)
-    ctx = UltraMetricContext(k=f.arity)
-    agree = True
-    for n in range(COMPOSITE_SAMPLES):
-        args = ctx.tuple_at(n)
-        inner = tuple(h.eval(x) for h, x in zip(hs, args))
-        if f.table[inner] != f2.table[inner]:
-            agree = False
-            break
-    return CompositionIdentityReport(True, agree, COMPOSITE_SAMPLES)
 
 
 # ---------------------------------------------------------------------------

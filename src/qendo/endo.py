@@ -82,7 +82,9 @@ class Piece:
     def parse(text: str) -> "Piece":
         iv_part, _, formula = text.partition(":")
         iv = RatInterval.parse(iv_part.strip())
-        left, _, right = formula.partition("*x")
+        left, times_x, right = formula.partition("*x")
+        if not times_x:
+            raise ValueError(f"cannot parse piece formula: {text!r}")
         slope = parse_rat(left.strip())
         right = right.strip()
         if right.startswith("+"):
@@ -472,13 +474,9 @@ def idempotent_with_image(points) -> PiecewiseEndo:
 class LazyEndo:
     """A self-map evaluated on demand (usually backed by an iso engine)."""
     fn: Callable[[Rat], Rat]
-    label: str = "lazy"
 
     def eval(self, x: Rat) -> Rat:
         return self.fn(x if type(x) is Rat else Rat(x))
-
-    def __str__(self):
-        return f"<{self.label}>"
 
 
 @dataclass
@@ -492,16 +490,12 @@ class ComposedEndo:
             v = f.eval(v)
         return v
 
-    def __str__(self):
-        return " . ".join(getattr(f, "label", "map") if not isinstance(f, PiecewiseEndo)
-                          else "piecewise" for f in self.factors)
-
 
 def copoint_embedding(y: Rat) -> LazyEndo:
     """An order-embedding of the line whose image avoids exactly the point
     y's copoint obstruction: values land in Q minus {y}."""
     iso = build(FullQ(), QMinusFinite({Rat(y)}))
-    return LazyEndo(iso.eval_fwd, label=f"avoid {Rat(y)}")
+    return LazyEndo(iso.eval_fwd)
 
 
 # ---------------------------------------------------------------------------
@@ -542,8 +536,8 @@ def epi_mono_factorize(h: PiecewiseEndo) -> Factorization:
         return theta.eval_bwd(el)
 
     return Factorization(
-        epi=LazyEndo(epi_fn, label="collapse"),
-        mono=LazyEndo(mono_fn, label="spread"),
+        epi=LazyEndo(epi_fn),
+        mono=LazyEndo(mono_fn),
         preimage=preimage,
         order=order,
         theta=theta,

@@ -137,7 +137,7 @@ class DirectCert(GenericCert):
         self._product = LexSum(self.index_order, lambda q: line)
         self.index_iso = build(line, self._product)
         self.red_iso = build(line, RedQ())
-        self.embedding = LazyEndo(self._embed, label=f"generic {variant}")
+        self.embedding = LazyEndo(self._embed)
 
     def _embed(self, x: Rat) -> Rat:
         return self.representative(self.red_iso.eval_fwd(x))
@@ -415,8 +415,8 @@ def extend_pair(g, cert: GenericCert, p: PPair) -> CommutingPair:
         return cert.inverse_image(alpha_iso.eval_fwd(g.eval(x)))
 
     return CommutingPair(
-        alpha=LazyEndo(alpha_iso.eval_fwd, label="alpha"),
-        beta=LazyEndo(beta_fn, label="beta"),
+        alpha=LazyEndo(alpha_iso.eval_fwd),
+        beta=LazyEndo(beta_fn),
         alpha_iso=alpha_iso,
     )
 
@@ -480,26 +480,19 @@ def compose_certified(g2, cert2: GenericCert, g1, cert1: GenericCert):
 
 def absorb(f: PiecewiseEndo):
     """A certified generic g whose composite with the closed-form embedding
-    f is again certified-generic; the variant follows the boundedness of
-    f's image (unbounded both ways → core, bounded above → plus, bounded
-    below → minus, bounded both ways → pm)."""
+    f is again certified-generic.
+
+    g is always the core variant.  An injective f has sloped end pieces
+    on its two unbounded intervals, and their images keep the unbounded
+    ends, so f's image is unbounded both ways: no least or greatest class
+    is needed."""
     report = classify(f)
     if not report.kind.injective:
         x1, x2 = report.non_injective_pair
         raise ValueError(
             f"map is not injective: f({x1}) = f({x2})")
     image = f.image_union()
-    below_unbounded = image[0].lo is None
-    above_unbounded = image[-1].hi is None
-    if below_unbounded and above_unbounded:
-        variant = "core"
-    elif below_unbounded:
-        variant = "plus"
-    elif above_unbounded:
-        variant = "minus"
-    else:
-        variant = "pm"
-    g, cert2 = generic_embedding(variant)
+    g, cert2 = generic_embedding("core")
     fc = f.canonical()
 
     def inner_preimage(w):

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .endo import LazyEndo, PiecewiseEndo
 from .lazyiso import FullQ, build
@@ -34,9 +34,6 @@ __all__ = [
     "UltraMetricContext",
     "DistResult",
     "dist",
-    "subbasic_contains",
-    "ConvergenceReport",
-    "check_convergence",
     "automorphism_near",
 ]
 
@@ -156,56 +153,6 @@ def dist(ctx: UltraMetricContext, f, g) -> DistResult:
                       f"indistinguishable at depth {ctx.depth}", False)
 
 
-def subbasic_contains(q: Rat, r: Rat, f) -> bool:
-    """Membership in the sub-basic open set of maps sending q to r."""
-    return f.eval(q) == r
-
-
-@dataclass(frozen=True)
-class ConvergenceReport:
-    rows: Tuple[Tuple[int, DistResult], ...]
-
-    @property
-    def values(self) -> Tuple[Rat, ...]:
-        return tuple(r.value for _, r in self.rows)
-
-    def eventually_below(self, m: int) -> bool:
-        """Does some tail of the table stay strictly below 2^(-m)?"""
-        bound = Rat(1, 2 ** m)
-        tail_max = None
-        for _, r in reversed(self.rows):
-            tail_max = r.value if tail_max is None else max(tail_max, r.value)
-            if tail_max < bound:
-                return True
-        return False
-
-    def sharpest_threshold(self, m_max: int) -> Optional[int]:
-        best = None
-        for m in range(m_max + 1):
-            if self.eventually_below(m):
-                best = m
-            else:
-                break
-        return best
-
-    def __str__(self) -> str:
-        lines = [f"{'n':>4}  {'distance':>10}  verdict"]
-        for n, r in self.rows:
-            shown = "0" if r.value == 0 else f"2^-{r.index}"
-            lines.append(f"{n:>4}  {shown:>10}  {r.verdict}")
-        m = self.sharpest_threshold(N_MAX.bit_length() - 1)
-        lines.append("tail below 2^-%s" % m if m is not None
-                     else "no convergence threshold reached")
-        return "\n".join(lines)
-
-
-def check_convergence(seq: Callable[[int], object], limit, N: int) -> ConvergenceReport:
-    """Distance table of seq(n) against the limit for n = 0..N."""
-    ctx = UltraMetricContext()
-    rows = tuple((n, dist(ctx, seq(n), limit)) for n in range(N + 1))
-    return ConvergenceReport(rows)
-
-
 def automorphism_near(f, depth: int) -> LazyEndo:
     """An order-automorphism agreeing with f on the first ``depth`` probes.
 
@@ -218,4 +165,4 @@ def automorphism_near(f, depth: int) -> LazyEndo:
         x = nth_rational(n)
         seed.append((x, f.eval(x)))
     iso = build(FullQ(), FullQ(), seed=seed)
-    return LazyEndo(iso.eval_fwd, f"automorphism within 2^-{depth}")
+    return LazyEndo(iso.eval_fwd)

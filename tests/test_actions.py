@@ -87,7 +87,6 @@ def test_forest_text_roundtrip():
     text = "root - 0\nmid root 1\ntop mid 2"
     forest = LabelledForest.parse(text)
     assert str(forest) == text
-    assert forest.roots() == ("root",)
     assert forest.ancestry("top") == ["top", "mid", "root"]
 
 

@@ -14,6 +14,7 @@ IDENTITY_MAP = "(-inf,+inf) : 1*x\n"
 PLATEAU_MAP = "(-inf,0) : 1*x\n[0,1] : 0*x\n(1,+inf) : 1*x - 1\n"
 CONSTANT_MAP = "(-inf,+inf) : 0*x + 2\n"
 BAD_MAP = "(-inf,0) : 1*x\nwhat is this\n"
+BARE_CONSTANT_MAP = "(-inf,+inf) : 5\n"
 CHAIN_FOREST = "root - 0\nmid root 1\ntop mid 2\n"
 BAD_ROOT_FOREST = "root - 1\nmid root 2\n"
 
@@ -84,6 +85,13 @@ def test_classify_parse_error_names_line(files, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "line 2" in err
+
+
+def test_classify_rejects_a_bare_constant(files, capsys):
+    code = main(["classify", files("c.map", BARE_CONSTANT_MAP)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "line 1: cannot parse piece formula" in captured.err
 
 
 def test_readme_examples_parse_with_trailing_comments():

@@ -16,7 +16,6 @@ from qendo.clone import (
     essential_positions,
     lift_convergence,
     preserves_either_equal,
-    tuple_compose_identity,
     unary_reconstruction,
 )
 from qendo.clone import _change_pairs, _single_step
@@ -111,13 +110,6 @@ def test_gridop_validation():
         GridOp(1, GRID01, {(F(0),): F(0)})
     with pytest.raises(ValueError, match="off the grid"):
         GridOp(1, GRID01, {(F(0),): F(0), (F(1),): F(1), (F(2),): F(2)})
-
-
-def test_gridop_text_roundtrip():
-    text = str(MIN2)
-    back = GridOp.parse(text)
-    assert back == MIN2
-    assert "grid: 0, 1" in text and "1 1 -> 1" in text
 
 
 def test_projection_preserves():
@@ -258,49 +250,6 @@ def test_compositions_restrict_to_preserving_tables():
         h = clone_compose(f, gs)
         grid = (F(0), F(1), F(2))
         assert preserves_either_equal(GridOp.restriction(h, grid)).preserves
-
-
-# -- finite-image composition identity ---------------------------------------------
-
-H1 = idempotent_with_image((F(0), F(1)))
-H2 = idempotent_with_image((F(0), F(2)))
-GRID3 = (F(0), F(1), F(2))
-
-
-def test_tuple_compose_identity_equal_ops():
-    f = GridOp.from_function(2, GRID3, min)
-    rep = tuple_compose_identity(f, f, [H1, H2])
-    assert rep.hypothesis_holds and rep.composites_agree and bool(rep)
-
-
-def test_tuple_compose_identity_perturbed_off_product():
-    f = GridOp.from_function(2, GRID3, min)
-    table = dict(f.table)
-    # perturb at an argument pair outside im(H1) x im(H2) = {0,1} x {0,2}
-    table[(F(2), F(1))] = F(2)
-    f2 = GridOp(2, GRID3, table)
-    rep = tuple_compose_identity(f, f2, [H1, H2])
-    assert rep.hypothesis_holds and rep.composites_agree
-    assert "composites agree" in str(rep)
-
-
-def test_tuple_compose_identity_hypothesis_false():
-    f = GridOp.from_function(2, GRID3, min)
-    table = dict(f.table)
-    table[(F(0), F(2))] = F(2)  # inside the image product
-    f2 = GridOp(2, GRID3, table)
-    rep = tuple_compose_identity(f, f2, [H1, H2])
-    assert not rep.hypothesis_holds
-    assert bool(rep)  # implication vacuously true
-    assert "hypothesis false" in str(rep)
-
-
-def test_tuple_compose_identity_rejects_bad_maps():
-    f = GridOp.from_function(2, GRID3, min)
-    with pytest.raises(ValueError, match="finite image"):
-        tuple_compose_identity(f, f, [identity_map(), H2])
-    with pytest.raises(ValueError, match="off the grid"):
-        tuple_compose_identity(f, f, [H1, idempotent_with_image((F(0), F(9)))])
 
 
 # -- lifting convergence -----------------------------------------------------------

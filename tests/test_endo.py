@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qendo.endo import (
-    CancellabilityWitness,
     Piece,
     PiecewiseEndo,
     affine_map,
@@ -124,6 +123,13 @@ def test_text_roundtrip():
 def test_parse_error_reports_line():
     with pytest.raises(ValueError, match="line 2"):
         PiecewiseEndo.parse("(-inf,+inf) : 1*x + 0\nnot a piece")
+
+
+@pytest.mark.parametrize("formula", ["5", "-1/2", "2 + 1"])
+def test_parse_rejects_a_formula_without_x(formula):
+    # a bare constant is not read as a slope
+    with pytest.raises(ValueError, match="line 1: cannot parse piece formula"):
+        PiecewiseEndo.parse(f"(-inf,+inf) : {formula}")
 
 
 def test_compose_exact():

@@ -9,7 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qendo import generic, lazyiso
-from qendo.endo import PiecewiseEndo, affine_map, constant_map, identity_map
+from qendo.endo import (
+    PiecewiseEndo,
+    affine_map,
+    classify,
+    constant_map,
+    identity_map,
+)
 from qendo.generic import (
     EQUAL_VERDICT,
     PPair,
@@ -33,6 +39,8 @@ from qendo.ratcore import (
     intersect_intervals,
     nth_rational,
 )
+
+from util import monotone_endos
 
 SAMPLE = [nth_rational(i) for i in range(40)]
 
@@ -424,6 +432,16 @@ def test_absorb_identity():
 def test_absorb_rejects_non_injective():
     with pytest.raises(ValueError, match="injective"):
         absorb(constant_map(F(0)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(monotone_endos().filter(lambda f: classify(f).kind.injective))
+def test_absorb_needs_only_the_core_variant(f):
+    # an injective map's sloped end pieces reach both infinities, so no
+    # bounded variant is ever needed
+    image = f.image_union()
+    assert image[0].lo is None and image[-1].hi is None
+    assert absorb(f)[1].variant == "core"
 
 
 def test_recover_through_composite_cert():

@@ -33,7 +33,6 @@ from qendo.ratcore import (
     colour,
     enumerated_in_interval,
     nth_rational,
-    rat_index,
 )
 
 SAMPLE = [nth_rational(i) for i in range(200)]

@@ -22,23 +22,14 @@ from qendo.ratcore import (
     simplest_between,
 )
 from qendo.topology import (
-    N_MAX,
-    ConvergenceReport,
     UltraMetricContext,
     automorphism_near,
-    check_convergence,
     dist,
-    subbasic_contains,
 )
 
 from util import monotone_endos, wide_endos
 
 CTX = UltraMetricContext()
-
-STEP_UP = PiecewiseEndo((
-    Piece(RatInterval(None, F(0), False, False), F(1), F(0)),
-    Piece(RatInterval(F(0), None, True, False), F(1), F(1)),
-))  # x below zero, x+1 from zero on
 
 
 def test_tuple_enumeration_is_bijective_prefix():
@@ -97,12 +88,6 @@ def test_dist_arity_mismatch():
     from qendo.clone import FinitaryOp
     with pytest.raises(ValueError, match="arity mismatch"):
         dist(CTX, FinitaryOp(2, 1), FinitaryOp(2, 1))
-
-
-def test_subbasic_examples():
-    assert subbasic_contains(F(0), F(1), STEP_UP)
-    assert subbasic_contains(F(7), F(7), identity_map())
-    assert not subbasic_contains(F(0), F(0), constant_map(F(1)))
 
 
 @settings(max_examples=60, deadline=None)
@@ -200,47 +185,6 @@ def test_dist_matches_per_region_oracle(f, g, data):
     for h in (g, _perturbed(f, i, t), f):
         for a, b in ((f, h), (h, f)):
             assert dist(CTX, a, b).index == _least_difference_oracle(a, b)
-
-
-def test_convergence_constant_sequence():
-    rep = check_convergence(lambda n: identity_map(), identity_map(), 5)
-    assert all(v == 0 for v in rep.values)
-    assert rep.eventually_below(10)
-
-
-def test_convergence_of_agreeing_prefixes():
-    # maps agreeing with the identity on e(0..n-1) but not beyond
-    def approx(n):
-        pts = sorted(nth_rational(i) for i in range(n))
-        pieces, prev = [], None
-        for p in pts:
-            pieces.append(Piece(RatInterval(prev, p, False, True), F(0), p))
-            prev = p
-        pieces.append(Piece(RatInterval(prev, None, False, False),
-                            F(0), prev + 1 if prev is not None else F(1)))
-        return PiecewiseEndo(tuple(pieces))
-
-    rep = check_convergence(approx, identity_map(), 8)
-    for n, r in rep.rows:
-        if n >= 1:
-            assert r.value <= F(1, 2 ** n)
-    values = rep.values
-    assert all(a >= b for a, b in zip(values[1:], values[2:]))
-    assert rep.eventually_below(3)
-    assert not rep.eventually_below(40)
-
-
-def test_convergence_failure_reported():
-    rep = check_convergence(lambda n: constant_map(F(n)), constant_map(F(0)), 6)
-    assert all(v == F(1) for n, v in zip(range(1, 7), rep.values[1:]))
-    assert not rep.eventually_below(0)
-    assert "no convergence threshold reached" in str(rep)
-
-
-def test_report_renders_table():
-    rep = check_convergence(lambda n: identity_map(), identity_map(), 2)
-    text = str(rep)
-    assert "distance" in text and "equal (symbolic)" in text
 
 
 def test_automorphism_near_generic_embedding():
