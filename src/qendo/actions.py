@@ -129,13 +129,19 @@ class LabelledForest:
 
 @dataclass(frozen=True)
 class OrbitPoint:
-    """A forest node together with a finite set of rationals of its rank."""
+    """A forest node together with a finite set of rationals of its rank.
+
+    B is stored sorted; a value given twice raises ValueError, since the
+    set it describes would be smaller than the values given."""
 
     node: str
     B: Tuple[Rat, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "B", tuple(sorted(set(self.B))))
+        dup = next((v for i, v in enumerate(self.B) if v in self.B[:i]), None)
+        if dup is not None:
+            raise ValueError(f"value {dup} is repeated")
+        object.__setattr__(self, "B", tuple(sorted(self.B)))
 
     def __str__(self) -> str:
         inner = ", ".join(map(str, self.B))

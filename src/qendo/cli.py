@@ -203,10 +203,10 @@ def cmd_act(args, cfg: RunConfig) -> int:
     f = _load_map(args.map)
     vals = tuple(parse_rat(part.strip())
                  for part in args.set.split(",") if part.strip())
-    dup = next((v for i, v in enumerate(vals) if v in vals[:i]), None)
-    if dup is not None:  # OrbitPoint would drop it silently
-        raise ValueError(f"value {dup} is repeated in the set {args.set!r}")
-    p = OrbitPoint(args.node, vals)
+    try:
+        p = OrbitPoint(args.node, vals)
+    except ValueError as exc:  # a repeated value; name the set as typed
+        raise ValueError(f"{exc} in the set {args.set!r}") from None
     q = act(forest, f, p)
     print(f"{p} -> {q}")
     return 0

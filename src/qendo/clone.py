@@ -282,7 +282,7 @@ class LiftReport:
         if not self.hypothesis_ok:
             return False
         for _, _, dk, m in self.rows:
-            if m is not None and dk.value > Rat(1, 2 ** m):
+            if m is not None and dk.agreement < m:
                 return False
         return True
 
@@ -291,8 +291,8 @@ class LiftReport:
             return f"hypothesis fails: {self.hypothesis_note}"
         lines = [f"{'n':>4}  {'unary dist':>12}  {'k-ary dist':>12}  guaranteed"]
         for n, d1, dk, m in self.rows:
-            s1 = "0" if d1.value == 0 else f"2^-{d1.index}"
-            sk = "0" if dk.value == 0 else f"2^-{dk.index}"
+            s1 = "0" if d1.index is None else f"2^-{d1.index}"
+            sk = "0" if dk.index is None else f"2^-{dk.index}"
             bound = f"<= 2^-{m}" if m is not None else "-"
             lines.append(f"{n:>4}  {s1:>12}  {sk:>12}  {bound}")
         lines.append("lifted convergence holds" if self.ok
@@ -317,7 +317,7 @@ def lift_convergence(fs: Callable[[int], object], f, j: int, k: int,
     for n in range(N + 1):
         fn = fs(n)
         d1 = dist(ctx1, fn, f)
-        if d1.value > Rat(1, 2 ** n):
+        if d1.agreement < n:
             return LiftReport(
                 False,
                 f"unary distance at n={n} is {d1} but must be at most 2^-{n}",

@@ -354,10 +354,12 @@ def simplest_between(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
     """Smallest-denominator rational strictly inside an open interval.
 
     None bounds mean the interval is unbounded on that side.  An interval
-    unbounded on one side gives the integer next to its finite bound, and
-    one around 0 gives 0.  Otherwise the answer is the interval's
-    shallowest Stern-Brocot node (reflected for a negative interval), found
-    by one integer walk from the root that takes whole runs of moves.
+    unbounded on one side gives the integer next to its finite bound, even
+    when it holds 0: (None, 3) gives 2, not its least-index element 0.  A
+    bounded interval around 0, and the whole line, give 0.  Otherwise the
+    answer is the interval's shallowest Stern-Brocot node (reflected for a
+    negative interval), which is also its least-index element, found by
+    one integer walk from the root that takes whole runs of moves.
     """
     if lo is not None and type(lo) is not Rat:
         lo = Rat(lo)

@@ -685,8 +685,8 @@ def suite_topology(cfg: RunConfig) -> SuiteResult:
     ntriples = 500
     for _ in range(ntriples):
         f, gmap, h = (random_monotone_endo(rng, max_cuts=2) for _ in range(3))
-        tri(dist(ctx, f, h).value <= max(dist(ctx, f, gmap).value,
-                                         dist(ctx, gmap, h).value))
+        tri(dist(ctx, f, h).agreement >= min(dist(ctx, f, gmap).agreement,
+                                             dist(ctx, gmap, h).agreement))
 
     lift = _Check("convergence-lifting")
     terms = 10
@@ -695,8 +695,9 @@ def suite_topology(cfg: RunConfig) -> SuiteResult:
             lambda n: prefix_approximant(n, identity_map()),
             identity_map(), j, k, terms - 1)
         lift(rep.ok)
-        vals = [dk.value for _, _, dk, _ in rep.rows]
-        lift(len(vals) == terms and all(a > b for a, b in zip(vals, vals[1:])))
+        agree = [dk.agreement for _, _, dk, _ in rep.rows]
+        lift(len(agree) == terms
+             and all(a < b for a, b in zip(agree, agree[1:])))
         moduli = [m for _, _, _, m in rep.rows]
         lift(all(m is not None for m in moduli)
              and all(a < b for a, b in zip(moduli, moduli[1:])))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import inf, isqrt
 from typing import Optional, Tuple
 
 from .endo import LazyEndo, PiecewiseEndo
@@ -81,14 +81,26 @@ class UltraMetricContext:
 
 @dataclass(frozen=True)
 class DistResult:
-    value: Rat
     index: Optional[int]  # least differing enumeration index, if one was found
     probe: Optional[Tuple[Rat, ...]]
     verdict: str
     exact: bool
 
+    @property
+    def agreement(self):
+        """How many leading enumeration entries the two maps agree on: the
+        index, or math.inf when no difference was found.  Larger is closer,
+        so distances compare through it without building 2^-index."""
+        return inf if self.index is None else self.index
+
+    @property
+    def value(self) -> Rat:
+        """2^-index, or 0 when no difference was found.  Built on read: an
+        index can run to trillions, and then this has as many bits."""
+        return Rat(0) if self.index is None else Rat(1, 2 ** self.index)
+
     def __str__(self) -> str:
-        shown = "0" if self.value == 0 else f"2^-{self.index}"
+        shown = "0" if self.index is None else f"2^-{self.index}"
         return f"{shown} ({self.verdict})"
 
 
@@ -96,40 +108,56 @@ def _piecewise_least_difference(f: PiecewiseEndo, g: PiecewiseEndo) -> Optional[
     """Least enumeration index where the two maps differ; None if equal.
 
     Exact: the comparison is piece-by-piece on the common refinement, so
-    the answer does not depend on any probe depth.  One pass visits each
-    region's simplest point and each cut in increasing order and finds
-    each map's piece there by one binary search, so the pass takes
-    O((n + m) log(n + m)) steps over the n + m pieces, besides the witness
-    scans of the regions where the formulas differ.
+    the answer does not depend on any probe depth.  One pass visits the
+    open regions between cuts and the cuts in increasing order, and skips
+    whatever cannot beat the least index found so far, ``best``:
+    - an open region is examined only when the index of its least element
+      m is below best.  No element of the region has a lower index than m,
+      so a skipped region holds no better answer.  m is the region's
+      simplest rational when both its ends are finite; on an end region it
+      is the first element of the region's enumeration, since a half-line
+      holding 0 has least element 0, not the integer next to its bound.
+      Each map's formula there is found at m by one binary search.  When
+      they differ, the maps differ everywhere on the region except possibly
+      at one crossing point, so m's index is the region's answer unless m
+      is that point; only then does a witness scan run, and it stops at
+      the region's second element.
+    - a cut is examined only when its own index is below best.
+    - the pass stops once best is 0, the least index there is.
+    A region costs a simplest-rational walk (on an end region, the first
+    step of its enumeration) and an index walk, a cut costs an index walk,
+    and each one examined adds two binary searches, so the pass takes
+    O((n + m) log(n + m)) steps over the n + m pieces of the two maps.
     """
     fc, gc = f.canonical(), g.canonical()
     if fc == gc:
         return None
-    best: Optional[int] = None
-
-    def offer(x: Rat) -> None:
-        nonlocal best
-        n = rat_index(x)
-        if best is None or n < best:
-            best = n
-
-    cuts = sorted(set(fc._cuts + gc._cuts))
+    best = inf
     lo = None
-    for hi in cuts + [None]:
+    for hi in sorted(set(fc._cuts + gc._cuts)) + [None]:
         # the open region (lo, hi) lies inside one piece of each map
-        mid = simplest_between(lo, hi)
-        fp, gp = fc.pieces[fc.piece_index(mid)], gc.pieces[gc.piece_index(mid)]
-        if (fp.slope, fp.intercept) != (gp.slope, gp.intercept):
-            # the maps differ everywhere on this open region except possibly
-            # at one crossing point, so the witness scan ends quickly
-            offer(least_index_in_interval(
-                lo, hi, pred=lambda x: fp.value_at(x) != gp.value_at(x)))
+        if lo is None or hi is None:
+            m = least_index_in_interval(lo, hi)
+        else:
+            m = simplest_between(lo, hi)
+        n = rat_index(m)
+        if n < best:
+            fp, gp = fc.pieces[fc.piece_index(m)], gc.pieces[gc.piece_index(m)]
+            if (fp.slope, fp.intercept) != (gp.slope, gp.intercept):
+                if fp.value_at(m) == gp.value_at(m):
+                    n = rat_index(least_index_in_interval(
+                        lo, hi, pred=lambda x: fp.value_at(x) != gp.value_at(x)))
+                best = min(best, n)
         if hi is not None:
-            fp, gp = fc.pieces[fc.piece_index(hi)], gc.pieces[gc.piece_index(hi)]
-            if fp.value_at(hi) != gp.value_at(hi):
-                offer(hi)
+            n = rat_index(hi)
+            if n < best:
+                fp, gp = fc.pieces[fc.piece_index(hi)], gc.pieces[gc.piece_index(hi)]
+                if fp.value_at(hi) != gp.value_at(hi):
+                    best = n
+        if best == 0:
+            break
         lo = hi
-    if best is None:
+    if best == inf:
         raise AssertionError("distinct canonical forms differ nowhere")
     return best
 
@@ -139,18 +167,15 @@ def dist(ctx: UltraMetricContext, f, g) -> DistResult:
     if ctx.k == 1 and isinstance(f, PiecewiseEndo) and isinstance(g, PiecewiseEndo):
         n = _piecewise_least_difference(f, g)
         if n is None:
-            return DistResult(Rat(0), None, None, "equal (symbolic)", True)
+            return DistResult(None, None, "equal (symbolic)", True)
         probe = ctx.tuple_at(n)
-        return DistResult(Rat(1, 2 ** n), n, probe,
-                          f"differ at e({n}) = {probe[0]}", True)
+        return DistResult(n, probe, f"differ at e({n}) = {probe[0]}", True)
     for n in range(ctx.depth):
         args = ctx.tuple_at(n)
         if ctx.evaluate(f, args) != ctx.evaluate(g, args):
             shown = ", ".join(map(str, args))
-            return DistResult(Rat(1, 2 ** n), n, args,
-                              f"differ at e({n}) = ({shown})", True)
-    return DistResult(Rat(0), None, None,
-                      f"indistinguishable at depth {ctx.depth}", False)
+            return DistResult(n, args, f"differ at e({n}) = ({shown})", True)
+    return DistResult(None, None, f"indistinguishable at depth {ctx.depth}", False)
 
 
 def automorphism_near(f, depth: int) -> LazyEndo:

@@ -125,9 +125,11 @@ def test_act_rejects_invalid_point():
 
 
 def test_orbit_point_canonicalizes():
-    p = OrbitPoint("top", (F(1), F(0), F(1)))
+    p = OrbitPoint("top", (F(1), F(0)))
     assert p.B == (F(0), F(1))
     assert str(p) == "(top; {0, 1})"
+    with pytest.raises(ValueError, match=r"^value 1 is repeated$"):
+        OrbitPoint("top", (F(1), F(0), F(1)))
 
 
 @settings(max_examples=60, deadline=None)

@@ -120,6 +120,44 @@ def test_dist_of_equal_maps_that_hold_a_cut_point_differently():
     assert dist(CTX, g, f).value == 0
 
 
+def test_dist_end_region_holding_zero_answers_at_zero():
+    # x - 1 never meets x, so (-inf, 3) differs at its least element 0;
+    # 2, the integer next to 3, has index 5
+    g = PiecewiseEndo.parse("(-inf,3) : 1*x - 1\n[3,+inf) : 1*x")
+    for a, b in ((identity_map(), g), (g, identity_map())):
+        assert dist(CTX, a, b).index == 0
+
+
+def test_dist_at_a_crossing_point_scans_on():
+    # x and 2x cross at 0, the least element of the line
+    r = dist(CTX, identity_map(), affine_map(F(2), F(0)))
+    assert r.index == rat_index(F(1)) == 1
+
+
+def test_dist_at_a_cut_only():
+    # the two maps hold the cut 1/2 on different sides and agree elsewhere
+    f = PiecewiseEndo.parse("(-inf,1/2] : 1*x\n(1/2,+inf) : 1*x + 1")
+    g = PiecewiseEndo.parse("(-inf,1/2) : 1*x\n[1/2,+inf) : 1*x + 1")
+    assert dist(CTX, f, g).index == dist(CTX, g, f).index == rat_index(F(1, 2)) == 3
+    # h also differs from f on (-1, 0), whose least element -1/2 has index
+    # 4: the cut 1/2 must still be examined, though the region (0, 1/2)
+    # before it has least element 1/3, index 7
+    h = PiecewiseEndo.parse("(-inf,-1] : 1*x\n(-1,0) : 1/2*x - 1/2\n"
+                            "[0,1/2) : 1*x\n[1/2,+inf) : 1*x + 1")
+    assert rat_index(F(-1, 2)) == 4 and rat_index(F(1, 3)) == 7
+    assert dist(CTX, f, h).index == dist(CTX, h, f).index == 3
+
+
+def test_dist_returns_a_far_out_first_difference():
+    # 41 has index 2^42 - 3; its distance 2^-index is never built
+    f = PiecewiseEndo.parse("(-inf,40] : 1*x\n(40,+inf) : 1*x + 1")
+    r = dist(CTX, identity_map(), f)
+    assert r.index == 4398046511101 == rat_index(F(41))
+    assert r.verdict == "differ at e(4398046511101) = 41"
+    assert str(r) == "2^-4398046511101 (differ at e(4398046511101) = 41)"
+    assert r.agreement == r.index and r.agreement < dist(CTX, f, f).agreement
+
+
 def _formula_at(f, x):
     for p in f.pieces:
         if p.interval.contains(x):

@@ -38,34 +38,51 @@ def monotone_endos(draw):
     return PiecewiseEndo(tuple(pieces))
 
 
+def _fractions(bound, max_denominator):
+    # every n/d in [-bound, bound] with 1 <= d <= max_denominator, once for
+    # each way of writing it, so that simple values come up often, as they
+    # do from st.fractions; simplest first, so that a failure shrinks to 0
+    return sorted((F(n, d) for d in range(1, max_denominator + 1)
+                   for n in range(-bound * d, bound * d + 1)),
+                  key=lambda x: (x.denominator, abs(x), x))
+
+
+# Built once: a strategy made inside a composite is validated on every draw.
+# Each cut brings one tuple: the cut, which piece holds it, the slope of the
+# piece below it and the jump at that piece's top, and the same two for the
+# one-point piece that holds it when "point" does.
+_SLOPE = st.sampled_from([F(0), F(0), F(1, 3), F(1, 2), F(1), F(2)])
+_JUMP = st.sampled_from([F(0), F(0), F(0), F(1, 2), F(1), F(3)])
+_WIDE_CUT = st.tuples(st.sampled_from(_fractions(20, 4)),
+                      st.sampled_from(["left", "right", "point"]),
+                      _SLOPE, _JUMP, _SLOPE, _JUMP)
+_WIDE_CUTS = [st.lists(_WIDE_CUT, min_size=n, max_size=n,
+                       unique_by=lambda cut: cut[0]) for n in range(21)]
+_WIDE_NCUTS = st.integers(0, 20)
+_WIDE_LEVEL = st.sampled_from(_fractions(10, 3))
+
+
 @st.composite
 def wide_endos(draw):
     # maps with up to ~40 pieces: each cut is held by the left piece, by the
     # right one, or by a one-point piece of its own, with a drawn formula;
     # plateaus, jumps and one-point values all occur
-    ncuts = draw(st.integers(0, 20))
-    cuts = sorted(draw(st.lists(
-        st.fractions(min_value=-20, max_value=20, max_denominator=4),
-        min_size=ncuts, max_size=ncuts, unique=True)))
-    holds = draw(st.lists(st.sampled_from(["left", "right", "point"]),
-                          min_size=ncuts, max_size=ncuts))
-    bounds = []  # (lo, hi, lo_closed, hi_closed) of every piece, in order
+    cuts = sorted(draw(_WIDE_CUTS[draw(_WIDE_NCUTS)]))
+    # (lo, hi, lo_closed, hi_closed, slope, jump at hi) of every piece
+    bounds = []
     lo, lo_closed = None, False
-    for c, hold in zip(cuts, holds):
-        bounds.append((lo, c, lo_closed, hold == "left"))
+    for c, hold, s, jump, point_s, point_jump in cuts:
+        bounds.append((lo, c, lo_closed, hold == "left", s, jump))
         if hold == "point":
-            bounds.append((c, c, True, True))
+            bounds.append((c, c, True, True, point_s, point_jump))
         lo, lo_closed = c, hold == "right"
-    bounds.append((lo, None, lo_closed, False))
-    slope = st.sampled_from([F(0), F(0), F(1, 3), F(1, 2), F(1), F(2)])
-    jump = st.sampled_from([F(0), F(0), F(0), F(1, 2), F(1), F(3)])
-    level = draw(st.fractions(min_value=-10, max_value=10, max_denominator=3))
+    bounds.append((lo, None, lo_closed, False, draw(_SLOPE), None))
+    level = draw(_WIDE_LEVEL)
     pieces = []
-    for lo, hi, lo_closed, hi_closed in bounds:
-        s = draw(slope)
+    for lo, hi, lo_closed, hi_closed, s, jump in bounds:
         anchor = lo if lo is not None else (hi - 1 if hi is not None else F(0))
         intercept = level - s * anchor
         pieces.append(Piece(RatInterval(lo, hi, lo_closed, hi_closed), s, intercept))
         if hi is not None:
-            level = s * hi + intercept + draw(jump)
+            level = s * hi + intercept + jump
     return PiecewiseEndo(tuple(pieces))
