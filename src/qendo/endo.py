@@ -27,7 +27,6 @@ from .ratcore import (
     _reduced,
     content_lines,
     gap_witness_point,
-    intersect_intervals,
     merge_intervals,
     parse_rat,
     point_interval,
@@ -144,72 +143,20 @@ class PiecewiseEndo:
     # -- normal form -------------------------------------------------------
 
     def canonical(self) -> "PiecewiseEndo":
-        """The one form of this map: _tidy(), then every cut point at which
-        both neighbouring formulas agree goes to a flat neighbour, else to
-        the left one.  Equal maps have equal canonical forms.  In it every
-        one-point piece is a plateau, and each piece's image ends before
-        the next one's starts: where two meet at one value, exactly one of
-        them holds it.  The form is computed once per map and is its own
-        canonical form, which it marks with True rather than a reference to
-        itself, so dropping a map frees it without the cyclic collector."""
+        """The one form of this map: its pieces tidied, then every cut point
+        at which both neighbouring formulas agree goes to a flat neighbour,
+        else to the left one.  Equal maps have equal canonical forms.  In it
+        every one-point piece is a plateau, and each piece's image ends
+        before the next one's starts: where two meet at one value, exactly
+        one of them holds it.  The form is computed once per map and is its
+        own canonical form, which it marks with True rather than a reference
+        to itself, so dropping a map frees it without the cyclic collector."""
         done = self.__dict__.get("_canonical")
         if done is None:
-            done = self._tidy()._settled()  # always a new map
+            done = PiecewiseEndo(_settle_pieces(_tidy_pieces(self.pieces)))
             object.__setattr__(done, "_canonical", True)
             object.__setattr__(self, "_canonical", done)
         return self if done is True else done
-
-    def _settled(self) -> "PiecewiseEndo":
-        pieces = list(self.pieces)
-        moved = False
-        for i in range(len(pieces) - 1):
-            left, right = pieces[i], pieces[i + 1]
-            to_left = left.slope == 0 or right.slope != 0
-            b = right.interval.lo
-            if (left.interval.hi_closed == to_left
-                    or left.value_at(b) != right.value_at(b)):
-                # held as the rule says, or the formulas part at b, as
-                # they do beside every one-point piece after _tidy()
-                continue
-            pieces[i] = replace(left, interval=replace(
-                left.interval, hi_closed=to_left))
-            pieces[i + 1] = replace(right, interval=replace(
-                right.interval, lo_closed=not to_left))
-            moved = True
-        return PiecewiseEndo(tuple(pieces)) if moved else self
-
-    def _tidy(self) -> "PiecewiseEndo":
-        """Absorb degenerate pieces into neighbours sharing their value and
-        merge adjacent pieces with identical formulas; a cut point stays
-        with the piece that held it."""
-        work = []
-        for p in self.pieces:
-            if p.interval.is_degenerate():
-                # normalize a one-point piece to a plateau formula
-                work.append(Piece(p.interval, Rat(0), p.value_at(p.interval.lo)))
-            else:
-                work.append(p)
-        n = len(work)
-        for i, p in enumerate(work):
-            if not p.interval.is_degenerate():
-                continue
-            b = p.interval.lo
-            if i > 0 and work[i - 1].value_at(b) == p.intercept:
-                nb = work[i - 1]
-                work[i] = Piece(p.interval, nb.slope, nb.intercept)
-            elif i + 1 < n and work[i + 1].value_at(b) == p.intercept:
-                nb = work[i + 1]
-                work[i] = Piece(p.interval, nb.slope, nb.intercept)
-        merged = [work[0]]
-        for p in work[1:]:
-            last = merged[-1]
-            if (p.slope, p.intercept) == (last.slope, last.intercept):
-                iv = RatInterval(last.interval.lo, p.interval.hi,
-                                 last.interval.lo_closed, p.interval.hi_closed)
-                merged[-1] = Piece(iv, p.slope, p.intercept)
-            else:
-                merged.append(p)
-        return PiecewiseEndo(tuple(merged))
 
     # -- structure ---------------------------------------------------------
 
@@ -249,6 +196,59 @@ class PiecewiseEndo:
         return PiecewiseEndo(tuple(pieces))
 
 
+def _tidy_pieces(pieces) -> list:
+    """The pieces of a tiling with degenerate pieces absorbed into
+    neighbours sharing their value and adjacent pieces with identical
+    formulas merged; a cut point stays with the piece that held it."""
+    work = []
+    for p in pieces:
+        if p.interval.is_degenerate():
+            # normalize a one-point piece to a plateau formula
+            work.append(Piece(p.interval, Rat(0), p.value_at(p.interval.lo)))
+        else:
+            work.append(p)
+    n = len(work)
+    for i, p in enumerate(work):
+        if not p.interval.is_degenerate():
+            continue
+        b = p.interval.lo
+        if i > 0 and work[i - 1].value_at(b) == p.intercept:
+            nb = work[i - 1]
+            work[i] = Piece(p.interval, nb.slope, nb.intercept)
+        elif i + 1 < n and work[i + 1].value_at(b) == p.intercept:
+            nb = work[i + 1]
+            work[i] = Piece(p.interval, nb.slope, nb.intercept)
+    merged = [work[0]]
+    for p in work[1:]:
+        last = merged[-1]
+        if (p.slope, p.intercept) == (last.slope, last.intercept):
+            iv = RatInterval(last.interval.lo, p.interval.hi,
+                             last.interval.lo_closed, p.interval.hi_closed)
+            merged[-1] = Piece(iv, p.slope, p.intercept)
+        else:
+            merged.append(p)
+    return merged
+
+
+def _settle_pieces(pieces: list) -> list:
+    """Move, in place, each cut point at which both neighbouring formulas
+    agree to a flat neighbour, else to the left one; returns the list."""
+    for i in range(len(pieces) - 1):
+        left, right = pieces[i], pieces[i + 1]
+        to_left = left.slope == 0 or right.slope != 0
+        b = right.interval.lo
+        if (left.interval.hi_closed == to_left
+                or left.value_at(b) != right.value_at(b)):
+            # held as the rule says, or the formulas part at b, as they do
+            # beside every one-point piece of tidied pieces
+            continue
+        pieces[i] = replace(left, interval=replace(
+            left.interval, hi_closed=to_left))
+        pieces[i + 1] = replace(right, interval=replace(
+            right.interval, lo_closed=not to_left))
+    return pieces
+
+
 def identity_map() -> PiecewiseEndo:
     return PiecewiseEndo((Piece(RatInterval(None, None), Rat(1), Rat(0)),))
 
@@ -267,38 +267,49 @@ def compose(outer: PiecewiseEndo, inner: PiecewiseEndo) -> PiecewiseEndo:
 
     A sloped inner piece maps its interval onto its image increasingly and
     one to one, and the images rise from piece to piece, so each inner
-    piece meets one contiguous run of outer pieces.  The run starts at the
-    outer piece holding the value at the inner piece's lower end and stops
-    at the first outer piece that starts above the image's upper end, or
-    at it unless both ends are closed.  The result's pieces come out in
-    order: O(n + m + k) piece steps for n inner, m outer and k result
-    pieces, plus one binary search per inner piece."""
+    piece meets one contiguous run of outer pieces, starting at the outer
+    piece that holds the value at the inner piece's lower end.  The walk
+    along that run pulls each outer cut inside the image back through the
+    inner formula once: the pull-back ends one region and starts the next.
+    The region of the outer piece that reaches past the image's top ends
+    where the inner piece does.  A cut equal to a closed end of the image
+    gives a one-point region, and an empty region is skipped.  The regions
+    come out in order and are tidied as a list, so the only map built and
+    validated is the result.  Cost: O(n + m + k) piece steps and one
+    division per outer cut inside an image, for n inner, m outer and k
+    result pieces, plus one binary search per inner piece."""
     opieces = outer.pieces
     pieces = []
     for pi in inner.pieces:
         iv = pi.interval
-        if pi.slope == 0 or iv.is_degenerate():
-            v = pi.value_at(iv.lo) if iv.is_degenerate() else pi.intercept
+        s, c = pi.slope, pi.intercept
+        if s == 0 or iv.is_degenerate():
+            v = pi.value_at(iv.lo) if iv.is_degenerate() else c
             pieces.append(Piece(iv, Rat(0), outer.eval(v)))
             continue
         top = None if iv.hi is None else pi.value_at(iv.hi)
-        first = 0 if iv.lo is None else outer.piece_index(pi.value_at(iv.lo))
-        for k in range(first, len(opieces)):
+        k = 0 if iv.lo is None else outer.piece_index(pi.value_at(iv.lo))
+        # the region being built starts at lo, which it holds iff lo_closed
+        lo, lo_closed = iv.lo, iv.lo_closed
+        while True:
             po = opieces[k]
             J = po.interval
-            if top is not None and J.lo is not None and (J.lo > top or (
-                    J.lo == top and not (J.lo_closed and iv.hi_closed))):
+            formula = po.slope * s, po.slope * c + po.intercept
+            if J.hi is None or top is not None and (J.hi > top or (
+                    J.hi == top and (J.hi_closed or not iv.hi_closed))):
+                # past the image's top: never empty, as lo lies below the
+                # inner piece's top, or is its closed top when the outer
+                # piece before this one left the image's top value open
+                pieces.append(Piece(RatInterval(lo, iv.hi, lo_closed, iv.hi_closed),
+                                    *formula))
                 break
-            # pull the outer piece's interval back through the inner formula
-            lo = None if J.lo is None else (J.lo - pi.intercept) / pi.slope
-            hi = None if J.hi is None else (J.hi - pi.intercept) / pi.slope
-            back = RatInterval(lo, hi, J.lo_closed, J.hi_closed)
-            region = intersect_intervals(iv, back)
-            if region is None:
-                continue
-            pieces.append(Piece(region, po.slope * pi.slope,
-                                po.slope * pi.intercept + po.intercept))
-    return PiecewiseEndo(tuple(pieces))._tidy()
+            x = (J.hi - c) / s
+            if lo is None or lo < x or (lo_closed and J.hi_closed):
+                pieces.append(Piece(RatInterval(lo, x, lo_closed, J.hi_closed),
+                                    *formula))
+            lo, lo_closed = x, not J.hi_closed
+            k += 1
+    return PiecewiseEndo(_tidy_pieces(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +342,17 @@ def _plateau_pair(piece: Piece) -> Tuple[Rat, Rat]:
 
 
 def classify(f: PiecewiseEndo) -> Classification:
+    """What f is (constant, injective, surjective), with its image and a
+    witness for each property that fails.  The report is computed once per
+    canonical form and stored on it, as the form is stored on f, so later
+    calls on f or on its form return the same report:
+    cancellability_witness, right_inverse, generic.absorb and `qendo
+    classify` reuse the one a caller's classify already made.  It holds no
+    reference to any map, and goes when the canonical form does."""
     can = f.canonical()
+    report = can.__dict__.get("_classification")
+    if report is not None:
+        return report
     image = can.image_union()
     missing = union_gaps(image)
     plateau = next((p for p in can.pieces
@@ -339,7 +360,7 @@ def classify(f: PiecewiseEndo) -> Classification:
     constant = len(can.pieces) == 1 and can.pieces[0].slope == 0
     injective = plateau is None
     surjective = missing == ()
-    return Classification(
+    report = Classification(
         kind=EndoClass(constant, injective, surjective),
         constant_value=can.pieces[0].intercept if constant else None,
         non_injective_pair=None if injective else _plateau_pair(plateau),
@@ -347,6 +368,8 @@ def classify(f: PiecewiseEndo) -> Classification:
         image=image,
         missing=missing,
     )
+    object.__setattr__(can, "_classification", report)
+    return report
 
 
 @dataclass(frozen=True)
@@ -431,7 +454,7 @@ def pseudo_section(g: PiecewiseEndo) -> PiecewiseEndo:
         end, covered, anchor = J.hi, J.hi_closed, top
     if end is not None:
         pieces.append(Piece(RatInterval(end, None, not covered), Rat(0), anchor))
-    return PiecewiseEndo(tuple(pieces))._tidy()
+    return PiecewiseEndo(_tidy_pieces(pieces))
 
 
 def right_inverse(g: PiecewiseEndo) -> PiecewiseEndo:

@@ -491,7 +491,7 @@ def absorb(f: PiecewiseEndo):
         x1, x2 = report.non_injective_pair
         raise ValueError(
             f"map is not injective: f({x1}) = f({x2})")
-    image = f.image_union()
+    image = report.image
     g, cert2 = generic_embedding("core")
     fc = f.canonical()
 

@@ -128,13 +128,17 @@ def _piecewise_least_difference(f: PiecewiseEndo, g: PiecewiseEndo) -> Optional[
     step of its enumeration) and an index walk, a cut costs an index walk,
     and each one examined adds two binary searches, so the pass takes
     O((n + m) log(n + m)) steps over the n + m pieces of the two maps.
+    The two maps' cuts are two sorted runs, which one sort merges in
+    linear time; a cut that repeats is visited once.
     """
     fc, gc = f.canonical(), g.canonical()
     if fc == gc:
         return None
     best = inf
     lo = None
-    for hi in sorted(set(fc._cuts + gc._cuts)) + [None]:
+    for hi in sorted(fc._cuts + gc._cuts) + [None]:
+        if lo is not None and hi == lo:
+            continue  # a cut both maps make, or a one-point piece's repeat
         # the open region (lo, hi) lies inside one piece of each map
         if lo is None or hi is None:
             m = least_index_in_interval(lo, hi)

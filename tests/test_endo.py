@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from qendo.endo import (
     Piece,
     PiecewiseEndo,
+    _tidy_pieces,
     affine_map,
     cancellability_witness,
     classify,
@@ -312,6 +313,25 @@ def test_self_canonical_map_is_freed_without_the_cyclic_collector():
             gc.enable()
 
 
+def test_classified_map_is_freed_without_the_cyclic_collector():
+    # the report stored on the canonical form holds no map, so it outlives
+    # both maps and does not keep them alive
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        f = PiecewiseEndo.parse("(-inf,0) : 1*x\n[0,0] : 0*x\n(0,+inf) : 1*x\n")
+        report = classify(f)
+        can = f.canonical()
+        assert can is not f and classify(can) is report
+        refs = weakref.ref(f), weakref.ref(can)
+        del f, can
+        assert [r() for r in refs] == [None, None]
+        assert report.kind.injective and report.kind.surjective
+    finally:
+        if enabled:
+            gc.enable()
+
+
 # -- randomized structure ----------------------------------------------------
 
 @settings(max_examples=60, deadline=None)
@@ -359,6 +379,22 @@ def test_classification_consistent(f):
         assert report.missing == ()
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(wide_endos(), monotone_endos()))
+def test_classify_is_computed_once_per_canonical_form(f):
+    report = classify(f)
+    assert classify(f.canonical()) is report
+    assert classify(f) is report
+    # a separately built copy computes its own report, and it is equal
+    copy = PiecewiseEndo(f.pieces)
+    assert copy is not f and classify(copy) == report
+    # cancellability_witness gives the same witnesses on a map classified
+    # first as on one it classifies itself
+    fresh, classified = PiecewiseEndo(f.pieces), PiecewiseEndo(f.pieces)
+    classify(classified)
+    assert cancellability_witness(fresh) == cancellability_witness(classified)
+
+
 def _compose_oracle(outer, inner):
     # every outer piece pulled back through every inner piece, then sorted:
     # quadratic, kept as the reference for compose's one-pass sweep
@@ -382,7 +418,7 @@ def _compose_oracle(outer, inner):
     pieces.sort(key=lambda p: (p.interval.lo is not None,
                                p.interval.lo if p.interval.lo is not None else 0,
                                not p.interval.lo_closed))
-    return PiecewiseEndo(tuple(pieces))._tidy()
+    return PiecewiseEndo(_tidy_pieces(pieces))
 
 
 @settings(max_examples=150, deadline=None)
@@ -392,6 +428,42 @@ def test_compose_matches_quadratic_oracle(f, g):
         got, want = compose(outer, inner), _compose_oracle(outer, inner)
         assert got == want
         assert str(got) == str(want)
+
+
+def _cut_at_one(left_holds, left, right):
+    # a map with one cut, at 1, held by the left piece or the right one
+    return PiecewiseEndo.parse(
+        f"(-inf,1{']' if left_holds else ')'} : {left}\n"
+        f"{'(' if left_holds else '['}1,+inf) : {right}")
+
+
+@pytest.mark.parametrize("outer_holds, inner_holds, top, bottom", [
+    (True, True,
+     "(-inf,1] : 2*x + 0\n(1,+inf) : 3*x + 25",
+     "(-inf,1) : 0*x - 6\n[1,1] : 0*x + 2\n(1,+inf) : 3*x + 10"),
+    (True, False,
+     "(-inf,1) : 2*x + 0\n[1,+inf) : 3*x + 25",
+     "(-inf,1] : 0*x - 6\n(1,+inf) : 3*x + 10"),
+    # the one value of the image that the outer piece above 1 takes
+    (False, True,
+     "(-inf,1) : 2*x + 0\n[1,1] : 0*x + 13\n(1,+inf) : 3*x + 25",
+     "(-inf,1) : 0*x - 6\n[1,+inf) : 3*x + 10"),
+    (False, False,
+     "(-inf,1) : 2*x + 0\n[1,+inf) : 3*x + 25",
+     "(-inf,1] : 0*x - 6\n(1,+inf) : 3*x + 10"),
+], ids=["closed-closed", "closed-open", "open-closed", "open-open"])
+def test_compose_at_an_outer_cut_equal_to_an_image_end(outer_holds, inner_holds,
+                                                       top, bottom):
+    # the outer map cuts at 1, held by its left piece iff outer_holds; an
+    # inner piece's image ends at 1, holding it iff inner_holds: at its top
+    # (x on (-inf,1]) and at its bottom (x on [1,+inf))
+    outer = _cut_at_one(outer_holds, "2*x", "3*x + 10")
+    below = _cut_at_one(inner_holds, "1*x", "1*x + 5")
+    above = _cut_at_one(not inner_holds, "0*x - 3", "1*x")
+    for inner, want in ((below, top), (above, bottom)):
+        got = compose(outer, inner)
+        assert got == _compose_oracle(outer, inner)
+        assert str(got) == str(_compose_oracle(outer, inner)) == want
 
 
 # -- evaluation: one bisect over the cuts, one reduction ---------------------
@@ -545,7 +617,7 @@ def _pseudo_section_oracle(g):
         fv, fcovered = frontier
         pieces.append(Piece(RatInterval(fv, None, not fcovered, False),
                             Rat(0), last_anchor))
-    return PiecewiseEndo(tuple(pieces))._tidy()
+    return PiecewiseEndo(_tidy_pieces(pieces))
 
 
 @settings(max_examples=80, deadline=None)

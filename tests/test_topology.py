@@ -187,6 +187,22 @@ def _least_difference_oracle(f, g):
     return min(found)
 
 
+def test_dist_on_shared_and_repeated_cuts():
+    # every map cuts at 1; f and h hold 1 in a one-point piece, so their
+    # canonical forms list the cut twice, and a pair of them lists it four
+    # times.  f and g differ only at 1 (index 1); f and h only on (1, +inf),
+    # where x + 4 and 2x + 3 cross at 1 itself, so at 2 (index 5)
+    f = PiecewiseEndo.parse("(-inf,1) : 1*x\n[1,1] : 0*x + 3\n(1,+inf) : 1*x + 4")
+    g = PiecewiseEndo.parse("(-inf,1) : 1*x\n[1,+inf) : 1*x + 4")
+    h = PiecewiseEndo.parse("(-inf,1) : 1*x\n[1,1] : 0*x + 3\n(1,+inf) : 2*x + 3")
+    assert f.canonical()._cuts == h.canonical()._cuts == (1, 1)
+    assert g.canonical()._cuts == (1,)
+    assert rat_index(F(1)) == 1 and rat_index(F(2)) == 5
+    for a, b, want in ((f, g, 1), (f, h, 5), (g, h, 1)):
+        for x, y in ((a, b), (b, a)):
+            assert dist(CTX, x, y).index == _least_difference_oracle(x, y) == want
+
+
 def _perturbed(f, i, t):
     # f with piece i given another formula, 0 < t <= 1/2 choosing it; the
     # new values stay between those of the neighbouring pieces at the

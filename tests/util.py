@@ -8,36 +8,6 @@ from qendo.endo import Piece, PiecewiseEndo
 from qendo.ratcore import RatInterval
 
 
-@st.composite
-def monotone_endos(draw):
-    # build a weakly monotone map left to right: each piece starts at or
-    # above where the previous one ended
-    ncuts = draw(st.integers(0, 4))
-    cuts = sorted(draw(st.lists(
-        st.fractions(min_value=-8, max_value=8, max_denominator=6),
-        min_size=ncuts, max_size=ncuts, unique=True)))
-    slopes = draw(st.lists(st.sampled_from([F(0), F(1, 2), F(1), F(2)]),
-                           min_size=ncuts + 1, max_size=ncuts + 1))
-    jumps = draw(st.lists(st.fractions(min_value=0, max_value=3,
-                                       max_denominator=4),
-                          min_size=ncuts, max_size=ncuts))
-    sides = draw(st.lists(st.booleans(), min_size=ncuts, max_size=ncuts))
-    pieces = []
-    level = draw(st.fractions(min_value=-5, max_value=5, max_denominator=4))
-    lo = None
-    lo_closed = False
-    for i, s in enumerate(slopes):
-        hi = cuts[i] if i < len(cuts) else None
-        anchor = lo if lo is not None else (hi - 1 if hi is not None else F(0))
-        intercept = level - s * anchor
-        pieces.append(Piece(RatInterval(lo, hi, lo_closed, i < len(cuts) and sides[i]),
-                            s, intercept))
-        if hi is not None:
-            level = s * hi + intercept + jumps[i]
-            lo, lo_closed = hi, not sides[i]
-    return PiecewiseEndo(tuple(pieces))
-
-
 def _fractions(bound, max_denominator):
     # every n/d in [-bound, bound] with 1 <= d <= max_denominator, once for
     # each way of writing it, so that simple values come up often, as they
@@ -47,10 +17,48 @@ def _fractions(bound, max_denominator):
                   key=lambda x: (x.denominator, abs(x), x))
 
 
-# Built once: a strategy made inside a composite is validated on every draw.
-# Each cut brings one tuple: the cut, which piece holds it, the slope of the
-# piece below it and the jump at that piece's top, and the same two for the
-# one-point piece that holds it when "point" does.
+# Strategies are built once: a strategy made inside a composite is validated
+# on every draw.  Values come from _fractions lists, which draw several times
+# faster than st.fractions.  For monotone_endos, each cut brings one tuple:
+# the cut, the slope of the piece below it, the jump at that piece's top and
+# whether that piece holds the cut.
+_MONO_SLOPE = st.sampled_from([F(0), F(1, 2), F(1), F(2)])
+# Integer cuts and zero jumps get extra weight, so that they come up about as
+# often as from st.fractions, which favours simple values and its bounds.
+_MONO_CUT = st.tuples(
+    st.sampled_from(_fractions(8, 6) + [F(n) for n in range(-8, 9)] * 6),
+    _MONO_SLOPE,
+    st.sampled_from([F(0)] * 10 + [x for x in _fractions(3, 4) if x >= 0]),
+    st.booleans())
+_MONO_CUTS = [st.lists(_MONO_CUT, min_size=n, max_size=n,
+                       unique_by=lambda cut: cut[0]) for n in range(5)]
+_MONO_NCUTS = st.integers(0, 4)
+_MONO_LEVEL = st.sampled_from(_fractions(5, 4))
+
+
+@st.composite
+def monotone_endos(draw):
+    # build a weakly monotone map left to right: each piece starts at or
+    # above where the previous one ended
+    cuts = sorted(draw(_MONO_CUTS[draw(_MONO_NCUTS)]))
+    last_slope = draw(_MONO_SLOPE)
+    level = draw(_MONO_LEVEL)
+    pieces = []
+    lo = None
+    lo_closed = False
+    for hi, s, jump, held in cuts + [(None, last_slope, None, False)]:
+        anchor = lo if lo is not None else (hi - 1 if hi is not None else F(0))
+        intercept = level - s * anchor
+        pieces.append(Piece(RatInterval(lo, hi, lo_closed, held), s, intercept))
+        if hi is not None:
+            level = s * hi + intercept + jump
+            lo, lo_closed = hi, not held
+    return PiecewiseEndo(tuple(pieces))
+
+
+# For wide_endos, each cut brings one tuple: the cut, which piece holds it,
+# the slope of the piece below it and the jump at that piece's top, and the
+# same two for the one-point piece that holds it when "point" does.
 _SLOPE = st.sampled_from([F(0), F(0), F(1, 3), F(1, 2), F(1), F(2)])
 _JUMP = st.sampled_from([F(0), F(0), F(0), F(1, 2), F(1), F(3)])
 _WIDE_CUT = st.tuples(st.sampled_from(_fractions(20, 4)),
