@@ -6,11 +6,11 @@ Run:  python3 demos/metric_and_clones.py
 
 from fractions import Fraction as F
 
-from qendo.clone import GridOp, lift_convergence, preserves_either_equal, unary_reconstruction
+from qendo.clone import GridOp, preserves_either_equal, unary_reconstruction
 from qendo.endo import PiecewiseEndo, identity_map
 from qendo.ratcore import nth_rational
 from qendo.suites import prefix_approximant
-from qendo.topology import UltraMetricContext, automorphism_near, dist
+from qendo.topology import UltraMetricContext, automorphism_near, dist, lift_convergence
 
 ctx = UltraMetricContext()
 

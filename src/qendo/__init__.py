@@ -11,8 +11,9 @@ generic    certified generic self-embeddings and the compatibility calculus on
            pairs of endomorphisms sharing an image structure
 actions    labelled-forest actions of the endomorphism monoid
 clone      finitary operations that are essentially unary, and their
-           reconstruction and convergence properties
-topology   pointwise ultrametric on endomorphisms and clones
+           reconstruction from finite tables
+topology   pointwise ultrametric on endomorphisms and clones, and the
+           lifting of convergence through projections
 suites     acceptance suites shared by the CLI and the test harness
 cli        command-line front end (classify / factorize / suite / generic /
            act)

@@ -13,20 +13,18 @@ projection.  ``preserves_either_equal`` decides preservation exactly by a
 lossless reformulation: a violating quadruple of argument rows exists if
 and only if two value-changing row pairs have disjoint change supports.
 
-``lift_convergence`` transports a unary convergence hypothesis to k-ary
-operations built by precomposition with a projection, reporting realized
-and guaranteed moduli along the tuple enumeration.
+``topology`` measures the distance between ``FinitaryOp``s through their
+unary parts and lifts convergence with the modulus axis_index(k, j, n).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .endo import ComposedEndo, PiecewiseEndo, compose
-from .ratcore import Rat, nth_rational
-from .topology import DistResult, UltraMetricContext, dist
+from .ratcore import Rat
 
 __all__ = [
     "FinitaryOp",
@@ -36,8 +34,6 @@ __all__ = [
     "preserves_either_equal",
     "essential_positions",
     "unary_reconstruction",
-    "LiftReport",
-    "lift_convergence",
 ]
 
 
@@ -264,69 +260,3 @@ def unary_reconstruction(op: GridOp) -> Optional[Tuple[int, Dict[Rat, Rat]]]:
         if op.table[args] != u[args[j - 1]]:
             return None
     return j, u
-
-
-# ---------------------------------------------------------------------------
-# lifting convergence through projections
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class LiftReport:
-    hypothesis_ok: bool
-    hypothesis_note: str
-    # rows: (n, unary distance, k-ary distance, guaranteed modulus m(n))
-    rows: Tuple[Tuple[int, DistResult, DistResult, Optional[int]], ...]
-
-    @property
-    def ok(self) -> bool:
-        if not self.hypothesis_ok:
-            return False
-        for _, _, dk, m in self.rows:
-            if m is not None and dk.agreement < m:
-                return False
-        return True
-
-    def __str__(self) -> str:
-        if not self.hypothesis_ok:
-            return f"hypothesis fails: {self.hypothesis_note}"
-        lines = [f"{'n':>4}  {'unary dist':>12}  {'k-ary dist':>12}  guaranteed"]
-        for n, d1, dk, m in self.rows:
-            s1 = "0" if d1.index is None else f"2^-{d1.index}"
-            sk = "0" if dk.index is None else f"2^-{dk.index}"
-            bound = f"<= 2^-{m}" if m is not None else "-"
-            lines.append(f"{n:>4}  {s1:>12}  {sk:>12}  {bound}")
-        lines.append("lifted convergence holds" if self.ok
-                     else "lifted convergence FAILS")
-        return "\n".join(lines)
-
-
-def lift_convergence(fs: Callable[[int], object], f, j: int, k: int,
-                     N: int) -> LiftReport:
-    """Transport unary convergence to the k-ary precompositions with pi_j.
-
-    Hypothesis: the unary distance of fs(n) from f is at most 2^(-n) for
-    each n <= N.  Conclusion, checked by evaluation: the k-ary distance of
-    fs(n) o pi_j from f o pi_j is at most 2^(-m(n)), where m(n) is the
-    first tuple index whose j-th component lies outside the first n
-    enumerated rationals.  fs(n) is called once per n, so both distances
-    are about one map even when fs builds a fresh one on each call.
-    """
-    ctx1 = UltraMetricContext(k=1)
-    ctxk = UltraMetricContext(k=k)
-    rows = []
-    for n in range(N + 1):
-        fn = fs(n)
-        d1 = dist(ctx1, fn, f)
-        if d1.agreement < n:
-            return LiftReport(
-                False,
-                f"unary distance at n={n} is {d1} but must be at most 2^-{n}",
-                tuple(rows))
-        gn = FinitaryOp(k, j, fn)
-        g = FinitaryOp(k, j, f)
-        dk = dist(ctxk, gn, g)
-        prefix = {nth_rational(i) for i in range(n)}
-        m = next((t for t in range(ctxk.depth)
-                  if ctxk.tuple_at(t)[j - 1] not in prefix), None)
-        rows.append((n, d1, dk, m))
-    return LiftReport(True, "", tuple(rows))

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
-from .lazyiso import FactorOrder, FullQ, LazyIso, QMinusFinite, build
+from .lazyiso import FactorOrder, FullQ, LazyIso, build
 from .ratcore import (
     Rat,
     RatInterval,
@@ -255,11 +255,6 @@ def identity_map() -> PiecewiseEndo:
 
 def constant_map(v: Rat) -> PiecewiseEndo:
     return PiecewiseEndo((Piece(RatInterval(None, None), Rat(0), Rat(v)),))
-
-
-def affine_map(slope: Rat, intercept: Rat) -> PiecewiseEndo:
-    return PiecewiseEndo((Piece(RatInterval(None, None), Rat(slope),
-                                Rat(intercept)),))
 
 
 def compose(outer: PiecewiseEndo, inner: PiecewiseEndo) -> PiecewiseEndo:
@@ -512,13 +507,6 @@ class ComposedEndo:
         for f in reversed(self.factors):
             v = f.eval(v)
         return v
-
-
-def copoint_embedding(y: Rat) -> LazyEndo:
-    """An order-embedding of the line whose image avoids exactly the point
-    y's copoint obstruction: values land in Q minus {y}."""
-    iso = build(FullQ(), QMinusFinite({Rat(y)}))
-    return LazyEndo(iso.eval_fwd)
 
 
 # ---------------------------------------------------------------------------

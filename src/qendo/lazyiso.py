@@ -191,21 +191,6 @@ class RedQ(OrderSpec):
         return "RedQ"
 
 
-class QMinusFinite(OrderSpec):
-    def __init__(self, excluded):
-        self.excluded = frozenset(excluded)
-
-    def contains(self, el):
-        return (type(el) is Rat or isinstance(el, Fraction)) and el not in self.excluded
-
-    def enum_in_gap(self, lo, hi):
-        return (x for x in enumerated_in_interval(lo, hi)
-                if x not in self.excluded)
-
-    def __repr__(self):
-        return f"QMinusFinite({sorted(self.excluded)})"
-
-
 class IntervalQ(OrderSpec):
     """The rationals of one RatInterval, in global enumeration order.
     index_of scans that enumeration once, resuming where it last stopped;

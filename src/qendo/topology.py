@@ -1,25 +1,31 @@
-"""Pointwise-convergence ultrametric on maps of the rational line.
+"""Pointwise-convergence ultrametric on maps of the rational line and on
+the clone they generate.
 
 Two k-ary operations are close when they agree on a long prefix of a fixed
 enumeration of k-tuples of rationals; the distance is 2^(-n) for the least
-enumeration index n where they differ.  The enumeration diagonalizes the
-one-dimensional enumeration through an iterated pairing function, so it is
-bijective and deterministic.
+enumeration index n where they differ.  The tuple at index
+(i+j)(i+j+1)/2 + j is the (k-1)-tuple at i followed by the j-th rational,
+so the enumeration is bijective, and ``axis_index`` is the closed-form
+least index whose p-th coordinate is a given rational.  A clone operation
+is a unary map after a projection, so its distance is its unary part's
+distance moved along a coordinate axis.
 
-The true distance-zero question is only semi-decidable for lazily defined
-maps, so ``dist`` probes a bounded prefix (default 2048 tuples) and says
-"indistinguishable" rather than "equal" when no difference turns up.  For
-finitely presented piecewise maps the comparison is symbolic and exact.
+Piecewise maps, and operations built from them, are compared symbolically
+and exactly.  Distance zero is only semi-decidable for lazily defined
+maps, so ``dist`` probes them at the first N_MAX rationals and says
+"indistinguishable" rather than "equal" when no difference turns up.
+``lift_convergence`` transports unary convergence to the precompositions
+with a projection, with realized and guaranteed moduli.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import inf, isqrt
-from typing import Optional, Tuple
+from math import inf
+from typing import Callable, Optional, Tuple
 
-from .endo import LazyEndo, PiecewiseEndo
+from .clone import FinitaryOp
+from .endo import LazyEndo, PiecewiseEndo, constant_map, identity_map
 from .lazyiso import FullQ, build
 from .ratcore import (
     Rat,
@@ -33,50 +39,36 @@ __all__ = [
     "N_MAX",
     "UltraMetricContext",
     "DistResult",
+    "axis_index",
     "dist",
     "automorphism_near",
+    "LiftReport",
+    "lift_convergence",
 ]
 
 N_MAX = 2048
 
 
-def _unpair(n: int) -> Tuple[int, int]:
-    # inverse of (i, j) -> (i+j)(i+j+1)/2 + j
-    w = (isqrt(8 * n + 1) - 1) // 2
-    j = n - w * (w + 1) // 2
-    return w - j, j
-
-
-@lru_cache(maxsize=65536)
-def _tuple_at(k: int, n: int) -> Tuple[Rat, ...]:
-    if k == 1:
-        return (nth_rational(n),)
-    i, j = _unpair(n)
-    return _tuple_at(k - 1, i) + (nth_rational(j),)
+def axis_index(k: int, p: int, c: int) -> int:
+    """The least index of a k-tuple whose p-th coordinate (1-indexed) is
+    nth_rational(c).  The tuple there holds 0 at every other coordinate,
+    and the index increases strictly with c."""
+    if p == k:
+        # the pair (0, c): index c(c+1)/2 + c
+        return c if k == 1 else c * (c + 3) // 2
+    i = axis_index(k - 1, p, c)
+    return i * (i + 1) // 2  # the pair (i, 0)
 
 
 @dataclass(frozen=True)
 class UltraMetricContext:
-    """Arity plus the induced enumeration of k-tuples of rationals."""
+    """The arity of the operations a distance compares."""
 
     k: int = 1
-    depth: int = N_MAX
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("arity must be at least 1")
-
-    def tuple_at(self, n: int) -> Tuple[Rat, ...]:
-        return _tuple_at(self.k, n)
-
-    def evaluate(self, op, args: Tuple[Rat, ...]) -> Rat:
-        arity = getattr(op, "arity", 1)
-        if arity != self.k:
-            raise ValueError(
-                f"arity mismatch: context is {self.k}-ary, operation is {arity}-ary")
-        if hasattr(op, "evaluate"):
-            return op.evaluate(args)
-        return op.eval(args[0])
 
 
 @dataclass(frozen=True)
@@ -166,20 +158,71 @@ def _piecewise_least_difference(f: PiecewiseEndo, g: PiecewiseEndo) -> Optional[
     return best
 
 
+def _unary_part(ctx: UltraMetricContext, op) -> Tuple[int, object]:
+    """(j, u) for an operation u o pi_j of the context's arity: a bare
+    projection has the identity for u, and a unary map u is u o pi_1."""
+    if not isinstance(op, FinitaryOp):
+        op = FinitaryOp(1, 1, op)
+    if op.arity != ctx.k:
+        raise ValueError(
+            f"arity mismatch: context is {ctx.k}-ary, operation is {op.arity}-ary")
+    return op.j, identity_map() if op.unary is None else op.unary
+
+
+def _unary_least_difference(f, g) -> Tuple[Optional[int], bool]:
+    """The least enumeration index where unary maps differ, None if none
+    was found, and whether that is exact.  Piecewise maps are compared
+    symbolically, others at the first N_MAX rationals."""
+    if isinstance(f, PiecewiseEndo) and isinstance(g, PiecewiseEndo):
+        return _piecewise_least_difference(f, g), True
+    for n in range(N_MAX):
+        x = nth_rational(n)
+        if f.eval(x) != g.eval(x):
+            return n, True
+    return None, False
+
+
 def dist(ctx: UltraMetricContext, f, g) -> DistResult:
-    """Ultrametric distance along the context's tuple enumeration."""
+    """Ultrametric distance along the context's tuple enumeration.
+
+    f and g are unary maps, or clone operations u o pi_j of the context's
+    arity k.  On one projection j the operations first differ at the axis
+    tuple holding, at coordinate j, the rational where the unary parts
+    first differ.  On projections j1 != j2, with v = u1(0), a tuple
+    separates them exactly when u1 or u2 leaves v at its own coordinate,
+    so the first one is the least axis tuple where u1 or u2 differs from
+    the constant v: the zero tuple when u2(0) != v.  A lazy side whose
+    probe finds nothing bounds the answer from below only, by
+    axis_index(k, j, N_MAX); an index is exact when below every such bound.
+    """
     if ctx.k == 1 and isinstance(f, PiecewiseEndo) and isinstance(g, PiecewiseEndo):
         n = _piecewise_least_difference(f, g)
         if n is None:
             return DistResult(None, None, "equal (symbolic)", True)
-        probe = ctx.tuple_at(n)
+        probe = (nth_rational(n),)
         return DistResult(n, probe, f"differ at e({n}) = {probe[0]}", True)
-    for n in range(ctx.depth):
-        args = ctx.tuple_at(n)
-        if ctx.evaluate(f, args) != ctx.evaluate(g, args):
-            shown = ", ".join(map(str, args))
-            return DistResult(n, args, f"differ at e({n}) = ({shown})", True)
-    return DistResult(None, None, f"indistinguishable at depth {ctx.depth}", False)
+    (j1, u1), (j2, u2) = _unary_part(ctx, f), _unary_part(ctx, g)
+    if j1 == j2:
+        sides = ((j1, u1, u2),)
+    else:
+        v = constant_map(u1.eval(Rat(0)))
+        sides = ((j1, u1, v), (j2, u2, v))
+    found, depth = [], inf  # (index, j, n) of each difference; least bound
+    for j, u, w in sides:
+        n, exact = _unary_least_difference(u, w)
+        if n is not None:
+            found.append((axis_index(ctx.k, j, n), j, n))
+        elif not exact:
+            depth = min(depth, axis_index(ctx.k, j, N_MAX))
+    if found and min(found)[0] < depth:
+        index, j, n = min(found)
+        probe = tuple(nth_rational(n) if p == j else Rat(0)
+                      for p in range(1, ctx.k + 1))
+        shown = ", ".join(map(str, probe))
+        return DistResult(index, probe, f"differ at e({index}) = ({shown})", True)
+    if depth < inf:
+        return DistResult(None, None, f"indistinguishable at depth {depth}", False)
+    return DistResult(None, None, "equal (symbolic)", True)
 
 
 def automorphism_near(f, depth: int) -> LazyEndo:
@@ -195,3 +238,55 @@ def automorphism_near(f, depth: int) -> LazyEndo:
         seed.append((x, f.eval(x)))
     iso = build(FullQ(), FullQ(), seed=seed)
     return LazyEndo(iso.eval_fwd)
+
+
+@dataclass(frozen=True)
+class LiftReport:
+    hypothesis_ok: bool
+    hypothesis_note: str
+    # rows: (n, unary distance, k-ary distance, guaranteed modulus m(n))
+    rows: Tuple[Tuple[int, DistResult, DistResult, int], ...]
+
+    @property
+    def ok(self) -> bool:
+        return self.hypothesis_ok and all(dk.agreement >= m
+                                          for _, _, dk, m in self.rows)
+
+    def __str__(self) -> str:
+        if not self.hypothesis_ok:
+            return f"hypothesis fails: {self.hypothesis_note}"
+        lines = [f"{'n':>4}  {'unary dist':>12}  {'k-ary dist':>12}  guaranteed"]
+        for n, d1, dk, m in self.rows:
+            s1 = "0" if d1.index is None else f"2^-{d1.index}"
+            sk = "0" if dk.index is None else f"2^-{dk.index}"
+            lines.append(f"{n:>4}  {s1:>12}  {sk:>12}  <= 2^-{m}")
+        lines.append("lifted convergence holds" if self.ok
+                     else "lifted convergence FAILS")
+        return "\n".join(lines)
+
+
+def lift_convergence(fs: Callable[[int], object], f, j: int, k: int,
+                     N: int) -> LiftReport:
+    """Transport unary convergence to the k-ary precompositions with pi_j.
+
+    Hypothesis: the unary distance of fs(n) from f is at most 2^(-n) for
+    each n <= N.  Conclusion: the k-ary distance of fs(n) o pi_j from
+    f o pi_j is at most 2^(-m(n)), where m(n) = axis_index(k, j, n) is the
+    least tuple index whose j-th coordinate lies outside the first n
+    enumerated rationals.  fs(n) is called once per n, so both distances
+    are about one map even when fs builds a fresh one on each call.
+    """
+    ctx1 = UltraMetricContext(k=1)
+    ctxk = UltraMetricContext(k=k)
+    rows = []
+    for n in range(N + 1):
+        fn = fs(n)
+        d1 = dist(ctx1, fn, f)
+        if d1.agreement < n:
+            return LiftReport(
+                False,
+                f"unary distance at n={n} is {d1} but must be at most 2^-{n}",
+                tuple(rows))
+        dk = dist(ctxk, FinitaryOp(k, j, fn), FinitaryOp(k, j, f))
+        rows.append((n, d1, dk, axis_index(k, j, n)))
+    return LiftReport(True, "", tuple(rows))

@@ -22,17 +22,15 @@ from qendo.endo import (
     ComposedEndo,
     Piece,
     PiecewiseEndo,
-    affine_map,
     compose,
     constant_map,
-    copoint_embedding,
     idempotent_with_image,
     identity_map,
 )
 from qendo.ratcore import RatInterval
 from qendo.topology import automorphism_near
 
-from util import monotone_endos
+from util import affine_map, monotone_endos
 
 CHAIN = LabelledForest.from_rows(
     [("root", None, 0), ("mid", "root", 1), ("top", "mid", 2)])
@@ -273,8 +271,9 @@ def _verify_action_recomputing(forest, fs, points):
 def lazy_corpus():
     """Fresh maps, two of them lazily built: their values depend on the
     order in which they are asked for."""
-    return [copoint_embedding(F(0)), staircase(0, 1), constant_map(F(5)),
-            automorphism_near(affine_map(F(2), F(-1)), 4), affine_map(F(1), F(1))]
+    return [automorphism_near(affine_map(F(1, 2), F(3)), 3), staircase(0, 1),
+            constant_map(F(5)), automorphism_near(affine_map(F(2), F(-1)), 4),
+            affine_map(F(1), F(1))]
 
 
 def action_cases():

@@ -14,7 +14,6 @@ from qendo.clone import (
     RhoReport,
     clone_compose,
     essential_positions,
-    lift_convergence,
     preserves_either_equal,
     unary_reconstruction,
 )
@@ -22,14 +21,14 @@ from qendo.clone import _change_pairs, _single_step
 from qendo.endo import (
     Piece,
     PiecewiseEndo,
-    affine_map,
     constant_map,
     idempotent_with_image,
     identity_map,
 )
 from qendo.ratcore import RatInterval, nth_rational
+from qendo.topology import lift_convergence
 
-from util import monotone_endos
+from util import affine_map, monotone_endos
 
 GRID01 = (F(0), F(1))
 MIN2 = GridOp.from_function(2, GRID01, min)
@@ -280,6 +279,14 @@ def test_lift_prefix_approximants():
     for _, d1, dk, m in rep.rows:
         assert dk.value <= F(1, 2 ** m)
     assert "lifted convergence holds" in str(rep)
+
+
+def test_lift_modulus_is_the_axis_index():
+    # m(10) = 2,145 lies past the first 2,048 tuples
+    rep = lift_convergence(_prefix_approx, identity_map(), 2, 3, 10)
+    assert rep.ok
+    assert [m for _, _, _, m in rep.rows][-2:] == [1485, 2145]
+    assert str(rep).splitlines()[-2].endswith("<= 2^-2145")
 
 
 def test_lift_hypothesis_failure():

@@ -12,12 +12,10 @@ from qendo.endo import (
     Piece,
     PiecewiseEndo,
     _tidy_pieces,
-    affine_map,
     cancellability_witness,
     classify,
     compose,
     constant_map,
-    copoint_embedding,
     epi_mono_factorize,
     idempotent_with_image,
     identity_map,
@@ -33,7 +31,7 @@ from qendo.ratcore import (
     point_interval,
 )
 
-from util import monotone_endos, wide_endos
+from util import affine_map, monotone_endos, wide_endos
 
 SAMPLE = [nth_rational(i) for i in range(60)]
 
@@ -230,16 +228,6 @@ def test_idempotent_with_image():
         assert e.eval(b) == b
     with pytest.raises(ValueError, match="distinct"):
         idempotent_with_image([F(1), F(1)])
-
-
-def test_copoint_embedding():
-    g = copoint_embedding(F(0))
-    vals = [g.eval(x) for x in SAMPLE]
-    assert F(0) not in vals
-    for x1 in SAMPLE[:20]:
-        for x2 in SAMPLE[:20]:
-            if x1 < x2:
-                assert g.eval(x1) < g.eval(x2)
 
 
 def test_epi_mono_factorization():

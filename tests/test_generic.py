@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qendo import generic, lazyiso
 from qendo.endo import (
     PiecewiseEndo,
-    affine_map,
     classify,
     constant_map,
     identity_map,
@@ -40,7 +39,7 @@ from qendo.ratcore import (
     nth_rational,
 )
 
-from util import monotone_endos
+from util import affine_map, monotone_endos
 
 SAMPLE = [nth_rational(i) for i in range(40)]
 

@@ -132,9 +132,6 @@ def test_every_definition_is_referenced():
 
 # definitions that only tests, demos or perfbench reach, and why each stays
 TEST_ENTRY_POINTS = (
-    ("affine_map", "x -> a*x + b, the simplest injective map the tests build"),
-    ("copoint_embedding", "the embedding whose image misses one point, "
-                          "tested for its copoint obstruction"),
     ("memo_pairs", "a LazyIso's memo as data, how the tests compare the engine "
                    "with its reference"),
     ("is_cascade_safe", "the forest demo prints it"),

@@ -22,7 +22,6 @@ from qendo.lazyiso import (
     LexSum,
     Marker,
     PointOrder,
-    QMinusFinite,
     RedQ,
     build,
 )
@@ -65,13 +64,6 @@ def test_roundtrip_and_order_preservation():
     pairs = iso.memo_pairs()
     for (x1, y1), (x2, y2) in zip(pairs, pairs[1:]):
         assert x1 < x2 and y1 < y2
-
-
-def test_punctured_target_never_hits_hole():
-    iso = build(FullQ(), QMinusFinite({F(0)}))
-    seen = {iso.eval_fwd(x) for x in SAMPLE}
-    assert F(0) not in seen
-    assert len(seen) == len(SAMPLE)
 
 
 def test_colour_preservation():
@@ -126,7 +118,6 @@ LINE_OF_LINES = LexSum(FullQ(), lambda a: FullQ())
     pytest.param(BOUNDED, Marker.MAX, F(0), id="ColouredQ-max-0"),
     pytest.param(BOUNDED, Marker.MAX, Marker.MIN, id="ColouredQ-max-min"),
     pytest.param(BOUNDED, F(0), Marker.MIN, id="ColouredQ-0-min"),
-    pytest.param(QMinusFinite({F(0)}), F(1), F(-1), id="QMinusFinite-reversed"),
     pytest.param(CLOSED_02, F(3, 2), F(1, 2), id="IntervalQ-reversed"),
     pytest.param(CLOSED_02, F(1), F(1), id="IntervalQ-equal"),
     pytest.param(PointOrder(), "pt", "pt", id="PointOrder-pt-pt"),
@@ -363,8 +354,6 @@ ORDER_CASES = {
     "ColouredQ-min": lambda: _coloured_case(True, False),
     "ColouredQ-max": lambda: _coloured_case(False, True),
     "ColouredQ-min-max": lambda: _coloured_case(True, True),
-    "QMinusFinite": lambda: (QMinusFinite({F(0), F(1, 2)}),
-                             SMALL_Q.filter(lambda x: x not in (0, F(1, 2)))),
     "IntervalQ": lambda: (CLOSED_02, st.fractions(0, 2, max_denominator=6)),
     "PointOrder": lambda: (PointOrder(), st.just("pt")),
     "LexSum-product": lambda: (_product(), st.tuples(FEW_Q, FEW_Q)),
@@ -565,8 +554,6 @@ ENGINE_CASES = {
     "FullQ": lambda: (FullQ(), MID_Q),
     "RedQ": lambda: (RedQ(), st.sampled_from(_RED_SAMPLE)),
     "LexSum": lambda: (_product(), st.tuples(MID_Q, MID_Q)),
-    "QMinusFinite": lambda: (QMinusFinite({F(0), F(1, 2)}),
-                             MID_Q.filter(lambda x: x not in (0, F(1, 2)))),
     "FactorOrder": lambda: (FactorOrder(_FloorMap()),
                             st.sampled_from([el for _, el in
                                              _brute_elements("factor")])),

@@ -1,15 +1,18 @@
 """Ultrametric and convergence tests."""
 
+import functools
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qendo.clone import FinitaryOp
 from qendo.endo import (
+    LazyEndo,
     Piece,
     PiecewiseEndo,
-    affine_map,
+    compose,
     constant_map,
     identity_map,
 )
@@ -22,22 +25,44 @@ from qendo.ratcore import (
     simplest_between,
 )
 from qendo.topology import (
+    N_MAX,
     UltraMetricContext,
     automorphism_near,
+    axis_index,
     dist,
 )
 
-from util import monotone_endos, wide_endos
+from util import affine_map, index_tuple, monotone_endos, tuple_at, wide_endos
 
 CTX = UltraMetricContext()
 
 
 def test_tuple_enumeration_is_bijective_prefix():
-    ctx3 = UltraMetricContext(k=3)
-    seen = {ctx3.tuple_at(n) for n in range(300)}
+    seen = {tuple_at(3, n) for n in range(300)}
     assert len(seen) == 300
-    assert CTX.tuple_at(0) == (F(0),)
-    assert CTX.tuple_at(5) == (nth_rational(5),)
+    assert tuple_at(1, 0) == (F(0),)
+    assert tuple_at(1, 5) == (nth_rational(5),)
+
+
+def test_axis_index_is_the_first_tuple_on_its_axis():
+    # brute force over the first 60,000 tuples: the least index whose p-th
+    # coordinate is the c-th rational, and the tuple there, 0 elsewhere
+    size = 60_000
+    for k in (1, 2, 3):
+        first = {}
+        for n in range(size):
+            for p, c in enumerate(index_tuple(k, n), 1):
+                first.setdefault((p, c), n)
+        for p in range(1, k + 1):
+            top = max(c for q, c in first if q == p)
+            for c in range(top + 2):
+                if (p, c) not in first:
+                    assert axis_index(k, p, c) >= size
+                    continue
+                n = first[p, c]
+                assert axis_index(k, p, c) == n
+                assert index_tuple(k, n) == tuple(c if q == p else 0
+                                                  for q in range(1, k + 1))
 
 
 def test_dist_identical():
@@ -78,16 +103,95 @@ def test_dist_indistinguishable_reported():
     class Opaque:
         def __init__(self, h):
             self.eval = h.eval
-    shallow = UltraMetricContext(depth=32)
-    r = dist(shallow, Opaque(identity_map()), Opaque(identity_map()))
+    r = dist(CTX, Opaque(identity_map()), Opaque(identity_map()))
     assert r.value == 0 and not r.exact
-    assert "indistinguishable at depth 32" in r.verdict
+    assert r.verdict == f"indistinguishable at depth {N_MAX}"
 
 
 def test_dist_arity_mismatch():
     from qendo.clone import FinitaryOp
     with pytest.raises(ValueError, match="arity mismatch"):
         dist(CTX, FinitaryOp(2, 1), FinitaryOp(2, 1))
+
+
+# -- operations of the clone: unary maps after a projection ------------------
+
+@functools.lru_cache(maxsize=None)
+def _probe_tuples(k):
+    return tuple(tuple_at(k, n) for n in range(N_MAX))
+
+
+def _probe_least_difference(k, f, g):
+    # the least index among the first N_MAX k-tuples where the operations
+    # differ, by evaluating both at each: the reference for dist
+    for n, args in enumerate(_probe_tuples(k)):
+        if f.evaluate(args) != g.evaluate(args):
+            return n
+    return None
+
+
+def test_dist_of_equal_operations_is_symbolic():
+    r = dist(UltraMetricContext(k=2), FinitaryOp(2, 1, identity_map()),
+             FinitaryOp(2, 1, identity_map()))
+    assert (r.index, r.exact, r.verdict) == (None, True, "equal (symbolic)")
+    r = dist(UltraMetricContext(k=3), FinitaryOp(3, 1, constant_map(F(2))),
+             FinitaryOp(3, 3, constant_map(F(2))))
+    assert (r.index, r.exact, r.verdict) == (None, True, "equal (symbolic)")
+
+
+def test_dist_on_a_lazy_unary_part_is_labelled_at_its_axis_depth():
+    lazy = LazyEndo(identity_map().eval)
+    r = dist(UltraMetricContext(k=3), FinitaryOp(3, 2, lazy), FinitaryOp(3, 2))
+    assert (r.index, r.exact) == (None, False)
+    assert r.verdict == f"indistinguishable at depth {axis_index(3, 2, N_MAX)}"
+
+
+def test_dist_is_exact_only_below_a_lazy_sides_depth():
+    # the lazy side is 0 everywhere, which a probe cannot settle; the
+    # projection pi_2 leaves 0 at nth_rational(1) = 1, axis index 2
+    ctx = UltraMetricContext(k=2)
+    zero = LazyEndo(constant_map(F(0)).eval)
+    r = dist(ctx, FinitaryOp(2, 1, zero), FinitaryOp(2, 2))
+    assert (r.index, r.exact, r.probe) == (2, True, (F(0), F(1)))
+    assert r.probe == tuple_at(2, 2)
+    # late leaves 0 first past 41, whose axis index lies beyond the lazy
+    # side's depth: the answer is only bounded
+    late = PiecewiseEndo.parse("(-inf,41] : 0*x + 0\n(41,+inf) : 1*x - 41")
+    r = dist(ctx, FinitaryOp(2, 2, zero), FinitaryOp(2, 1, late))
+    assert (r.index, r.exact) == (None, False)
+    assert r.verdict == f"indistinguishable at depth {axis_index(2, 2, N_MAX)}"
+
+
+# (k, j1, j2) for every arity up to 3 and every pair of projections
+_PROJECTIONS = [(k, j1, j2) for k in (1, 2, 3)
+                for j1 in range(1, k + 1) for j2 in range(1, k + 1)]
+# a unary part: a monotone map, a constant, or None for a bare projection
+_UNARY = st.one_of(monotone_endos(),
+                   st.sampled_from([F(0), F(1), F(-1), F(1, 2)]).map(constant_map),
+                   st.none())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_PROJECTIONS), _UNARY, _UNARY, st.booleans())
+def test_dist_on_operations_matches_the_tuple_probe(projections, u1, u2, align):
+    k, j1, j2 = projections
+    if align:
+        # shift one part so that both take one value at 0: the operations
+        # then agree on the zero tuple and differ further out, if at all
+        at0 = [F(0) if u is None else u.eval(F(0)) for u in (u1, u2)]
+        if u2 is not None:
+            u2 = compose(affine_map(1, at0[0] - at0[1]), u2)
+        elif u1 is not None:
+            u1 = compose(affine_map(1, at0[1] - at0[0]), u1)
+    f, g = FinitaryOp(k, j1, u1), FinitaryOp(k, j2, u2)
+    ctx = UltraMetricContext(k=k)
+    r = dist(ctx, f, g)
+    assert r.exact and dist(ctx, g, f).index == r.index
+    want = _probe_least_difference(k, f, g)
+    if want is None:
+        assert r.index is None or r.index >= N_MAX
+    else:
+        assert r.index == want and r.probe == tuple_at(k, want)
 
 
 @settings(max_examples=60, deadline=None)
@@ -249,7 +353,7 @@ def test_automorphism_near_generic_embedding():
         for i in range(depth):
             assert a.eval(nth_rational(i)) == g.eval(nth_rational(i))
         # bijectivity probe: inverse exists for sampled values
-        r = dist(UltraMetricContext(depth=64), a, g)
+        r = dist(CTX, a, g)
         assert r.value <= F(1, 2 ** depth)
 
 

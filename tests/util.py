@@ -1,11 +1,43 @@
 """Shared hypothesis strategies for the test suite."""
 
 from fractions import Fraction as F
+from math import isqrt
 
 from hypothesis import strategies as st
 
 from qendo.endo import Piece, PiecewiseEndo
-from qendo.ratcore import RatInterval
+from qendo.ratcore import Rat, RatInterval, nth_rational
+
+
+def affine_map(slope, intercept) -> PiecewiseEndo:
+    """x -> slope*x + intercept on the whole line."""
+    return PiecewiseEndo((Piece(RatInterval(None, None), Rat(slope),
+                                Rat(intercept)),))
+
+
+# The k-tuple enumeration spelled out, one pairing step at a time: the
+# reference for topology's closed-form axis_index and for dist on k-ary
+# operations.  The tuple at index (i+j)(i+j+1)/2 + j is the (k-1)-tuple at
+# i followed by coordinate j.
+
+def _unpair(n):
+    # inverse of (i, j) -> (i+j)(i+j+1)/2 + j
+    w = (isqrt(8 * n + 1) - 1) // 2
+    j = n - w * (w + 1) // 2
+    return w - j, j
+
+
+def index_tuple(k, n):
+    """The k-tuple at index n, as enumeration indices of its coordinates."""
+    if k == 1:
+        return (n,)
+    i, j = _unpair(n)
+    return index_tuple(k - 1, i) + (j,)
+
+
+def tuple_at(k, n):
+    """The k-tuple of rationals at enumeration index n."""
+    return tuple(map(nth_rational, index_tuple(k, n)))
 
 
 def _fractions(bound, max_denominator):
