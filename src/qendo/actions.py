@@ -29,7 +29,6 @@ __all__ = [
     "ActionReport",
     "act",
     "verify_action",
-    "containment_check",
     "fixpoint_check",
 ]
 
@@ -234,13 +233,6 @@ def verify_action(forest: LabelledForest, fs: Sequence,
                         f"composition law at {p} with maps #{i} after #{j}: "
                         f"stepwise {two_step}, composite {one_step}")
     return ActionReport(checks, failed, tuple(failures))
-
-
-def containment_check(forest: LabelledForest, f, p: OrbitPoint) -> bool:
-    """The acted point's set is always contained in the image of the old set."""
-    q = act(forest, f, p)
-    image = {f.eval(b) for b in p.B}
-    return set(q.B) <= image
 
 
 def fixpoint_check(forest: LabelledForest, p: OrbitPoint) -> PiecewiseEndo:

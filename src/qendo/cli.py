@@ -10,13 +10,16 @@ Subcommands:
 Global flags (before the subcommand): --seed, --budget, --format
 text|rows.  Suite headers also print the ultrametric probe depth, which is
 fixed at topology.N_MAX.  Exit status is 0 iff nothing failed, 2 for a
-usage or parse error, 3 when a bounded search reached its cap.
+usage or parse error, 3 when a bounded search reached its cap, 141 (128 +
+SIGPIPE, as a shell reports a process a closed pipe stopped) when stdout
+was closed, as by `| head -1`.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import os
 import sys
 from typing import List, Optional
 
@@ -226,6 +229,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     cfg = RunConfig(seed=args.seed, budget=args.budget, fmt=args.fmt)
     try:
         return _COMMANDS[args.command](args, cfg)
+    except BrokenPipeError:
+        # the reader is gone: point stdout at devnull so that the
+        # interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except (ValueError, OSError) as exc:  # ForestError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -387,6 +387,7 @@ def simplest_between(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
 
 
 DENOMINATOR_BOUND = 10 ** 6
+LEAST_INDEX_CAP = 200_000
 
 
 def colour_witness(lo: Rat, hi: Rat, want: Colour) -> Rat:
@@ -480,18 +481,19 @@ def enumerated_in_interval(lo: Optional[Rat], hi: Optional[Rat],
         _push(heap, sign, k, node, b, left, right)
 
 
-def least_index_in_interval(lo, hi, pred: Optional[Callable[[Rat], bool]] = None,
-                            limit: int = 200000) -> Rat:
+def least_index_in_interval(lo, hi,
+                            pred: Optional[Callable[[Rat], bool]] = None) -> Rat:
     """Least-enumeration-index rational in the open interval (lo, hi)
     satisfying pred.  Deterministic; raises ValueError when the interval is
-    empty and SearchExhausted when the scan passes `limit` candidates."""
+    empty and SearchExhausted when the scan passes LEAST_INDEX_CAP
+    candidates."""
     for i, x in enumerate(enumerated_in_interval(lo, hi)):
         if pred is None or pred(x):
             return x
-        if i >= limit:
+        if i >= LEAST_INDEX_CAP:
             break
-    raise SearchExhausted("least-index witness search", f"limit={limit}",
-                          lo, hi)
+    raise SearchExhausted("least-index witness search",
+                          f"LEAST_INDEX_CAP={LEAST_INDEX_CAP}", lo, hi)
 
 
 # ---------------------------------------------------------------------------

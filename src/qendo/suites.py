@@ -1,9 +1,20 @@
 """Seeded property suites and random corpora.
 
-Every randomized corpus derives from one seeded generator per suite, so a
-given ``RunConfig`` always produces the identical report, byte for byte.
 Suite names: ratcore, sim, generic, recover, factor, actions, clone,
 topology, and the umbrella "all".
+
+``run_suite`` owns the generator and the result: it seeds one generator
+per suite from the string ``f"{seed}:{name}"``, hands it to the suite, and
+wraps the properties the suite returns, in order, in a ``SuiteResult``.  So
+a given ``RunConfig`` always produces the identical report, byte for byte.
+Each property is straight-line code over one ``_Check`` counter, which
+records every check; ``_Check.all`` checks until the first failure.
+
+Properties are not declared as data (a corpus size, a draw and a check
+that a runner loops over).  Only a few would fit: sim, factor and actions
+interleave several properties over one draw, so the rest would stay
+hand-written, a second way to write a property.  Corpus sizes stay named
+locals until a ``--budget`` gives a size table a reader.
 """
 
 from __future__ import annotations
@@ -12,9 +23,9 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from .actions import LabelledForest, OrbitPoint, act, containment_check, fixpoint_check, verify_action
+from .actions import LabelledForest, OrbitPoint, act, fixpoint_check, verify_action
 from .clone import (
     FinitaryOp,
     GridOp,
@@ -112,9 +123,10 @@ class SuiteResult:
 class _Check:
     """One property's counter: every check it runs and every failure.
 
-    ``check(ok)`` records one check and returns ``ok``, so a loop can stop
-    on the first failure.  The property passes only when it ran at least
-    one check and none failed, so an empty sample never prints PASS."""
+    ``check(ok)`` records one check and returns ``ok``; ``all(oks)``
+    records each check up to and including the first failure.  The
+    property passes only when it ran at least one check and none failed,
+    so an empty sample never prints PASS."""
 
     def __init__(self, name: str):
         self.name = name
@@ -126,6 +138,9 @@ class _Check:
         if not ok:
             self.failures += 1
         return ok
+
+    def all(self, oks: Iterable[bool]) -> bool:
+        return all(map(self, oks))
 
     def count(self, checks: int, failures: int) -> None:
         """Record a batch of checks that ran elsewhere."""
@@ -140,10 +155,6 @@ class _Check:
             detail = f"{detail}; {self.failures} {noun}"
         return PropertyResult(
             self.name, self.checks > 0 and self.failures == 0, detail)
-
-
-def _rng(cfg: RunConfig, suite: str) -> random.Random:
-    return random.Random(f"{cfg.seed}:{suite}")
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +226,7 @@ def random_interval_union(rng: random.Random) -> tuple:
 # suite: ratcore (colour density)
 # ---------------------------------------------------------------------------
 
-def suite_ratcore(cfg: RunConfig) -> SuiteResult:
+def suite_ratcore(rng: random.Random, cfg: RunConfig) -> List[PropertyResult]:
     pts = sorted(nth_rational(i) for i in range(200))
     density = _Check("colour-density")
     for a, b in itertools.combinations(pts, 2):
@@ -226,21 +237,20 @@ def suite_ratcore(cfg: RunConfig) -> SuiteResult:
     seen = {nth_rational(i) for i in range(n)}
     enum = _Check("enumeration-roundtrip")
     enum(len(seen) == n and all(rat_index(nth_rational(i)) == i for i in range(n)))
-    return SuiteResult("ratcore", (
+    return [
         density.result(
             f"{math.comb(len(pts), 2)} pairs from the first {len(pts)} "
             "rationals, both colours strictly between each"),
         enum.result(
             f"first {n} enumerated rationals distinct, index roundtrip exact",
-            noun=None)))
+            noun=None)]
 
 
 # ---------------------------------------------------------------------------
 # suite: sim (gap-equivalence laws)
 # ---------------------------------------------------------------------------
 
-def suite_sim(cfg: RunConfig) -> SuiteResult:
-    rng = _rng(cfg, "sim")
+def suite_sim(rng: random.Random, cfg: RunConfig) -> List[PropertyResult]:
     corpus = [random_interval_union(rng) for _ in range(20)]
     per_union = 200
     eq, convex = _Check("equivalence-laws"), _Check("classes-convex")
@@ -254,26 +264,26 @@ def suite_sim(cfg: RunConfig) -> SuiteResult:
             lo, mid, hi = sorted((x, y, z))
             convex(not sim_related(A, lo, hi)
                    or (sim_related(A, lo, mid) and sim_related(A, mid, hi)))
-    return SuiteResult("sim", (
+    return [
         eq.result(f"{len(corpus)} interval unions x {per_union} triples "
                   "(reflexive/symmetric/transitive)"),
-        convex.result(f"{convex.checks} triples", noun="convexity failures")))
+        convex.result(f"{convex.checks} triples", noun="convexity failures")]
 
 
 # ---------------------------------------------------------------------------
 # suite: generic (certified embeddings, fresh and composed)
 # ---------------------------------------------------------------------------
 
-def _certificate_sample(check, cert, points, rng, npairs) -> None:
-    """Shared sampling: image points of the certified embedding land in
-    pairwise distinct red classes, with a blue class strictly between any
-    two.  ``points`` must be sorted ascending.  Each claim goes to
-    ``check``."""
-    emb = cert.embedding
-    order = cert.index_order
-    imgs = [emb.eval(x) for x in points]
+def _certificate_sample(check, cert, rng, spread, draws, npairs):
+    """Shared sampling: ``draws`` draws among the first ``spread``
+    rationals, whose images under the certified embedding land in pairwise
+    distinct red classes, with a blue class strictly between any two.
+    Each claim goes to ``check``; returns the sorted distinct points and
+    their images."""
+    points = sorted({nth_rational(rng.randrange(spread)) for _ in range(draws)})
+    imgs = [cert.embedding.eval(x) for x in points]
     classes = [cert.class_of(y) for y in imgs]
-    check(len({order.format_el(q) for q in classes}) == len(classes))
+    check(len({cert.index_order.format_el(q) for q in classes}) == len(classes))
     for q in classes:
         check(cert.colour_of_index(q) == Colour.RED)
     idx = list(range(len(points)))
@@ -284,6 +294,7 @@ def _certificate_sample(check, cert, points, rng, npairs) -> None:
         blue = cert.blue_index_between(classes[i], classes[j])
         check(cert.colour_of_index(blue) == Colour.BLUE
               and classes[i] < blue < classes[j])
+    return points, imgs
 
 
 def _marker_bounds_ok(cert, imgs) -> bool:
@@ -297,16 +308,13 @@ def _marker_bounds_ok(cert, imgs) -> bool:
     return ok
 
 
-def suite_generic(cfg: RunConfig) -> SuiteResult:
-    rng = _rng(cfg, "generic")
+def suite_generic(rng: random.Random, cfg: RunConfig) -> List[PropertyResult]:
     props = []
     npairs = 100
     for variant in ("core", "plus", "minus", "pm"):
         _, cert = generic_embedding(variant)
-        xs = sorted({nth_rational(rng.randrange(120)) for _ in range(150)})
         certificate = _Check(f"certificate-{variant}")
-        _certificate_sample(certificate, cert, xs, rng, npairs)
-        imgs = [cert.embedding.eval(x) for x in xs]
+        xs, imgs = _certificate_sample(certificate, cert, rng, 120, 150, npairs)
         if variant == "core":
             certificate(
                 next(iter(cert.image_points_between(max(imgs), None)), None)
@@ -327,12 +335,10 @@ def suite_generic(cfg: RunConfig) -> SuiteResult:
         f = random_monotone_endo(rng, injective=True)
         _, cert = absorb(f)
         absorbed(cert.variant == "core")
-        xs = sorted({nth_rational(rng.randrange(60)) for _ in range(40)})
-        _certificate_sample(absorbed, cert, xs, rng, npairs)
+        xs, imgs = _certificate_sample(absorbed, cert, rng, 60, 40, npairs)
         top = cert.embedding.eval(max(xs) + 1)
         bot = cert.embedding.eval(min(xs) - 1)
-        absorbed(all(top > y for y in (cert.embedding.eval(x) for x in xs))
-                 and all(bot < y for y in (cert.embedding.eval(x) for x in xs)))
+        absorbed(all(bot < y < top for y in imgs))
 
     composed = _Check("composed-bounded-certificates")
     bounded_variants = [("plus", "minus", "pm")[i % 3] for i in range(10)]
@@ -341,11 +347,9 @@ def suite_generic(cfg: RunConfig) -> SuiteResult:
         g2, cert2 = generic_embedding(variant)
         _, cert = compose_certified(g2, cert2, g1, cert1)
         composed(cert.variant == variant)
-        xs = sorted({nth_rational(rng.randrange(40)) for _ in range(25)})
-        _certificate_sample(composed, cert, xs, rng, npairs)
-        imgs = [cert.embedding.eval(x) for x in xs]
+        _, imgs = _certificate_sample(composed, cert, rng, 40, 25, npairs)
         composed(_marker_bounds_ok(cert, imgs))
-    return SuiteResult("generic", tuple(props) + (
+    return props + [
         absorbed.result(
             f"{nmaps} random injective piecewise maps absorbed into certified "
             "composites, each re-passing the red/blue sampling with image "
@@ -353,7 +357,7 @@ def suite_generic(cfg: RunConfig) -> SuiteResult:
         composed.result(
             f"{len(bounded_variants)} composites of bounded certified "
             "embeddings (variants plus/minus/pm) re-pass the red/blue "
-            "sampling with marker bounds")))
+            "sampling with marker bounds")]
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +403,7 @@ def _random_valid_pair(rng, g, cert) -> PPair:
     return PPair(a, b)
 
 
-def suite_recover(cfg: RunConfig) -> SuiteResult:
-    rng = _rng(cfg, "recover")
+def suite_recover(rng: random.Random, cfg: RunConfig) -> List[PropertyResult]:
     g, cert = generic_embedding("core")
     probe = [nth_rational(i) for i in range(200)]
     samples = 50
@@ -415,9 +418,8 @@ def suite_recover(cfg: RunConfig) -> SuiteResult:
             extend(cp.alpha.eval(x) == y)
         for x, y in p.b.pairs:
             extend(cp.beta.eval(x) == y)
-        for x in probe:
-            if not extend(cp.alpha.eval(g.eval(x)) == g.eval(cp.beta.eval(x))):
-                break
+        extend.all(cp.alpha.eval(g.eval(x)) == g.eval(cp.beta.eval(x))
+                   for x in probe)
 
     recover = _Check("recovery-witnesses")
     kinds = {"image": 0, "blue": 0, "red": 0}
@@ -426,12 +428,7 @@ def suite_recover(cfg: RunConfig) -> SuiteResult:
         s = _sample_witness_point(rng, g, cert)
         if s == g.eval(u):
             continue
-        if cert.in_image(s):
-            kinds["image"] += 1
-        elif cert.colour_of(s) == Colour.BLUE:
-            kinds["blue"] += 1
-        else:
-            kinds["red"] += 1
+        kinds["image" if cert.in_image(s) else str(cert.colour_of(s))] += 1
         cp = recover_witness(g, cert, u, s)
         recover(cp.beta.eval(u) == u and cp.alpha.eval(s) != s)
 
@@ -443,7 +440,7 @@ def suite_recover(cfg: RunConfig) -> SuiteResult:
             continue
         cp = recover_witness(g, cert, u, s)
         fixes(cp.beta.eval(u) != u or cp.alpha.eval(g.eval(u)) == g.eval(u))
-    return SuiteResult("recover", (
+    return [
         extend.result(
             f"{samples} valid seed pairs extended; containments and the "
             f"intertwining identity exact on the first {len(probe)} rationals"),
@@ -452,25 +449,20 @@ def suite_recover(cfg: RunConfig) -> SuiteResult:
             f"{kinds['image']}, blue {kinds['blue']}, red {kinds['red']}): "
             "beta fixes u while alpha moves s"),
         fixes.result(
-            f"{samples} commuting pairs with beta fixing u: alpha fixes g(u)")))
+            f"{samples} commuting pairs with beta fixing u: alpha fixes g(u)")]
 
 
 # ---------------------------------------------------------------------------
 # suite: factor (inverses, factorization, witnesses)
 # ---------------------------------------------------------------------------
 
-def suite_factor(cfg: RunConfig) -> SuiteResult:
-    rng = _rng(cfg, "factor")
-
+def suite_factor(rng: random.Random, cfg: RunConfig) -> List[PropertyResult]:
     ri = _Check("right-inverse")
     nsurj, nri = 20, 500
     for _ in range(nsurj):
         gmap = random_monotone_endo(rng, surjective=True)
         h = right_inverse(gmap)
-        for i in range(nri):
-            x = nth_rational(i)
-            if not ri(gmap.eval(h.eval(x)) == x):
-                break
+        ri.all(gmap.eval(h.eval(x)) == x for x in map(nth_rational, range(nri)))
 
     em = _Check("epi-mono-exact")
     mono = _Check("mono-strictly-monotone")
@@ -481,9 +473,7 @@ def suite_factor(cfg: RunConfig) -> SuiteResult:
         h = random_monotone_endo(rng)
         fac = epi_mono_factorize(h)
         hc = h.canonical()
-        for x in probe:
-            if not em(fac.epi.eval(fac.mono.eval(x)) == hc.eval(x)):
-                break
+        em.all(fac.epi.eval(fac.mono.eval(x)) == hc.eval(x) for x in probe)
         vals = [fac.mono.eval(x) for x in sorted(probe[:nmono])]
         mono(all(a < b for a, b in zip(vals, vals[1:])))
         for _ in range(2):
@@ -512,7 +502,7 @@ def suite_factor(cfg: RunConfig) -> SuiteResult:
         is_left_zero = all(compose(f, gmap).canonical() == f.canonical()
                            for gmap in gs)
         zero(is_left_zero == rep.kind.constant)
-    return SuiteResult("factor", (
+    return [
         ri.result(f"{nsurj} surjective maps, composite is the identity on "
                   f"{nri} samples"),
         em.result(f"{nmaps} maps, composite equals the map on the first "
@@ -524,7 +514,7 @@ def suite_factor(cfg: RunConfig) -> SuiteResult:
             f"{nclassified} maps: witness existence matches classification "
             "flags and witnesses verified by composition"),
         zero.result("constant flag coincides with absorbing all "
-                    f"{len(gs)} right factors")))
+                    f"{len(gs)} right factors")]
 
 
 # ---------------------------------------------------------------------------
@@ -555,8 +545,7 @@ def _random_orbit_points(rng, forest, per_node) -> List[OrbitPoint]:
     return points
 
 
-def suite_actions(cfg: RunConfig) -> SuiteResult:
-    rng = _rng(cfg, "actions")
+def suite_actions(rng: random.Random, cfg: RunConfig) -> List[PropertyResult]:
     forests = _forest_corpus()
     if cfg.extra_forest is not None:
         forests.append(cfg.extra_forest)
@@ -575,7 +564,7 @@ def suite_actions(cfg: RunConfig) -> SuiteResult:
                 q = act(forest, f, p)
                 spec(len(imgs) != len(p.B)
                      or (q.node == p.node and set(q.B) == imgs))
-                contain(containment_check(forest, f, p))
+                contain(set(q.B) <= imgs)
 
     fix = _Check("finite-image-fixpoints")
     for forest in forests:
@@ -586,7 +575,7 @@ def suite_actions(cfg: RunConfig) -> SuiteResult:
                 fix(False)
             else:
                 fix(True)
-    return SuiteResult("actions", (
+    return [
         laws.result(f"{laws.checks} identity/composition checks across "
                     f"{len(forests)} forests"),
         spec.result(f"{spec.checks} samples: size-preserving images keep the "
@@ -594,15 +583,14 @@ def suite_actions(cfg: RunConfig) -> SuiteResult:
         contain.result(f"{contain.checks} samples: acted sets always inside "
                        "the pushed-forward image"),
         fix.result(f"{fix.checks} points stabilized by finite-image "
-                   "idempotents")))
+                   "idempotents")]
 
 
 # ---------------------------------------------------------------------------
 # suite: clone (grid characterization)
 # ---------------------------------------------------------------------------
 
-def suite_clone(cfg: RunConfig) -> SuiteResult:
-    rng = _rng(cfg, "clone")
+def suite_clone(rng: random.Random, cfg: RunConfig) -> List[PropertyResult]:
     combos = [(size, arity) for size in (2, 3, 4) for arity in (1, 2, 3)]
 
     char = _Check("either-equal-characterization")
@@ -647,13 +635,13 @@ def suite_clone(cfg: RunConfig) -> SuiteResult:
               for _ in range(2)]
         h = clone_compose(f, gs)
         closure(preserves_either_equal(GridOp.restriction(h, grid3)).preserves)
-    return SuiteResult("clone", (
+    return [
         char.result(
             f"{ntables} random tables (grids <= 4, arities <= 3, {preserving} "
             f"preserving, {rebuilt} rebuilt as unary-after-projection with "
             "matching tables) plus all projections and constants"),
         closure.result(f"{ncompositions} random compositions stay essentially "
-                       "unary on the grid")))
+                       "unary on the grid")]
 
 
 # ---------------------------------------------------------------------------
@@ -676,8 +664,7 @@ def prefix_approximant(n: int, target) -> PiecewiseEndo:
     return PiecewiseEndo(tuple(pieces))
 
 
-def suite_topology(cfg: RunConfig) -> SuiteResult:
-    rng = _rng(cfg, "topology")
+def suite_topology(rng: random.Random, cfg: RunConfig) -> List[PropertyResult]:
     ctx = UltraMetricContext()
 
     tri = _Check("ultrametric-inequality")
@@ -708,14 +695,14 @@ def suite_topology(cfg: RunConfig) -> SuiteResult:
             auto = automorphism_near(emb, n)
             dense(all(auto.eval(nth_rational(i)) == emb.eval(nth_rational(i))
                       for i in range(n)))
-    return SuiteResult("topology", (
+    return [
         tri.result(f"{ntriples} random triples"),
         lift.result(
             f"{terms}-term approximant sequences at three projection/arity "
             "choices: guaranteed moduli strictly increase and realized "
             "distances strictly shrink"),
         dense.result(f"{dense.checks} automorphisms within 2^-n of "
-                     f"{nembeddings} embeddings (n <= {depth})")))
+                     f"{nembeddings} embeddings (n <= {depth})")]
 
 
 # ---------------------------------------------------------------------------
@@ -723,21 +710,18 @@ def suite_topology(cfg: RunConfig) -> SuiteResult:
 # ---------------------------------------------------------------------------
 
 _SUITES: dict = {
-    "ratcore": suite_ratcore,
-    "sim": suite_sim,
-    "generic": suite_generic,
-    "recover": suite_recover,
-    "factor": suite_factor,
-    "actions": suite_actions,
-    "clone": suite_clone,
-    "topology": suite_topology,
-}
+    suite.__name__.removeprefix("suite_"): suite
+    for suite in (suite_ratcore, suite_sim, suite_generic, suite_recover,
+                  suite_factor, suite_actions, suite_clone, suite_topology)}
 SUITE_NAMES = tuple(_SUITES)
 
 
 def run_suite(name: str, cfg: Optional[RunConfig] = None) -> SuiteResult:
+    """Run one suite on its own generator, seeded by the seed and the
+    suite's name."""
     cfg = cfg or RunConfig()
     if name not in _SUITES:
         raise ValueError(
             f"unknown suite {name!r}; choose from {', '.join(SUITE_NAMES)} or 'all'")
-    return _SUITES[name](cfg)
+    rng = random.Random(f"{cfg.seed}:{name}")
+    return SuiteResult(name, tuple(_SUITES[name](rng, cfg)))

@@ -14,7 +14,6 @@ from qendo.actions import (
     LabelledForest,
     OrbitPoint,
     act,
-    containment_check,
     fixpoint_check,
     verify_action,
 )
@@ -30,7 +29,7 @@ from qendo.endo import (
 from qendo.ratcore import RatInterval
 from qendo.topology import automorphism_near
 
-from util import affine_map, monotone_endos
+from util import affine_map, fractions_between, monotone_endos
 
 CHAIN = LabelledForest.from_rows(
     [("root", None, 0), ("mid", "root", 1), ("top", "mid", 2)])
@@ -132,8 +131,7 @@ def test_orbit_point_canonicalizes():
 
 @settings(max_examples=60, deadline=None)
 @given(monotone_endos(),
-       st.sets(st.fractions(min_value=-8, max_value=8, max_denominator=6),
-               min_size=2, max_size=2))
+       st.sets(fractions_between(-8, 8, 6), min_size=2, max_size=2))
 def test_same_size_image_stays_at_node(f, bset):
     p = OrbitPoint("top", tuple(bset))
     imgs = {f.eval(b) for b in p.B}
@@ -141,13 +139,12 @@ def test_same_size_image_stays_at_node(f, bset):
     if len(imgs) == len(p.B):
         assert q.node == "top" and set(q.B) == imgs
     assert q.node in CHAIN.ancestry("top")
-    assert containment_check(CHAIN, f, p)
+    assert set(q.B) <= imgs
 
 
 @settings(max_examples=40, deadline=None)
 @given(monotone_endos(),
-       st.sets(st.fractions(min_value=-3, max_value=3, max_denominator=4),
-               min_size=2, max_size=2))
+       st.sets(fractions_between(-3, 3, 4), min_size=2, max_size=2))
 def test_maps_agreeing_on_b_act_equally(f, bset):
     p = OrbitPoint("top", tuple(bset))
     pinned = compose(f, idempotent_with_image(p.B))
@@ -157,14 +154,14 @@ def test_maps_agreeing_on_b_act_equally(f, bset):
 
 
 def test_containment_examples():
-    assert containment_check(CHAIN, constant_map(F(5)), TOP_01)
+    assert set(act(CHAIN, constant_map(F(5)), TOP_01).B) <= {F(5)}
     trio = LabelledForest.from_rows(
         [("r", None, 0), ("m", "r", 2), ("t", "m", 3)])
     p = OrbitPoint("t", (F(0), F(1), F(2)))
     collapse = staircase(0, 1)  # sends 2 onto 1
     q = act(trio, collapse, p)
     assert q == OrbitPoint("m", (F(0), F(1)))
-    assert containment_check(trio, collapse, p)
+    assert set(q.B) <= {collapse.eval(b) for b in p.B}
 
 
 # -- the action laws -----------------------------------------------------------

@@ -28,7 +28,7 @@ from qendo.endo import (
 from qendo.ratcore import RatInterval, nth_rational
 from qendo.topology import lift_convergence
 
-from util import affine_map, monotone_endos
+from util import affine_map, fractions_between, monotone_endos
 
 GRID01 = (F(0), F(1))
 MIN2 = GridOp.from_function(2, GRID01, min)
@@ -91,7 +91,7 @@ def test_clone_compose_arity_errors():
 @settings(max_examples=50, deadline=None)
 @given(monotone_endos(), monotone_endos(),
        st.integers(1, 3), st.integers(1, 3),
-       st.fractions(min_value=-5, max_value=5, max_denominator=6))
+       fractions_between(-5, 5, 6))
 def test_compose_stays_essentially_unary(u, v, j1, j2, x):
     f = FinitaryOp(2, j1 if j1 <= 2 else 1, u)
     gs = [FinitaryOp(3, j2, v), FinitaryOp(3, (j2 % 3) + 1)]

@@ -31,7 +31,7 @@ from qendo.ratcore import (
     point_interval,
 )
 
-from util import affine_map, monotone_endos, wide_endos
+from util import affine_map, fractions_between, monotone_endos, wide_endos
 
 SAMPLE = [nth_rational(i) for i in range(60)]
 
@@ -324,30 +324,28 @@ def test_classified_map_is_freed_without_the_cyclic_collector():
 
 @settings(max_examples=60, deadline=None)
 @given(monotone_endos(), monotone_endos(),
-       st.fractions(min_value=-10, max_value=10, max_denominator=12))
+       fractions_between(-10, 10, 12))
 def test_compose_pointwise(f, g, x):
     assert compose(f, g).eval(x) == f.eval(g.eval(x))
 
 
 @settings(max_examples=60, deadline=None)
 @given(monotone_endos(),
-       st.fractions(min_value=-10, max_value=10, max_denominator=12),
-       st.fractions(min_value=-10, max_value=10, max_denominator=12))
+       fractions_between(-10, 10, 12),
+       fractions_between(-10, 10, 12))
 def test_random_maps_weakly_monotone(f, x, y):
     if x <= y:
         assert f.eval(x) <= f.eval(y)
 
 
 @settings(max_examples=60, deadline=None)
-@given(monotone_endos(), st.fractions(min_value=-10, max_value=10,
-                                      max_denominator=12))
+@given(monotone_endos(), fractions_between(-10, 10, 12))
 def test_canonical_preserves_values(f, x):
     assert f.canonical().eval(x) == f.eval(x)
 
 
 @settings(max_examples=40, deadline=None)
-@given(monotone_endos(), st.fractions(min_value=-10, max_value=10,
-                                      max_denominator=12))
+@given(monotone_endos(), fractions_between(-10, 10, 12))
 def test_section_inverts_on_image(g, x):
     s = pseudo_section(g)
     y = g.eval(x)
@@ -497,7 +495,7 @@ def test_piece_index_and_eval_match_the_binary_search(f):
 
 
 @settings(max_examples=60, deadline=None)
-@given(wide_endos(), st.fractions(min_value=-30, max_value=30, max_denominator=12),
+@given(wide_endos(), fractions_between(-30, 30, 12),
        st.integers(-30, 30))
 def test_value_at_matches_the_formula(f, q, n):
     for p in f.pieces:

@@ -39,7 +39,7 @@ from qendo.ratcore import (
     nth_rational,
 )
 
-from util import affine_map, monotone_endos
+from util import affine_map, fractions_between, monotone_endos
 
 SAMPLE = [nth_rational(i) for i in range(40)]
 
@@ -72,9 +72,9 @@ UNION_CORPUS = [
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(UNION_CORPUS),
-       st.fractions(min_value=-4, max_value=4, max_denominator=8),
-       st.fractions(min_value=-4, max_value=4, max_denominator=8),
-       st.fractions(min_value=-4, max_value=4, max_denominator=8))
+       fractions_between(-4, 4, 8),
+       fractions_between(-4, 4, 8),
+       fractions_between(-4, 4, 8))
 def test_sim_is_an_equivalence(A, x, y, z):
     assert sim_related(A, x, x)
     assert sim_related(A, x, y) == sim_related(A, y, x)
@@ -84,9 +84,9 @@ def test_sim_is_an_equivalence(A, x, y, z):
 
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from(UNION_CORPUS),
-       st.fractions(min_value=-4, max_value=4, max_denominator=8),
-       st.fractions(min_value=-4, max_value=4, max_denominator=8),
-       st.fractions(min_value=-4, max_value=4, max_denominator=8))
+       fractions_between(-4, 4, 8),
+       fractions_between(-4, 4, 8),
+       fractions_between(-4, 4, 8))
 def test_sim_classes_convex(A, x, y, z):
     if x < z < y and sim_related(A, x, y):
         assert sim_related(A, x, z)

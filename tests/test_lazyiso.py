@@ -34,6 +34,8 @@ from qendo.ratcore import (
     nth_rational,
 )
 
+from util import fractions_between
+
 SAMPLE = [nth_rational(i) for i in range(200)]
 
 
@@ -336,7 +338,7 @@ def _ref_less(spec, a, b):
     return a < b
 
 
-SMALL_Q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+SMALL_Q = fractions_between(-3, 3, 4)
 FEW_Q = st.sampled_from([F(-1), F(0), F(1, 2), F(1)])  # repeats often
 
 
@@ -354,7 +356,7 @@ ORDER_CASES = {
     "ColouredQ-min": lambda: _coloured_case(True, False),
     "ColouredQ-max": lambda: _coloured_case(False, True),
     "ColouredQ-min-max": lambda: _coloured_case(True, True),
-    "IntervalQ": lambda: (CLOSED_02, st.fractions(0, 2, max_denominator=6)),
+    "IntervalQ": lambda: (CLOSED_02, fractions_between(0, 2, 6)),
     "PointOrder": lambda: (PointOrder(), st.just("pt")),
     "LexSum-product": lambda: (_product(), st.tuples(FEW_Q, FEW_Q)),
     "LexSum-bounded-index": lambda: (
@@ -487,8 +489,7 @@ def test_memo_dump_format():
 
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.booleans(),
-                          st.fractions(min_value=-8, max_value=8,
-                                       max_denominator=16)),
+                          fractions_between(-8, 8, 16)),
                 max_size=25))
 def test_memo_stays_partial_automorphism(requests):
     iso = build(FullQ(), FullQ(), seed=[(F(0), F(2))])
@@ -547,7 +548,7 @@ def _reference_build(source, target, seed=(), constraint=None):
     return _ReferenceIso(source, target, seed=seed, constraint=constraint)
 
 
-MID_Q = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+MID_Q = fractions_between(-6, 6, 12)
 
 # case -> (a fresh target spec, a strategy for its elements)
 ENGINE_CASES = {

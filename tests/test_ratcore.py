@@ -22,6 +22,8 @@ from qendo.ratcore import (
     simplest_between,
 )
 
+from util import fractions_between
+
 # independently derived via the Newman single-fraction recurrence
 FIRST_16 = [
     F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(2), F(-2), F(1, 3), F(-1, 3),
@@ -385,8 +387,7 @@ def _check_against_oracle(lo, hi):
     assert all((lo is None or lo < x) and (hi is None or x < hi) for x in got)
 
 
-_BOUND = st.one_of(st.none(), st.fractions(min_value=-40, max_value=40,
-                                           max_denominator=40))
+_BOUND = st.one_of(st.none(), fractions_between(-40, 40, 40))
 
 
 @given(_BOUND, _BOUND)
@@ -452,8 +453,7 @@ def _check_walk_index(a, b, levels):
         gaps = children
 
 
-_POSITIVE_END = st.one_of(st.none(), st.fractions(min_value=0, max_value=40,
-                                                  max_denominator=40))
+_POSITIVE_END = st.one_of(st.none(), fractions_between(0, 40, 40))
 
 
 @given(_POSITIVE_END, _POSITIVE_END)
@@ -520,9 +520,11 @@ def test_enumerated_with_a_closed_infinite_end_is_a_value_error():
             RatInterval(lo, hi, lo_closed, hi_closed)
 
 
-def test_least_index_limit_raises_search_exhausted():
-    with pytest.raises(SearchExhausted, match=r"limit=10 in the gap \(0, 1\)"):
-        least_index_in_interval(F(0), F(1), pred=lambda x: False, limit=10)
+def test_least_index_limit_raises_search_exhausted(monkeypatch):
+    monkeypatch.setattr(ratcore, "LEAST_INDEX_CAP", 10)
+    with pytest.raises(SearchExhausted,
+                       match=r"LEAST_INDEX_CAP=10 in the gap \(0, 1\)"):
+        least_index_in_interval(F(0), F(1), pred=lambda x: False)
 
 
 def test_colour_witness_bound_raises_search_exhausted(monkeypatch):
@@ -538,8 +540,7 @@ def test_colour_witness_bound_raises_search_exhausted(monkeypatch):
 # ---------------------------------------------------------------------------
 
 _FIRST_4096 = [nth_rational(n) for n in range(4096)]
-_END = st.one_of(st.none(), st.just(F(0)),
-                 st.fractions(min_value=-5, max_value=5, max_denominator=6))
+_END = st.one_of(st.none(), st.just(F(0)), fractions_between(-5, 5, 6))
 
 
 @given(_END, _END, st.booleans(), st.booleans(), st.booleans())
@@ -738,7 +739,7 @@ def _rat_results(outcome):
 
 
 _PRIMITIVE_BOUND = st.one_of(st.none(), st.integers(-4, 4).map(F),
-                             st.fractions(-4, 4, max_denominator=7))
+                             fractions_between(-4, 4, 7))
 
 
 @given(_PRIMITIVE_BOUND, _PRIMITIVE_BOUND, st.booleans(), st.booleans())

@@ -13,6 +13,7 @@ from qendo.ratcore import union_contains
 from qendo.suites import (
     PropertyResult,
     RunConfig,
+    SuiteResult,
     _Check,
     random_interval_union,
     random_monotone_endo,
@@ -65,6 +66,19 @@ def test_run_suite_seed_flows_into_rng():
     assert a.properties[0].detail != b.properties[0].detail
 
 
+def test_run_suite_seeds_each_suite_by_seed_and_name(monkeypatch):
+    draws = []
+
+    def spy(rng, cfg):
+        draws.append(rng.random())
+        return [PropertyResult("spy", True, "drew once")]
+
+    monkeypatch.setitem(suites._SUITES, "sim", spy)
+    assert run_suite("sim", RunConfig(seed=5)) == SuiteResult(
+        "sim", (PropertyResult("spy", True, "drew once"),))
+    assert draws == [random.Random("5:sim").random()]
+
+
 def test_run_suite_unknown_name():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nope")
@@ -85,6 +99,19 @@ def test_check_failure_count_and_ok_agree():
     assert (check.checks, check.failures) == (9, 3)
     assert check.result("nine checks") == PropertyResult(
         "p", False, "nine checks; 3 failures")
+
+
+def test_check_all_stops_after_the_first_failure():
+    check = _Check("p")
+    assert check.all([True, False, True]) is False
+    assert (check.checks, check.failures) == (2, 1)
+
+
+def test_check_all_over_nothing_records_nothing():
+    check = _Check("p")
+    assert check.all([]) is True
+    assert (check.checks, check.failures) == (0, 0)
+    assert not check.result("no samples").ok
 
 
 def test_check_custom_noun_and_no_count():

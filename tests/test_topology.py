@@ -32,7 +32,14 @@ from qendo.topology import (
     dist,
 )
 
-from util import affine_map, index_tuple, monotone_endos, tuple_at, wide_endos
+from util import (
+    affine_map,
+    fractions_between,
+    index_tuple,
+    monotone_endos,
+    tuple_at,
+    wide_endos,
+)
 
 CTX = UltraMetricContext()
 
@@ -338,8 +345,7 @@ def _perturbed(f, i, t):
 @given(wide_endos(), wide_endos(), st.data())
 def test_dist_matches_per_region_oracle(f, g, data):
     i = data.draw(st.integers(0, len(f.pieces) - 1))
-    t = data.draw(st.fractions(min_value=F(1, 8), max_value=F(1, 2),
-                               max_denominator=8))
+    t = data.draw(fractions_between(F(1, 8), F(1, 2), 8))
     for h in (g, _perturbed(f, i, t), f):
         for a, b in ((f, h), (h, f)):
             assert dist(CTX, a, b).index == _least_difference_oracle(a, b)

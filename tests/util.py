@@ -1,7 +1,8 @@
 """Shared hypothesis strategies for the test suite."""
 
 from fractions import Fraction as F
-from math import isqrt
+from functools import lru_cache
+from math import ceil, floor, isqrt
 
 from hypothesis import strategies as st
 
@@ -40,13 +41,23 @@ def tuple_at(k, n):
     return tuple(map(nth_rational, index_tuple(k, n)))
 
 
-def _fractions(bound, max_denominator):
-    # every n/d in [-bound, bound] with 1 <= d <= max_denominator, once for
-    # each way of writing it, so that simple values come up often, as they
-    # do from st.fractions; simplest first, so that a failure shrinks to 0
+def _fractions(lo, hi, max_denominator):
+    # every n/d in [lo, hi] with 1 <= d <= max_denominator, once for each
+    # way of writing it, so that simple values come up often, as they do
+    # from st.fractions; simplest first, so that a failure shrinks to the
+    # simplest value in range
     return sorted((F(n, d) for d in range(1, max_denominator + 1)
-                   for n in range(-bound * d, bound * d + 1)),
+                   for n in range(ceil(lo * d), floor(hi * d) + 1)),
                   key=lambda x: (x.denominator, abs(x), x))
+
+
+@lru_cache(maxsize=None)
+def fractions_between(lo, hi, max_denominator):
+    """Fractions in [lo, hi] with denominator at most max_denominator: the
+    values of st.fractions(lo, hi, max_denominator=...), drawn several
+    times faster, and one strategy for each range however often a test
+    asks for it."""
+    return st.sampled_from(_fractions(lo, hi, max_denominator))
 
 
 # Strategies are built once: a strategy made inside a composite is validated
@@ -58,14 +69,14 @@ _MONO_SLOPE = st.sampled_from([F(0), F(1, 2), F(1), F(2)])
 # Integer cuts and zero jumps get extra weight, so that they come up about as
 # often as from st.fractions, which favours simple values and its bounds.
 _MONO_CUT = st.tuples(
-    st.sampled_from(_fractions(8, 6) + [F(n) for n in range(-8, 9)] * 6),
+    st.sampled_from(_fractions(-8, 8, 6) + [F(n) for n in range(-8, 9)] * 6),
     _MONO_SLOPE,
-    st.sampled_from([F(0)] * 10 + [x for x in _fractions(3, 4) if x >= 0]),
+    st.sampled_from([F(0)] * 10 + [x for x in _fractions(-3, 3, 4) if x >= 0]),
     st.booleans())
 _MONO_CUTS = [st.lists(_MONO_CUT, min_size=n, max_size=n,
                        unique_by=lambda cut: cut[0]) for n in range(5)]
 _MONO_NCUTS = st.integers(0, 4)
-_MONO_LEVEL = st.sampled_from(_fractions(5, 4))
+_MONO_LEVEL = fractions_between(-5, 5, 4)
 
 
 @st.composite
@@ -93,13 +104,13 @@ def monotone_endos(draw):
 # same two for the one-point piece that holds it when "point" does.
 _SLOPE = st.sampled_from([F(0), F(0), F(1, 3), F(1, 2), F(1), F(2)])
 _JUMP = st.sampled_from([F(0), F(0), F(0), F(1, 2), F(1), F(3)])
-_WIDE_CUT = st.tuples(st.sampled_from(_fractions(20, 4)),
+_WIDE_CUT = st.tuples(fractions_between(-20, 20, 4),
                       st.sampled_from(["left", "right", "point"]),
                       _SLOPE, _JUMP, _SLOPE, _JUMP)
 _WIDE_CUTS = [st.lists(_WIDE_CUT, min_size=n, max_size=n,
                        unique_by=lambda cut: cut[0]) for n in range(21)]
 _WIDE_NCUTS = st.integers(0, 20)
-_WIDE_LEVEL = st.sampled_from(_fractions(10, 3))
+_WIDE_LEVEL = fractions_between(-10, 10, 3)
 
 
 @st.composite
