@@ -25,6 +25,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
 
+from . import ratcore
 from .endo import ComposedEndo, LazyEndo, PiecewiseEndo, classify
 from .lazyiso import (
     ColouredQ,
@@ -40,14 +41,12 @@ from .partialmap import FinitePartialMap
 from .ratcore import (
     Colour,
     Rat,
-    SearchExhausted,
     nth_rational,
     union_contains,
 )
 
 VARIANTS = ("core", "plus", "minus", "pm")
 
-SEARCH_CAP = 100_000
 _ZERO = Rat(0)  # an image point's index pair is (q, 0)
 
 
@@ -109,13 +108,14 @@ class GenericCert:
                 yield rep
 
     def blue_index_between(self, qlo, qhi):
+        cap = ratcore.SEARCH_CAP
         for steps, q in enumerate(self.index_order.enum_in_gap(qlo, qhi)):
-            if steps > SEARCH_CAP:
+            if steps > cap:
                 break
             if self.colour_of_index(q) == Colour.BLUE:
                 return q
-        raise SearchExhausted("blue class search", f"SEARCH_CAP={SEARCH_CAP}",
-                              qlo, qhi, self.index_order.format_el)
+        raise ratcore.SearchExhausted("blue class search", qlo, qhi,
+                                      self.index_order.format_el)
 
 
 class DirectCert(GenericCert):

@@ -29,7 +29,8 @@ admissible partner of least index in the other spec's own enumeration
 which admits a pair (x, y) when x's source key equals y's target key,
 such as a colour.  The search scans the other spec's gap enumeration,
 which yields members only, and tests each candidate against the
-constraint, if any.
+constraint, if any; after ratcore.SEARCH_CAP + 1 candidates it raises
+SearchExhausted.
 
 All element values are immutable; a LazyIso mutates only its memo, so one
 instance must not be shared between concurrent evaluations.
@@ -46,18 +47,16 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import Callable, Iterator, Optional
 
+from . import ratcore
 from .ratcore import (
     Colour,
     Rat,
     RatInterval,
-    SearchExhausted,
     colour,
     enumerated_in_interval,
     intersect_intervals,
     rat_index,
 )
-
-FAULT_CAP = 100_000
 
 # memo pair -> its source / target element, the bisect keys of the memo
 _SOURCE = itemgetter(0)
@@ -445,7 +444,7 @@ class LazyIso:
         # el is a target point needing a preimage.  The cost: one bisect of
         # the memo, one gap stream of the other spec (members only, so no
         # membership test), each candidate checked against the constraint,
-        # and at most FAULT_CAP + 1 candidates scanned.
+        # and at most ratcore.SEARCH_CAP + 1 candidates scanned.
         pairs = self._pairs
         c = self.constraint
         forward = side == "target"
@@ -458,18 +457,18 @@ class LazyIso:
         lo = pairs[i - 1][val_idx] if i else None
         hi = pairs[i][val_idx] if i < len(pairs) else None
 
-        steps = 0
+        steps, cap = 0, ratcore.SEARCH_CAP
         for cand in other.enum_in_gap(lo, hi):
-            if steps > FAULT_CAP:
+            if steps > cap:
                 break
             steps += 1
             x, y = (el, cand) if forward else (cand, el)
             if c is None or c.admissible(x, y):
                 self._insert(i, x, y)
                 return cand
-        raise SearchExhausted(
+        raise ratcore.SearchExhausted(
             f"back-and-forth search for a partner of {own.format_el(el)}",
-            f"FAULT_CAP={FAULT_CAP}", lo, hi, other.format_el)
+            lo, hi, other.format_el)
 
     def eval_fwd(self, x):
         y = self._fwd.get(x)  # memo values are never None

@@ -17,6 +17,10 @@ least index in it, and the interval searches below are one integer walk
 down the Stern-Brocot tree, `_descend`, that builds the node's index as it
 goes when asked, and makes a `Rat` only at the API boundary, with no gcd:
 every node of the tree is in lowest terms (Concrete Mathematics 4.5).
+
+Every bounded search in the package stops after SEARCH_CAP + 1 candidates
+(or gap splits) and raises SearchExhausted; each search reads the cap from
+this module when it starts, so one patch of it reaches them all.
 """
 
 from __future__ import annotations
@@ -340,14 +344,18 @@ def rat_index(x: Rat) -> int:
 # density searches
 # ---------------------------------------------------------------------------
 
-class SearchExhausted(RuntimeError):
-    """A bounded search reached its cap; the message names the cap and the
-    gap searched, whose bounds are printed by fmt (None is infinite)."""
+SEARCH_CAP = 100_000
 
-    def __init__(self, search: str, cap: str, lo, hi, fmt=str):
+
+class SearchExhausted(RuntimeError):
+    """A bounded search reached SEARCH_CAP; the message names it and the gap
+    searched, whose bounds are printed by fmt (None is infinite)."""
+
+    def __init__(self, search: str, lo, hi, fmt=str):
         lo = "-inf" if lo is None else fmt(lo)
         hi = "+inf" if hi is None else fmt(hi)
-        super().__init__(f"{search} found nothing within {cap} in the gap ({lo}, {hi})")
+        super().__init__(f"{search} found nothing within SEARCH_CAP={SEARCH_CAP} "
+                         f"in the gap ({lo}, {hi})")
 
 
 def simplest_between(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
@@ -386,29 +394,22 @@ def simplest_between(lo: Optional[Rat], hi: Optional[Rat]) -> Rat:
     return _rat(p, q)
 
 
-DENOMINATOR_BOUND = 10 ** 6
-LEAST_INDEX_CAP = 200_000
-
-
 def colour_witness(lo: Rat, hi: Rat, want: Colour) -> Rat:
     """A rational of the requested colour strictly between lo and hi.
 
-    Breadth-first over gaps, each split at its simplest rational; a split
-    point past DENOMINATOR_BOUND in denominator raises SearchExhausted.
+    Breadth-first over gaps, each split at its simplest rational; after
+    SEARCH_CAP + 1 splits without a witness it raises SearchExhausted.
     """
     if lo >= hi:
         raise ValueError("need lo < hi")
     queue = deque([(lo, hi)])
-    while True:  # the queue never empties: each pop adds two gaps
+    for _ in range(SEARCH_CAP + 1):  # each pop adds two gaps
         a, b = queue.popleft()
         m = simplest_between(a, b)
-        if m._denominator > DENOMINATOR_BOUND:
-            raise SearchExhausted(f"colour witness search for {want}",
-                                  f"DENOMINATOR_BOUND={DENOMINATOR_BOUND}",
-                                  lo, hi)
         if colour(m) == want:
             return m
         queue.extend(((a, m), (m, b)))
+    raise SearchExhausted(f"colour witness search for {want}", lo, hi)
 
 
 def _push(heap, sign, k, a, b, left, right) -> bool:
@@ -485,15 +486,15 @@ def least_index_in_interval(lo, hi,
                             pred: Optional[Callable[[Rat], bool]] = None) -> Rat:
     """Least-enumeration-index rational in the open interval (lo, hi)
     satisfying pred.  Deterministic; raises ValueError when the interval is
-    empty and SearchExhausted when the scan passes LEAST_INDEX_CAP
+    empty and SearchExhausted when the scan passes SEARCH_CAP
     candidates."""
+    cap = SEARCH_CAP
     for i, x in enumerate(enumerated_in_interval(lo, hi)):
         if pred is None or pred(x):
             return x
-        if i >= LEAST_INDEX_CAP:
+        if i >= cap:
             break
-    raise SearchExhausted("least-index witness search",
-                          f"LEAST_INDEX_CAP={LEAST_INDEX_CAP}", lo, hi)
+    raise SearchExhausted("least-index witness search", lo, hi)
 
 
 # ---------------------------------------------------------------------------

@@ -681,6 +681,11 @@ def suite_topology(rng: random.Random, cfg: RunConfig) -> List[PropertyResult]:
             lambda n: prefix_approximant(n, identity_map()),
             identity_map(), j, k, terms - 1)
         lift(rep.ok)
+        # each row's k-ary probe separates the rebuilt n-th term from the identity
+        ident = FinitaryOp(k, j, identity_map())
+        lift.all(ident.evaluate(dk.probe) != FinitaryOp(
+            k, j, prefix_approximant(n, identity_map())).evaluate(dk.probe)
+            for n, _, dk, _ in rep.rows)
         agree = [dk.agreement for _, _, dk, _ in rep.rows]
         lift(len(agree) == terms
              and all(a < b for a, b in zip(agree, agree[1:])))

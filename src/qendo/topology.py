@@ -161,12 +161,12 @@ def _piecewise_least_difference(f: PiecewiseEndo, g: PiecewiseEndo) -> Optional[
 def _unary_part(ctx: UltraMetricContext, op) -> Tuple[int, object]:
     """(j, u) for an operation u o pi_j of the context's arity: a bare
     projection has the identity for u, and a unary map u is u o pi_1."""
-    if not isinstance(op, FinitaryOp):
-        op = FinitaryOp(1, 1, op)
-    if op.arity != ctx.k:
+    j, arity, u = ((op.j, op.arity, op.unary) if isinstance(op, FinitaryOp)
+                   else (1, 1, op))
+    if arity != ctx.k:
         raise ValueError(
-            f"arity mismatch: context is {ctx.k}-ary, operation is {op.arity}-ary")
-    return op.j, identity_map() if op.unary is None else op.unary
+            f"arity mismatch: context is {ctx.k}-ary, operation is {arity}-ary")
+    return j, identity_map() if u is None else u
 
 
 def _unary_least_difference(f, g) -> Tuple[Optional[int], bool]:
@@ -195,12 +195,6 @@ def dist(ctx: UltraMetricContext, f, g) -> DistResult:
     probe finds nothing bounds the answer from below only, by
     axis_index(k, j, N_MAX); an index is exact when below every such bound.
     """
-    if ctx.k == 1 and isinstance(f, PiecewiseEndo) and isinstance(g, PiecewiseEndo):
-        n = _piecewise_least_difference(f, g)
-        if n is None:
-            return DistResult(None, None, "equal (symbolic)", True)
-        probe = (nth_rational(n),)
-        return DistResult(n, probe, f"differ at e({n}) = {probe[0]}", True)
     (j1, u1), (j2, u2) = _unary_part(ctx, f), _unary_part(ctx, g)
     if j1 == j2:
         sides = ((j1, u1, u2),)
@@ -218,8 +212,8 @@ def dist(ctx: UltraMetricContext, f, g) -> DistResult:
         index, j, n = min(found)
         probe = tuple(nth_rational(n) if p == j else Rat(0)
                       for p in range(1, ctx.k + 1))
-        shown = ", ".join(map(str, probe))
-        return DistResult(index, probe, f"differ at e({index}) = ({shown})", True)
+        shown = probe[0] if ctx.k == 1 else f"({', '.join(map(str, probe))})"
+        return DistResult(index, probe, f"differ at e({index}) = {shown}", True)
     if depth < inf:
         return DistResult(None, None, f"indistinguishable at depth {depth}", False)
     return DistResult(None, None, "equal (symbolic)", True)

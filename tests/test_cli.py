@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from qendo import lazyiso
+from qendo import ratcore
 from qendo.actions import LabelledForest
 from qendo.cli import main
 from qendo.endo import PiecewiseEndo
@@ -298,9 +298,9 @@ def out_count_red(text: str) -> int:
 
 def test_exhausted_search_exits_3(monkeypatch, capsys):
     # with a negative cap the back-and-forth may scan no candidate at all
-    monkeypatch.setattr(lazyiso, "FAULT_CAP", -1)
+    monkeypatch.setattr(ratcore, "SEARCH_CAP", -1)
     code = main(["generic", "core", "--points", "3"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.err.startswith("error: back-and-forth search for a partner of ")
-    assert "FAULT_CAP=-1 in the gap" in captured.err
+    assert "SEARCH_CAP=-1 in the gap" in captured.err

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qendo import generic, lazyiso
+from qendo import generic, ratcore
 from qendo.endo import (
     PiecewiseEndo,
     classify,
@@ -27,7 +27,7 @@ from qendo.generic import (
     recover_witness,
     sim_related,
 )
-from qendo.lazyiso import ColouredQ, Marker
+from qendo.lazyiso import ColouredQ, Constraint, FullQ, LazyIso, Marker
 from qendo.partialmap import EMPTY_MAP, FinitePartialMap
 from qendo.ratcore import (
     Colour,
@@ -35,7 +35,9 @@ from qendo.ratcore import (
     RatInterval,
     SearchExhausted,
     colour,
+    colour_witness,
     intersect_intervals,
+    least_index_in_interval,
     nth_rational,
 )
 
@@ -221,12 +223,53 @@ def test_class_search_cap_raises_search_exhausted(monkeypatch):
     qa, qb = cert.class_of(g.eval(F(-1))), cert.class_of(g.eval(F(1)))
     assert next(iter(cert.index_order.enum_in_gap(qa, qb))) == 0
     assert cert.colour_of_index(cert.blue_index_between(qa, qb)) == Colour.BLUE
-    monkeypatch.setattr(generic, "SEARCH_CAP", 0)
+    monkeypatch.setattr(ratcore, "SEARCH_CAP", 0)
     fmt = cert.index_order.format_el
     gap = re.escape(f"in the gap ({fmt(qa)}, {fmt(qb)})")
     with pytest.raises(SearchExhausted,
                        match=f"blue class search .*SEARCH_CAP=0 {gap}"):
         cert.blue_index_between(qa, qb)
+
+
+def _partner_search():
+    # only nth_rational(1) is admissible, and the scan starts at index 0
+    offered = Constraint("offered", lambda x: True, lambda y: y == nth_rational(1))
+    return LazyIso(FullQ(), FullQ(), constraint=offered).eval_fwd, F(0)
+
+
+def _blue_class_search():
+    # g(0) lands in class 0, the first class of the gap between g(-1) and
+    # g(1), and it is red (test_class_search_cap_raises_search_exhausted)
+    g, cert = generic_embedding("core")
+    g.eval(F(0))
+    qa, qb = cert.class_of(g.eval(F(-1))), cert.class_of(g.eval(F(1)))
+    return cert.blue_index_between, qa, qb
+
+
+# each search, with arguments that the default cap answers but a cap of 0,
+# one candidate or one split, does not; and how its message starts
+CAPPED_SEARCHES = {
+    "partner": (_partner_search, "back-and-forth search for a partner of 0"),
+    "blue class": (_blue_class_search, "blue class search"),
+    "least index": (lambda: (least_index_in_interval, F(0), F(1),
+                             lambda x: x != F(1, 2)),
+                    "least-index witness search"),
+    "colour witness": (lambda: (colour_witness, F(1, 3), F(1, 2), Colour.BLUE),
+                       "colour witness search for blue"),
+}
+
+
+@pytest.mark.parametrize("search", sorted(CAPPED_SEARCHES))
+def test_search_cap_stops_each_search(monkeypatch, search):
+    start, message = CAPPED_SEARCHES[search]
+    run, *args = start()
+    run(*args)
+    run, *args = start()  # a fresh search: an iso would answer from its memo
+    monkeypatch.setattr(ratcore, "SEARCH_CAP", 0)
+    with pytest.raises(SearchExhausted,
+                       match=f"^{re.escape(message)} found nothing within "
+                             r"SEARCH_CAP=0 in the gap \("):
+        run(*args)
 
 
 def test_bounded_variants():
@@ -486,7 +529,7 @@ def test_recover_through_composite_cert_past_recoloured_classes(monkeypatch):
     # would send a red class of g∘f to one of them, and α would carry an
     # image point of g∘f out of the image (a small cap makes a failing
     # index search end fast)
-    monkeypatch.setattr(lazyiso, "FAULT_CAP", 2000)
+    monkeypatch.setattr(ratcore, "SEARCH_CAP", 2000)
     g, cert = absorb(PiecewiseEndo.parse(STEP))
     _check_recovery(cert.embedding, cert, F(2), cert.embedding.eval(F(0)))
 

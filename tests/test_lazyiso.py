@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qendo import lazyiso
+from qendo import ratcore
 from qendo.lazyiso import (
     ColouredQ,
     Constraint,
@@ -149,10 +149,10 @@ def test_fault_cap_raises_search_exhausted(monkeypatch):
     wanted = Constraint("denominator", lambda x: True,
                         lambda y: y.denominator > 5)
     assert build(FullQ(), FullQ(), constraint=wanted).eval_fwd(F(0)) == F(4, 7)
-    monkeypatch.setattr(lazyiso, "FAULT_CAP", 3)
+    monkeypatch.setattr(ratcore, "SEARCH_CAP", 3)
     iso = build(FullQ(), FullQ(), constraint=wanted)
     with pytest.raises(SearchExhausted,
-                       match=r"partner of 0 .*FAULT_CAP=3 in the gap \(-inf, \+inf\)"):
+                       match=r"partner of 0 .*SEARCH_CAP=3 in the gap \(-inf, \+inf\)"):
         iso.eval_fwd(F(0))
     assert iso.memo_pairs() == ()
 
@@ -530,8 +530,9 @@ class _ReferenceIso(LazyIso):
         lo = self._pairs[i - 1][val_idx] if i > 0 else None
         hi = self._pairs[i][val_idx] if i < len(self._pairs) else None
 
+        cap = ratcore.SEARCH_CAP
         for steps, cand in enumerate(other.enum_in_gap(lo, hi)):
-            if steps > lazyiso.FAULT_CAP:
+            if steps > cap:
                 break
             if not other.contains(cand):
                 continue
@@ -541,7 +542,7 @@ class _ReferenceIso(LazyIso):
                 return cand
         raise SearchExhausted(
             f"back-and-forth search for a partner of {own.format_el(el)}",
-            f"FAULT_CAP={lazyiso.FAULT_CAP}", lo, hi, other.format_el)
+            lo, hi, other.format_el)
 
 
 def _reference_build(source, target, seed=(), constraint=None):
@@ -684,15 +685,15 @@ def test_alpha_keeps_order_inverse_image_and_classes(variant, data):
 @pytest.mark.parametrize("admissible_at, accepted", [(3, True), (4, False)])
 def test_fault_cap_bounds_the_scan_index(monkeypatch, make, admissible_at, accepted):
     # FullQ's whole enumeration offers nth_rational(0), (1), ...; only
-    # index admissible_at is admissible.  With FAULT_CAP = 3 the scan
+    # index admissible_at is admissible.  With SEARCH_CAP = 3 the scan
     # covers indices 0..3
-    monkeypatch.setattr(lazyiso, "FAULT_CAP", 3)
+    monkeypatch.setattr(ratcore, "SEARCH_CAP", 3)
     wanted = nth_rational(admissible_at)
     offered = Constraint("offered", lambda x: True, lambda y: y == wanted)
     iso = make(FullQ(), FullQ(), constraint=offered)
     if accepted:
         assert iso.eval_fwd(F(0)) == wanted
     else:
-        with pytest.raises(SearchExhausted, match="FAULT_CAP=3"):
+        with pytest.raises(SearchExhausted, match="SEARCH_CAP=3"):
             iso.eval_fwd(F(0))
         assert iso.memo_pairs() == ()

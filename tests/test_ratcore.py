@@ -5,7 +5,7 @@ against Fraction."""
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qendo.ratcore import (
@@ -22,7 +22,7 @@ from qendo.ratcore import (
     simplest_between,
 )
 
-from util import fractions_between
+from util import fractions_anywhere, fractions_between
 
 # independently derived via the Newman single-fraction recurrence
 FIRST_16 = [
@@ -96,7 +96,7 @@ def test_simplest_between_frozen():
     assert simplest_between(None, None) == F(0)
 
 
-@given(st.fractions(max_denominator=50), st.fractions(max_denominator=50))
+@given(fractions_anywhere(50), fractions_anywhere(50))
 def test_simplest_between_is_inside(a, b):
     if a == b:
         return
@@ -116,7 +116,7 @@ def test_colour_witness_frozen():
     assert colour_witness(F(7, 5), F(10, 7), Colour.BLUE) == F(27, 19)
 
 
-@given(st.fractions(max_denominator=30), st.fractions(max_denominator=30))
+@given(fractions_anywhere(30), fractions_anywhere(30))
 def test_colour_witness_properties(a, b):
     if a == b:
         return
@@ -181,7 +181,7 @@ def test_interval_basics():
         RatInterval(F(1), F(1))  # open degenerate is empty
 
 
-@given(st.fractions(max_denominator=20), st.fractions(max_denominator=20),
+@given(fractions_anywhere(20), fractions_anywhere(20),
        st.booleans(), st.booleans())
 @settings(max_examples=200)
 def test_interval_roundtrip(a, b, lc, hc):
@@ -252,10 +252,13 @@ def test_intersect_intervals():
     assert intersect_intervals(FULL_LINE, iv("(-3,7]")) == iv("(-3,7]")
 
 
-@given(st.lists(st.tuples(st.fractions(max_denominator=8),
-                          st.fractions(max_denominator=8),
+@given(st.lists(st.tuples(fractions_anywhere(8),
+                          fractions_anywhere(8),
                           st.booleans(), st.booleans()), max_size=6),
-       st.fractions(max_denominator=16))
+       fractions_anywhere(16))
+# two intervals that touch at 1 open on both sides: the draws rarely bring
+# a point at such a touch
+@example([(F(0), F(1), False, False), (F(1), F(2), False, False)], F(1))
 @settings(max_examples=300)
 def test_union_machinery_pointwise(raw, x):
     ivs = []
@@ -521,18 +524,28 @@ def test_enumerated_with_a_closed_infinite_end_is_a_value_error():
 
 
 def test_least_index_limit_raises_search_exhausted(monkeypatch):
-    monkeypatch.setattr(ratcore, "LEAST_INDEX_CAP", 10)
+    monkeypatch.setattr(ratcore, "SEARCH_CAP", 10)
     with pytest.raises(SearchExhausted,
-                       match=r"LEAST_INDEX_CAP=10 in the gap \(0, 1\)"):
+                       match=r"SEARCH_CAP=10 in the gap \(0, 1\)"):
         least_index_in_interval(F(0), F(1), pred=lambda x: False)
 
 
 def test_colour_witness_bound_raises_search_exhausted(monkeypatch):
-    # the first candidate in (1/3, 1/2) is 2/5, past a bound of 2
-    monkeypatch.setattr(ratcore, "DENOMINATOR_BOUND", 2)
+    # the first split of (1/3, 1/2) is at 2/5, which is red; a cap of 0
+    # allows that split only, and the blue witness 3/7 comes later
+    monkeypatch.setattr(ratcore, "SEARCH_CAP", 0)
+    assert colour_witness(F(1, 3), F(1, 2), Colour.RED) == F(2, 5)
     with pytest.raises(SearchExhausted,
-                       match=r"DENOMINATOR_BOUND=2 in the gap \(1/3, 1/2\)"):
+                       match=r"SEARCH_CAP=0 in the gap \(1/3, 1/2\)"):
         colour_witness(F(1, 3), F(1, 2), Colour.BLUE)
+
+
+def test_colour_witness_on_a_gap_of_large_denominators():
+    # every rational in (0, 1/10^6) has a denominator above 10^6; the
+    # search counts splits, not denominators
+    gap = (F(0), F(1, 10 ** 6))
+    assert colour_witness(*gap, Colour.BLUE) == F(1, 1000001)
+    assert colour_witness(*gap, Colour.RED) == F(1, 1000002)
 
 
 # ---------------------------------------------------------------------------

@@ -60,6 +60,16 @@ def fractions_between(lo, hi, max_denominator):
     return st.sampled_from(_fractions(lo, hi, max_denominator))
 
 
+@lru_cache(maxsize=None)
+def fractions_anywhere(max_denominator):
+    """Fractions of any value with denominator at most max_denominator: the
+    values of st.fractions(max_denominator=...), drawn several times faster
+    as an integer over a denominator in range, which the fraction reduces.
+    Two draws coincide less often than from st.fractions, so a test that
+    needs equal values states them with @example."""
+    return st.builds(F, st.integers(), st.integers(1, max_denominator))
+
+
 # Strategies are built once: a strategy made inside a composite is validated
 # on every draw.  Values come from _fractions lists, which draw several times
 # faster than st.fractions.  For monotone_endos, each cut brings one tuple:
