@@ -164,23 +164,18 @@ class PiecewiseEndo:
         return merge_intervals([p.image() for p in self.pieces])
 
     def point_preimage(self, q: Rat) -> Optional[RatInterval]:
-        """The solution set of f(x) = q; convex by weak monotonicity."""
-        parts = []
-        for p in self.pieces:
+        """The solution set of f(x) = q.  In the canonical form at most one
+        piece's image holds q: the set is that piece's interval if it is
+        a plateau, else the one point where it takes q."""
+        for p in self.canonical().pieces:
             if p.slope == 0:
                 if p.intercept == q:
-                    parts.append(p.interval)
+                    return p.interval
             else:
                 x = (q - p.intercept) / p.slope
                 if p.interval.contains(x):
-                    parts.append(point_interval(x))
-        if not parts:
-            return None
-        merged = merge_intervals(parts)
-        if len(merged) != 1:
-            raise AssertionError(f"preimage of {q} is not convex: "
-                                 + " u ".join(map(str, merged)))
-        return merged[0]
+                    return point_interval(x)
+        return None
 
     def __str__(self):
         return "\n".join(str(p) for p in self.pieces)
@@ -542,9 +537,7 @@ def epi_mono_factorize(h: PiecewiseEndo) -> Factorization:
 
     def preimage(r):
         r = Rat(r)
-        fibre = hc.point_preimage(r)
-        el = (r, "pt") if fibre is None else (r, fibre.sample_point())
-        return theta.eval_bwd(el)
+        return theta.eval_bwd((r, next(order.fibre(r).enum_in_gap(None, None))))
 
     return Factorization(
         epi=LazyEndo(epi_fn),

@@ -7,10 +7,10 @@ both ends given and lo not below hi is an error: enum_in_gap raises
 ValueError, at the call or at the first next().  A gap with an unbounded
 side is never an error, only possibly empty, as (max, None) is.
 
-`enum_in_gap(None, None)` is the whole enumeration, and `index_of(el)`,
-where defined, is el's position in it, from 0.  A LexSum asks index_of
-of its index order and of each fibre on its own, so a fibre's index_of
-counts positions inside that fibre only.  `min_el` and
+`enum_in_gap(None, None)` is the whole enumeration.  An order that
+serves as a LexSum's index (FullQ, ColouredQ) also has `index_of(el)`,
+el's position in that enumeration, from 0; a fibre needs none, as a sum
+orders each fibre's lane by position in the lane.  `min_el` and
 `max_el` are the order's least and greatest elements, None where there
 is none.  Elements of one spec compare with Python's `<` in the spec's
 order: rationals are Fractions, the adjoined endpoints are Markers that
@@ -23,8 +23,8 @@ RedQ, the rationals whose numerator and denominator sum to an odd number,
 enumerated as FullQ's stream with the blue ones left out.
 
 A LazyIso holds a growing finite partial isomorphism between two specs
-and extends it on demand: evaluating at a fresh point inserts the
-admissible partner of least index in the other spec's own enumeration
+and extends it on demand: evaluating at a fresh point inserts the first
+admissible partner in the other spec's stream of the gap
 (back-and-forth, made deterministic).  An iso may carry one Constraint,
 which admits a pair (x, y) when x's source key equals y's target key,
 such as a colour.  The search scans the other spec's gap enumeration,
@@ -104,10 +104,6 @@ class OrderSpec:
 
     def format_el(self, el) -> str:
         return str(el)
-
-    def index_of(self, el) -> int:
-        """Position in the whole enumeration (used by LexSum)."""
-        raise NotImplementedError
 
 
 class FullQ(OrderSpec):
@@ -191,14 +187,10 @@ class RedQ(OrderSpec):
 
 
 class IntervalQ(OrderSpec):
-    """The rationals of one RatInterval, in global enumeration order.
-    index_of scans that enumeration once, resuming where it last stopped;
-    it starts on first use, as most fibres are only asked `contains`."""
+    """The rationals of one RatInterval, in global enumeration order."""
 
     def __init__(self, interval: RatInterval):
         self.interval = interval
-        self._scan = None
-        self._index = {}
 
     def contains(self, el):
         return ((type(el) is Rat or isinstance(el, Fraction))
@@ -209,20 +201,6 @@ class IntervalQ(OrderSpec):
         if w is None:
             return iter(())
         return enumerated_in_interval(w.lo, w.hi, w.lo_closed, w.hi_closed)
-
-    def index_of(self, el):
-        index = self._index
-        if el not in index:
-            if not self.contains(el):  # the scan would never reach it
-                raise ValueError(f"{el} is not in {self.interval}")
-            if self._scan is None:
-                iv = self.interval
-                self._scan = enumerate(enumerated_in_interval(
-                    iv.lo, iv.hi, iv.lo_closed, iv.hi_closed))
-            while el not in index:
-                j, y = next(self._scan)
-                index[y] = j
-        return index[el]
 
 
 class PointOrder(OrderSpec):
@@ -236,17 +214,17 @@ class PointOrder(OrderSpec):
             raise ValueError("empty gap (pt, pt)")
         return iter(("pt",) if lo is None and hi is None else ())
 
-    def index_of(self, el):
-        return 0
-
 
 class LexSum(OrderSpec):
     """Lexicographic sum of the orders fibre(a) over an index order.
 
     Elements are tuples (a, b) with b in fibre(a), so tuple order compares
     a first and then b inside fibre(a): a fibre's elements are all of one
-    type.  The enumeration runs along the Cantor diagonal:
-    index_of((a, b)) = cantor(index.index_of(a), fibre(a).index_of(b)).
+    type.  A gap's stream merges lanes, one per index element a that the
+    gap meets: the lane is fibre(a)'s own stream of the gap's part over a,
+    and its j-th element has the key cantor(index.index_of(a), j).  A
+    whole fibre's lane is its whole enumeration, so enum_in_gap(None,
+    None) runs along the Cantor diagonal of index and fibre positions.
     A lexicographic product is the sum with the same fibre everywhere.
     The sum is taken to be endpoint-free: where the index order has a
     least (greatest) element, the fibre over it must have none.
@@ -261,23 +239,18 @@ class LexSum(OrderSpec):
                 and self.index.contains(el[0])
                 and self.fibre(el[0]).contains(el[1]))
 
-    def index_of(self, el):
-        return _cantor(self.index.index_of(el[0]),
-                       self.fibre(el[0]).index_of(el[1]))
-
     def _lane(self, a, lo, hi):
-        # (index, element) for the fibre over a, strictly inside (lo, hi)
+        # (key, element) for the fibre over a, strictly inside (lo, hi)
         ia = self.index.index_of(a)
-        fibre = self.fibre(a)
-        for b in fibre.enum_in_gap(lo, hi):
-            yield _cantor(ia, fibre.index_of(b)), (a, b)
+        for j, b in enumerate(self.fibre(a).enum_in_gap(lo, hi)):
+            yield _cantor(ia, j), (a, b)
 
     def _merge_lanes(self, index_elements, lanes):
         # the given lanes and the whole fibres over index_elements, merged
-        # by index.  A whole fibre starts at fibre index 0, so whole-fibre
-        # lane heads ascend: the next one is due only once the newest one's
-        # head has been yielded.  Indices are distinct, so the heap never
-        # compares elements.
+        # by key.  Every lane starts at place 0 and index_elements come in
+        # index order, so whole-fibre lane heads ascend: the next one is
+        # due only once the newest one's head has been yielded.  Keys are
+        # distinct, so the heap never compares elements.
         heap = []
 
         def push(lane, is_head):
@@ -329,8 +302,10 @@ class FactorOrder(LexSum):
 
     FactorOrder(h) takes any h with `eval` and `point_preimage`.  A pair
     (q, y) with y rational is a member exactly when h.eval(y) == q, one
-    evaluation and no fibre; (q, 'pt'), gap enumeration and index_of go
-    through the fibres, built once per q from h.point_preimage."""
+    evaluation and no fibre; (q, 'pt') and gap enumeration go through the
+    fibres, built once per q from h.point_preimage.  A gap stream draws
+    only from the fibres' own streams of the gap, so each candidate costs
+    a bounded number of enumeration steps at any depth."""
 
     def __init__(self, h):
         # fibre is a method, not a callable stored as LexSum stores it: a

@@ -538,22 +538,6 @@ class RatInterval:
     def is_degenerate(self) -> bool:
         return self.lo is not None and self.lo == self.hi
 
-    def sample_point(self) -> Rat:
-        """Canonical member."""
-        if self.is_degenerate():
-            return self.lo
-        if self.lo is None and self.hi is None:
-            return Rat(0)
-        if self.lo is None:
-            return self.hi - 1
-        if self.hi is None:
-            return self.lo + 1
-        if self.lo_closed:
-            return self.lo
-        if self.hi_closed:
-            return self.hi
-        return (self.lo + self.hi) / 2
-
     def __str__(self):
         left = "[" if self.lo_closed else "("
         right = "]" if self.hi_closed else ")"

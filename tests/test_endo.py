@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qendo import lazyiso
 from qendo.endo import (
     Piece,
     PiecewiseEndo,
@@ -27,6 +28,7 @@ from qendo.ratcore import (
     Rat,
     RatInterval,
     intersect_intervals,
+    merge_intervals,
     nth_rational,
     point_interval,
 )
@@ -265,6 +267,44 @@ def test_factor_order_memo_dump_golden():
         "-2 -> im:-2@-2, -1 -> im:-1/2@-1/2, -1/3 -> im:-1/3@-1/3, "
         "0 -> im:0@0, 1/2 -> im:0@1/2, 1 -> pt:1, 5/4 -> pt:3/2, "
         "3/2 -> pt:2, 5/3 -> im:4@3, 2 -> im:5@4, 7 -> im:6@5")
+
+
+DRAW_LIMIT = 1000
+
+
+@pytest.fixture
+def limited_draws(monkeypatch):
+    # lazyiso's rational streams, failing once they have yielded
+    # DRAW_LIMIT rationals in all: an unbounded scan fails fast
+    whole = lazyiso.enumerated_in_interval
+    drawn = [0]
+
+    def counted(*args):
+        for x in whole(*args):
+            drawn[0] += 1
+            if drawn[0] > DRAW_LIMIT:
+                raise AssertionError(f"drew more than {DRAW_LIMIT} rationals")
+            yield x
+
+    monkeypatch.setattr(lazyiso, "enumerated_in_interval", counted)
+
+
+def test_forward_search_beside_a_deep_fibre_point_draws_few(limited_draws):
+    # mono pins 60/61, deep in the plateau's fibre over 1/2, and 1; epi's
+    # search at 1/2 then opens a gap whose lower end lies in that fibre
+    h = PiecewiseEndo.parse("(-inf,0] : 1*x\n(0,1) : 0*x + 1/2\n[1,+inf) : 1*x\n")
+    fact = epi_mono_factorize(h)
+    x1, x2 = fact.mono.eval(F(60, 61)), fact.mono.eval(F(1))
+    assert x1 < F(1, 2) < x2
+    assert F(1, 2) <= fact.epi.eval(F(1, 2)) <= F(1)
+
+
+def test_gap_inside_one_fibre_draws_few(limited_draws):
+    # both ends deep in STEP_FLAT's fibre [0, 1] over 0
+    order = FactorOrder(STEP_FLAT)
+    lo, hi = (F(0), F(1, 41)), (F(0), F(1, 40))
+    first = next(iter(order.enum_in_gap(lo, hi)))
+    assert lo < first < hi and order.contains(first)
 
 
 def test_factor_order_is_freed_without_the_cyclic_collector():
@@ -526,6 +566,39 @@ def test_factor_order_membership_matches_the_fibres(f):
     q = f.eval(y)
     for el in (q, (q,), (q, y, y), [q, y], ("q", y), (q, "q"), (None, y)):
         assert not order.contains(el)
+
+
+def _merged_solutions(f, q):
+    # the solution set of f(x) = q as every piece's solutions, merged into
+    # one interval
+    parts = []
+    for p in f.pieces:
+        if p.slope == 0:
+            if p.intercept == q:
+                parts.append(p.interval)
+        else:
+            x = (q - p.intercept) / p.slope
+            if p.interval.contains(x):
+                parts.append(point_interval(x))
+    if not parts:
+        return None
+    merged = merge_intervals(parts)
+    assert len(merged) == 1
+    return merged[0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(wide_endos(), monotone_endos()))
+def test_point_preimage_matches_the_merged_solutions(f):
+    # values at the probes and at every piece's finite ends, and values
+    # just beside them
+    values = {f.eval(y) for y in _probes(f)}
+    for p in f.pieces:
+        values.update(p.value_at(x) for x in (p.interval.lo, p.interval.hi)
+                      if x is not None)
+    for q in values:
+        for r in (q, q + Rat(1, 7), q - Rat(1, 1000)):
+            assert f.point_preimage(r) == _merged_solutions(f, r)
 
 
 # -- sections: one sweep over the canonical form ------------------------------

@@ -1,7 +1,7 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from qendo.partialmap import EMPTY_MAP, FinitePartialMap, MergeConflictError
@@ -35,13 +35,20 @@ def test_inverse():
 
 @given(st.lists(st.tuples(fractions_anywhere(10),
                           fractions_anywhere(10)), max_size=8))
+@example([(F(1), F(2)), (F(0), F(5)), (F(1), F(3))])  # 1 given two images
+@example([(F(1), F(2)), (F(0), F(5)), (F(1), F(2))])  # 1 given one image twice
 def test_apply_agrees_with_graph(pairs):
-    try:
-        m = FinitePartialMap.from_pairs(pairs)
-    except MergeConflictError:
+    graph = {}
+    for x, y in pairs:
+        graph.setdefault(x, set()).add(y)
+    if any(len(ys) > 1 for ys in graph.values()):
+        with pytest.raises(MergeConflictError):
+            FinitePartialMap.from_pairs(pairs)
         return
+    m = FinitePartialMap.from_pairs(pairs)
+    assert m.domain() == tuple(sorted(graph))
     for x, y in m.pairs:
-        assert m.apply(x) == y
+        assert m.apply(x) == y and graph[x] == {y}
     assert m.apply(F(10 ** 9)) is None or F(10 ** 9) in m.domain()
 
 
@@ -49,6 +56,7 @@ def test_apply_agrees_with_graph(pairs):
                 unique=True),
        st.lists(fractions_anywhere(10), min_size=1, max_size=8,
                 unique=True))
+@example([F(0), F(1, 2)], [F(0), F(1, 2)])  # xs == ys: the identity
 def test_sorted_zip_is_automorphism(xs, ys):
     n = min(len(xs), len(ys))
     m = FinitePartialMap.from_pairs(zip(sorted(xs)[:n], sorted(ys)[:n]))
