@@ -16,7 +16,7 @@ from isomorphism engines) and ComposedEndo chains arbitrary factors.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
@@ -37,15 +37,23 @@ from .ratcore import (
 
 @dataclass(frozen=True)
 class Piece:
-    """One affine piece: x |-> slope*x + intercept on the interval."""
+    """One affine piece: x |-> slope*x + intercept on the interval.
+
+    Both coefficients are kept as Rat; only one that is not a Rat already
+    is converted, so the pieces this module builds from Rat arithmetic pay
+    two type tests.  The slope's sign is its numerator's."""
     interval: RatInterval
     slope: Rat
     intercept: Rat
 
     def __post_init__(self):
-        object.__setattr__(self, "slope", Rat(self.slope))
-        object.__setattr__(self, "intercept", Rat(self.intercept))
-        if self.slope < 0:
+        s = self.slope
+        if type(s) is not Rat:
+            s = Rat(s)
+            object.__setattr__(self, "slope", s)
+        if type(self.intercept) is not Rat:
+            object.__setattr__(self, "intercept", Rat(self.intercept))
+        if s._numerator < 0:
             raise ValueError("slope must be nonnegative")
 
     def value_at(self, x: Rat) -> Rat:
@@ -227,7 +235,9 @@ def _tidy_pieces(pieces) -> list:
 
 def _settle_pieces(pieces: list) -> list:
     """Move, in place, each cut point at which both neighbouring formulas
-    agree to a flat neighbour, else to the left one; returns the list."""
+    agree to a flat neighbour, else to the left one; returns the list.  A
+    moved piece is built with the two constructors, whose Rat fields pass
+    through unconverted."""
     for i in range(len(pieces) - 1):
         left, right = pieces[i], pieces[i + 1]
         to_left = left.slope == 0 or right.slope != 0
@@ -237,10 +247,11 @@ def _settle_pieces(pieces: list) -> list:
             # held as the rule says, or the formulas part at b, as they do
             # beside every one-point piece of tidied pieces
             continue
-        pieces[i] = replace(left, interval=replace(
-            left.interval, hi_closed=to_left))
-        pieces[i + 1] = replace(right, interval=replace(
-            right.interval, lo_closed=not to_left))
+        iv, jv = left.interval, right.interval
+        pieces[i] = Piece(RatInterval(iv.lo, iv.hi, iv.lo_closed, to_left),
+                          left.slope, left.intercept)
+        pieces[i + 1] = Piece(RatInterval(jv.lo, jv.hi, not to_left, jv.hi_closed),
+                              right.slope, right.intercept)
     return pieces
 
 
@@ -265,7 +276,10 @@ def compose(outer: PiecewiseEndo, inner: PiecewiseEndo) -> PiecewiseEndo:
     where the inner piece does.  A cut equal to a closed end of the image
     gives a one-point region, and an empty region is skipped.  The regions
     come out in order and are tidied as a list, so the only map built and
-    validated is the result.  Cost: O(n + m + k) piece steps and one
+    validated is the result.  Each region's formula and each pull-back is
+    built from the coefficients' integer parts with one gcd, as
+    Piece.value_at is, and the Rats that come out pass through Piece and
+    RatInterval unconverted.  Cost: O(n + m + k) piece steps and one
     division per outer cut inside an image, for n inner, m outer and k
     result pieces, plus one binary search per inner piece."""
     opieces = outer.pieces
@@ -279,12 +293,17 @@ def compose(outer: PiecewiseEndo, inner: PiecewiseEndo) -> PiecewiseEndo:
             continue
         top = None if iv.hi is None else pi.value_at(iv.hi)
         k = 0 if iv.lo is None else outer.piece_index(pi.value_at(iv.lo))
+        sn, sd, cn, cd = s._numerator, s._denominator, c._numerator, c._denominator
         # the region being built starts at lo, which it holds iff lo_closed
         lo, lo_closed = iv.lo, iv.lo_closed
         while True:
             po = opieces[k]
             J = po.interval
-            formula = po.slope * s, po.slope * c + po.intercept
+            # t*(s*x + c) + b is (t*s)*x + (t*c + b)
+            t, b = po.slope, po.intercept
+            tn, td, bd = t._numerator, t._denominator, b._denominator
+            formula = (_reduced(tn * sn, td * sd),
+                       _reduced(tn * cn * bd + b._numerator * td * cd, td * cd * bd))
             if J.hi is None or top is not None and (J.hi > top or (
                     J.hi == top and (J.hi_closed or not iv.hi_closed))):
                 # past the image's top: never empty, as lo lies below the
@@ -293,7 +312,10 @@ def compose(outer: PiecewiseEndo, inner: PiecewiseEndo) -> PiecewiseEndo:
                 pieces.append(Piece(RatInterval(lo, iv.hi, lo_closed, iv.hi_closed),
                                     *formula))
                 break
-            x = (J.hi - c) / s
+            # the pull-back (J.hi - c) / s of the cut; s > 0
+            h = J.hi
+            hd = h._denominator
+            x = _reduced((h._numerator * cd - cn * hd) * sd, hd * cd * sn)
             if lo is None or lo < x or (lo_closed and J.hi_closed):
                 pieces.append(Piece(RatInterval(lo, x, lo_closed, J.hi_closed),
                                     *formula))

@@ -511,19 +511,29 @@ class RatInterval:
     hi_closed: bool = False
 
     def __post_init__(self):
-        # bounds are kept as Rat, so they reach results with Rat's fast paths
-        if self.lo is not None and type(self.lo) is not Rat:
-            object.__setattr__(self, "lo", Rat(self.lo))
-        if self.hi is not None and type(self.hi) is not Rat:
-            object.__setattr__(self, "hi", Rat(self.hi))
-        if self.lo is None and self.lo_closed:
-            raise ValueError("-inf endpoint must be open")
-        if self.hi is None and self.hi_closed:
-            raise ValueError("+inf endpoint must be open")
-        if self.lo is not None and self.hi is not None:
-            if self.lo > self.hi:
+        """Bounds are kept as Rat, so they reach results with Rat's fast
+        paths; only a bound that is not a Rat already is converted.  Two
+        finite bounds are ordered by one integer cross-multiplication,
+        which is exact as both are in lowest terms: equal products mean
+        equal bounds."""
+        lo, hi = self.lo, self.hi
+        if lo is None:
+            if self.lo_closed:
+                raise ValueError("-inf endpoint must be open")
+        elif type(lo) is not Rat:
+            lo = Rat(lo)
+            object.__setattr__(self, "lo", lo)
+        if hi is None:
+            if self.hi_closed:
+                raise ValueError("+inf endpoint must be open")
+        elif type(hi) is not Rat:
+            hi = Rat(hi)
+            object.__setattr__(self, "hi", hi)
+        if lo is not None and hi is not None:
+            a, b = lo._numerator * hi._denominator, hi._numerator * lo._denominator
+            if a > b:
                 raise ValueError("interval bounds out of order")
-            if self.lo == self.hi and not (self.lo_closed and self.hi_closed):
+            if a == b and not (self.lo_closed and self.hi_closed):
                 raise ValueError("empty interval")
 
     def contains(self, x: Rat) -> bool:

@@ -37,6 +37,7 @@ from .ratcore import (
 
 __all__ = [
     "N_MAX",
+    "DECIMAL_INDEX_BITS",
     "UltraMetricContext",
     "DistResult",
     "axis_index",
@@ -47,6 +48,10 @@ __all__ = [
 ]
 
 N_MAX = 2048
+# an enumeration index of at most this many bits is printed in decimal;
+# a longer one as its bit length and the point it enumerates (_index_text)
+DECIMAL_INDEX_BITS = 1024
+_ZERO = Rat(0)
 
 
 def axis_index(k: int, p: int, c: int) -> int:
@@ -85,15 +90,30 @@ class DistResult:
         so distances compare through it without building 2^-index."""
         return inf if self.index is None else self.index
 
-    @property
-    def value(self) -> Rat:
-        """2^-index, or 0 when no difference was found.  Built on read: an
-        index can run to trillions, and then this has as many bits."""
-        return Rat(0) if self.index is None else Rat(1, 2 ** self.index)
+    def distance_text(self) -> str:
+        """The distance 2^-index, printed with _index_text, or 0."""
+        if self.index is None:
+            return "0"
+        return f"2^-{_index_text(self.index, _probe_text(self.probe))}"
 
     def __str__(self) -> str:
-        shown = "0" if self.index is None else f"2^-{self.index}"
-        return f"{shown} ({self.verdict})"
+        return f"{self.distance_text()} ({self.verdict})"
+
+
+def _probe_text(probe: Tuple[Rat, ...]) -> str:
+    return str(probe[0]) if len(probe) == 1 else f"({', '.join(map(str, probe))})"
+
+
+def _index_text(index: int, point: str) -> str:
+    """An enumeration index, printed exactly at any size: in decimal when
+    it has at most DECIMAL_INDEX_BITS bits, else as its bit length and the
+    printed point it enumerates, which determines it.  Python refuses to
+    print an int of more than 4300 digits in decimal, and the index of the
+    integer n has n + 1 bits."""
+    bits = index.bit_length()
+    if bits <= DECIMAL_INDEX_BITS:
+        return str(index)
+    return f"<{bits}-bit index of {point}>"
 
 
 def _piecewise_least_difference(f: PiecewiseEndo, g: PiecewiseEndo) -> Optional[int]:
@@ -122,10 +142,16 @@ def _piecewise_least_difference(f: PiecewiseEndo, g: PiecewiseEndo) -> Optional[
     O((n + m) log(n + m)) steps over the n + m pieces of the two maps.
     The two maps' cuts are two sorted runs, which one sort merges in
     linear time; a cut that repeats is visited once.
+
+    Before the pass, the two forms are compared at 0, the enumeration's
+    index 0: when they differ there, that is the answer, at the cost of
+    two binary searches and two evaluations, with no walk and no sort.
     """
     fc, gc = f.canonical(), g.canonical()
     if fc == gc:
         return None
+    if fc.eval(_ZERO) != gc.eval(_ZERO):
+        return 0
     best = inf
     lo = None
     for hi in sorted(fc._cuts + gc._cuts) + [None]:
@@ -212,8 +238,9 @@ def dist(ctx: UltraMetricContext, f, g) -> DistResult:
         index, j, n = min(found)
         probe = tuple(nth_rational(n) if p == j else Rat(0)
                       for p in range(1, ctx.k + 1))
-        shown = probe[0] if ctx.k == 1 else f"({', '.join(map(str, probe))})"
-        return DistResult(index, probe, f"differ at e({index}) = {shown}", True)
+        shown = _probe_text(probe)
+        return DistResult(index, probe,
+                          f"differ at e({_index_text(index, shown)}) = {shown}", True)
     if depth < inf:
         return DistResult(None, None, f"indistinguishable at depth {depth}", False)
     return DistResult(None, None, "equal (symbolic)", True)
@@ -251,9 +278,8 @@ class LiftReport:
             return f"hypothesis fails: {self.hypothesis_note}"
         lines = [f"{'n':>4}  {'unary dist':>12}  {'k-ary dist':>12}  guaranteed"]
         for n, d1, dk, m in self.rows:
-            s1 = "0" if d1.index is None else f"2^-{d1.index}"
-            sk = "0" if dk.index is None else f"2^-{dk.index}"
-            lines.append(f"{n:>4}  {s1:>12}  {sk:>12}  <= 2^-{m}")
+            lines.append(f"{n:>4}  {d1.distance_text():>12}  "
+                         f"{dk.distance_text():>12}  <= 2^-{m}")
         lines.append("lifted convergence holds" if self.ok
                      else "lifted convergence FAILS")
         return "\n".join(lines)

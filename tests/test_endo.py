@@ -70,8 +70,19 @@ def test_validation_rejects_bad_partitions():
             Piece(RatInterval(None, F(0)), F(1), F(0)),
             Piece(RatInterval(F(0), None, True, False), F(1), F(-5)),
         ))
-    with pytest.raises(ValueError, match="nonnegative"):
-        Piece(RatInterval(None, None), F(-1), F(0))
+    # a Rat slope skips conversion, so its sign is tested on its own
+    for slope in (Rat(-1, 2), F(-1, 2), -1):
+        with pytest.raises(ValueError, match="nonnegative"):
+            Piece(RatInterval(None, None), slope, F(0))
+
+
+def test_piece_keeps_its_coefficients_as_rat():
+    for slope, intercept in ((F(1, 2), F(-3)), (2, -3), (Rat(2), Rat(-3, 4))):
+        p = Piece(RatInterval(None, None), slope, intercept)
+        assert type(p.slope) is Rat and type(p.intercept) is Rat
+        assert (p.slope, p.intercept) == (slope, intercept)
+    same = Rat(3, 4)
+    assert Piece(RatInterval(None, None), same, same).slope is same
 
 
 def test_canonical_absorbs_matching_point_piece():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from qendo.ratcore import (
     Colour,
+    Rat,
     RatInterval,
     colour,
     colour_witness,
@@ -174,11 +175,21 @@ def test_interval_basics():
     assert full.contains(F(10 ** 9))
     assert str(full) == "(-inf,+inf)"
     with pytest.raises(ValueError):
-        RatInterval(F(1), F(0))
-    with pytest.raises(ValueError):
         RatInterval(None, F(0), lo_closed=True)
-    with pytest.raises(ValueError):
-        RatInterval(F(1), F(1))  # open degenerate is empty
+    # bounds of every accepted type are ordered after conversion to Rat
+    for kind in (Rat, F, int):
+        with pytest.raises(ValueError, match="out of order"):
+            RatInterval(kind(1), kind(0))
+        with pytest.raises(ValueError, match="out of order"):
+            RatInterval(kind(-1), kind(-2), True, True)
+        for lc, hc in ((False, False), (True, False), (False, True)):
+            with pytest.raises(ValueError, match="empty"):
+                RatInterval(kind(1), kind(1), lc, hc)  # only [a,a] holds a
+        iv = RatInterval(kind(1), kind(1), True, True)
+        assert type(iv.lo) is Rat and type(iv.hi) is Rat and iv.is_degenerate()
+    with pytest.raises(ValueError, match="out of order"):
+        RatInterval(F(1, 3), F(1, 4))  # cross products 4 > 3
+    assert RatInterval(F(1, 4), F(1, 3)).contains(F(2, 7))
 
 
 @given(fractions_anywhere(20), fractions_anywhere(20),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qendo import topology
 from qendo.clone import FinitaryOp
 from qendo.endo import (
     LazyEndo,
@@ -25,7 +26,9 @@ from qendo.ratcore import (
     simplest_between,
 )
 from qendo.topology import (
+    DECIMAL_INDEX_BITS,
     N_MAX,
+    LiftReport,
     UltraMetricContext,
     automorphism_near,
     axis_index,
@@ -74,18 +77,18 @@ def test_axis_index_is_the_first_tuple_on_its_axis():
 
 def test_dist_identical():
     r = dist(CTX, identity_map(), identity_map())
-    assert r.value == 0 and r.exact and "equal" in r.verdict
+    assert r.index is None and r.exact and "equal" in r.verdict
 
 
 def test_dist_constants():
     r = dist(CTX, constant_map(F(0)), constant_map(F(1)))
-    assert r.value == F(1)  # differ at e(0) = 0
-    assert r.index == 0
+    assert r.index == 0  # differ at e(0) = 0: distance 1
+    assert str(r) == "2^-0 (differ at e(0) = 0)"
 
 
 def test_dist_shift():
     r = dist(CTX, identity_map(), affine_map(F(1), F(1)))
-    assert r.value == F(1) and r.index == 0
+    assert r.index == 0
 
 
 def test_dist_symbolic_matches_probe_scan():
@@ -97,13 +100,12 @@ def test_dist_symbolic_matches_probe_scan():
     ))
     r = dist(CTX, f, g)
     assert r.index == rat_index(F(2)) == 5
-    assert r.value == F(1, 2 ** 5)
     # probe scan on the same pair (forced through the lazy path)
     class Opaque:
         def __init__(self, h):
             self.eval = h.eval
     r2 = dist(CTX, Opaque(f), Opaque(g))
-    assert (r2.value, r2.index) == (r.value, r.index)
+    assert r2.index == r.index
 
 
 def test_dist_indistinguishable_reported():
@@ -111,7 +113,7 @@ def test_dist_indistinguishable_reported():
         def __init__(self, h):
             self.eval = h.eval
     r = dist(CTX, Opaque(identity_map()), Opaque(identity_map()))
-    assert r.value == 0 and not r.exact
+    assert r.index is None and not r.exact
     assert r.verdict == f"indistinguishable at depth {N_MAX}"
 
 
@@ -204,16 +206,17 @@ def test_dist_on_operations_matches_the_tuple_probe(projections, u1, u2, align):
 @settings(max_examples=60, deadline=None)
 @given(monotone_endos(), monotone_endos(), monotone_endos())
 def test_ultrametric_inequality(f, g, h):
-    dfh = dist(CTX, f, h).value
-    assert dfh <= max(dist(CTX, f, g).value, dist(CTX, g, h).value)
+    # d(f, h) <= max(d(f, g), d(g, h)), with d = 2^-agreement
+    dfh = dist(CTX, f, h).agreement
+    assert dfh >= min(dist(CTX, f, g).agreement, dist(CTX, g, h).agreement)
 
 
 @settings(max_examples=40, deadline=None)
 @given(monotone_endos(), monotone_endos())
 def test_dist_symmetric_and_separating(f, g):
     r, s = dist(CTX, f, g), dist(CTX, g, f)
-    assert r.value == s.value
-    if r.value == 0:
+    assert r.index == s.index
+    if r.index is None:
         assert f.canonical() == g.canonical()
     else:
         x = r.probe[0]
@@ -227,8 +230,8 @@ def test_dist_of_equal_maps_that_hold_a_cut_point_differently():
     # both formulas give -1 at -1, so the two texts describe one map
     f = PiecewiseEndo.parse("(-inf,-1) : 0*x - 1\n[-1,0) : 2*x + 1\n[0,+inf) : 0*x + 4")
     g = PiecewiseEndo.parse("(-inf,-1] : 0*x - 1\n(-1,0) : 2*x + 1\n[0,+inf) : 0*x + 4")
-    assert dist(CTX, f, g).value == 0
-    assert dist(CTX, g, f).value == 0
+    assert dist(CTX, f, g).index is None
+    assert dist(CTX, g, f).index is None
 
 
 def test_dist_end_region_holding_zero_answers_at_zero():
@@ -267,6 +270,79 @@ def test_dist_returns_a_far_out_first_difference():
     assert r.verdict == "differ at e(4398046511101) = 41"
     assert str(r) == "2^-4398046511101 (differ at e(4398046511101) = 41)"
     assert r.agreement == r.index and r.agreement < dist(CTX, f, f).agreement
+
+
+def _deep_pair(n):
+    # x below n; x + 1 and x + 2 from n on: the maps first differ at n,
+    # whose index has n + 1 bits
+    return tuple(PiecewiseEndo.parse(f"(-inf,{n}) : 1*x\n[{n},+inf) : 1*x + {c}")
+                 for c in (1, 2))
+
+
+@pytest.mark.parametrize("n", [15_000, 10 ** 6])
+def test_dist_prints_a_deep_first_difference(n):
+    # Python refuses to print an int of more than 4300 digits in decimal;
+    # such an index is printed as its bit length and its point
+    f, g = _deep_pair(n)
+    r = dist(CTX, f, g)
+    assert r.index == rat_index(F(n)) and r.index.bit_length() == n + 1
+    shown = f"<{n + 1}-bit index of {n}>"
+    assert r.verdict == f"differ at e({shown}) = {n}"
+    assert str(r) == f"2^-{shown} (differ at e({shown}) = {n})"
+    rk = dist(UltraMetricContext(k=2), FinitaryOp(2, 2, f), FinitaryOp(2, 2, g))
+    text = str(LiftReport(True, "", ((0, r, rk, 0),)))
+    assert f"2^-{shown}" in text and f"index of (0, {n})>" in text
+
+
+def test_dist_prints_an_index_in_decimal_up_to_the_bound():
+    for n, decimal in ((DECIMAL_INDEX_BITS - 1, True), (DECIMAL_INDEX_BITS, False)):
+        r = dist(CTX, *_deep_pair(n))
+        assert r.index.bit_length() == n + 1
+        shown = str(r.index) if decimal else f"<{n + 1}-bit index of {n}>"
+        assert r.verdict == f"differ at e({shown}) = {n}"
+
+
+def _staircase(bump=None, held_left=()):
+    # 60 pieces: x + i on [i - 30, i - 29), unbounded at both ends, each cut
+    # a jump of 1; bump adds 1/2 to the piece starting at that cut, and a
+    # cut in held_left goes to the piece on its left
+    pieces = []
+    for i in range(60):
+        lo = None if i == 0 else F(i - 30)
+        hi = None if i == 59 else F(i - 29)
+        iv = RatInterval(lo, hi, lo is not None and lo not in held_left,
+                         hi is not None and hi in held_left)
+        pieces.append(Piece(iv, F(1), F(i) + (F(1, 2) if lo == bump else 0)))
+    return PiecewiseEndo(tuple(pieces))
+
+
+def test_dist_at_zero_takes_no_walk(monkeypatch):
+    # two 60-piece maps that differ at 0 answer 0 with no index walk, no
+    # simplest-rational walk and no enumeration
+    f = _staircase()
+    g = compose(affine_map(F(1), F(1)), f)
+    assert len(f.canonical().pieces) == len(g.canonical().pieces) == 60
+
+    def walked(*args, **kwargs):
+        raise AssertionError("dist walked the enumeration")
+
+    for name in ("simplest_between", "least_index_in_interval", "rat_index"):
+        monkeypatch.setattr(topology, name, walked)
+    for a, b in ((f, g), (g, f)):
+        r = dist(CTX, a, b)
+        assert (r.index, r.verdict) == (0, "differ at e(0) = 0")
+
+
+def test_dist_that_agrees_at_zero_sweeps():
+    # agreeing at 0, the maps still get the oracle's answer: a piece moved
+    # on [1, 2) differs first at 1 (index 1); a cut held on the other side
+    # differs only at 25
+    f = _staircase()
+    for g, want in ((_staircase(bump=F(1)), 1),
+                    (_staircase(held_left={F(25)}), rat_index(F(25)))):
+        assert f.eval(F(0)) == g.eval(F(0))
+        for a, b in ((f, g), (g, f)):
+            assert dist(CTX, a, b).index == _least_difference_oracle(a, b) == want
 
 
 def _formula_at(f, x):
@@ -360,7 +436,7 @@ def test_automorphism_near_generic_embedding():
             assert a.eval(nth_rational(i)) == g.eval(nth_rational(i))
         # bijectivity probe: inverse exists for sampled values
         r = dist(CTX, a, g)
-        assert r.value <= F(1, 2 ** depth)
+        assert r.agreement >= depth
 
 
 def test_automorphism_near_piecewise():
