@@ -60,32 +60,15 @@ class GenericCert:
     possibly with blue endpoint markers) and are coloured by
     `colour_of_index`; every red index carries exactly one image point,
     its representative.  `index_iso` sends the line onto index_order ×
-    line, x to (its class, its place in the class)."""
+    line, x to (its class, its place in the class).
 
-    variant: str
-    index_order = None
-    index_iso = None
-    embedding = None
-
-    def class_of(self, x: Rat):
-        raise NotImplementedError
-
-    def colour_of_index(self, q) -> Colour:
-        raise NotImplementedError
-
-    def representative(self, q) -> Rat:
-        raise NotImplementedError
-
-    def in_image(self, x: Rat) -> bool:
-        raise NotImplementedError
-
-    def inverse_image(self, x: Rat) -> Rat:
-        raise NotImplementedError
-
-    def class_points(self, q) -> Iterator[Rat]:
-        raise NotImplementedError
-
-    # -- derived queries ----------------------------------------------------
+    Each certificate sets four attributes, `variant`, `index_order`,
+    `index_iso` and `embedding` (the certified map), and defines six
+    queries: `class_of(x)`, the index of x's class; `colour_of_index(q)`;
+    `representative(q)`, the image point of a red class q;
+    `in_image(x)`; `inverse_image(x)`, the preimage of an image point;
+    and `class_points(q)`, the points of class q without end.  The
+    methods below derive the rest from them."""
 
     def colour_of(self, x: Rat) -> Colour:
         return self.colour_of_index(self.class_of(x))

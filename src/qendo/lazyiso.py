@@ -1,21 +1,21 @@
 """Demand-driven order isomorphisms between countable dense linear orders.
 
-An OrderSpec describes a countable linear order operationally: membership
-and `enum_in_gap(lo, hi)`, the elements strictly between lo and hi (None =
-unbounded side) in the order's own deterministic enumeration.  A gap with
+An OrderSpec describes a countable linear order operationally: membership,
+`contains(el)`, and `enum_in_gap(lo, hi)`, the elements strictly between
+lo and hi (None = unbounded side) in the order they take in the order's
+own deterministic enumeration, `enum_in_gap(None, None)`.  A gap with
 both ends given and lo not below hi is an error: enum_in_gap raises
 ValueError, at the call or at the first next().  A gap with an unbounded
 side is never an error, only possibly empty, as (max, None) is.
 
-`enum_in_gap(None, None)` is the whole enumeration.  An order that
-serves as a LexSum's index (FullQ, ColouredQ) also has `index_of(el)`,
-el's position in that enumeration, from 0; a fibre needs none, as a sum
-orders each fibre's lane by position in the lane.  `min_el` and
-`max_el` are the order's least and greatest elements, None where there
-is none.  Elements of one spec compare with Python's `<` in the spec's
-order: rationals are Fractions, the adjoined endpoints are Markers that
-sort below (MIN) or above (MAX) everything else, and a LexSum's pairs
-compare as tuples.
+An order that serves as a LexSum's index (FullQ, ColouredQ) also has
+`index_of(el)`, el's position in the whole enumeration, from 0; a fibre
+needs none, as a sum orders each fibre's lane by position in the lane.
+`min_el` and `max_el` are the order's least and greatest elements, None
+where there is none.  Elements of one spec compare with Python's `<` in
+the spec's order: rationals are Fractions, the adjoined endpoints are
+Markers that sort below (MIN) or above (MAX) everything else, and a
+LexSum's pairs compare as tuples.
 
 FullQ is the rationals in ratcore's enumeration.  ColouredQ adds the
 dense two-colouring and optional blue endpoints; its red elements are
@@ -45,7 +45,7 @@ from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Callable, Optional
 
 from . import ratcore
 from .ratcore import (
@@ -94,14 +94,6 @@ class OrderSpec:
     min_el = None
     max_el = None
 
-    def contains(self, el) -> bool:
-        raise NotImplementedError
-
-    def enum_in_gap(self, lo, hi) -> Iterator:
-        """Elements strictly between lo and hi (None = unbounded side), in
-        the order of the whole enumeration enum_in_gap(None, None)."""
-        raise NotImplementedError
-
     def format_el(self, el) -> str:
         return str(el)
 
@@ -117,9 +109,6 @@ class FullQ(OrderSpec):
 
     def index_of(self, el):
         return rat_index(el)
-
-    def __repr__(self):
-        return "FullQ"
 
 
 class ColouredQ(OrderSpec):
@@ -163,10 +152,6 @@ class ColouredQ(OrderSpec):
             return self._markers.index(el)
         return len(self._markers) + rat_index(el)
 
-    def __repr__(self):
-        tags = ",".join(m.value for m in self._markers)
-        return f"ColouredQ({tags})" if tags else "ColouredQ"
-
 
 class RedQ(OrderSpec):
     """The red rationals: the red elements of every ColouredQ, whose
@@ -181,9 +166,6 @@ class RedQ(OrderSpec):
     def enum_in_gap(self, lo, hi):
         return (x for x in enumerated_in_interval(lo, hi)
                 if (x._numerator + x._denominator) % 2)
-
-    def __repr__(self):
-        return "RedQ"
 
 
 class IntervalQ(OrderSpec):
@@ -290,9 +272,6 @@ class LexSum(OrderSpec):
     def format_el(self, el):
         a, b = el
         return f"({self.index.format_el(a)},{self.fibre(a).format_el(b)})"
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self.index!r})"
 
 
 class FactorOrder(LexSum):

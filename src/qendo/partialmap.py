@@ -43,9 +43,6 @@ class FinitePartialMap:
     def image(self):
         return tuple(sorted(y for _, y in self.pairs))
 
-    def __len__(self):
-        return len(self.pairs)
-
     def apply(self, x: Rat) -> Optional[Rat]:
         for a, b in self.pairs:
             if a == x:

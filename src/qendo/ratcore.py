@@ -611,17 +611,13 @@ def _joinable(end, start) -> bool:
 
 
 def _interval_from_positions(p, q) -> Optional[RatInterval]:
+    # a start sits at or just above its point and an end at or just below,
+    # so a start p <= an end q at one point means both are at it: every
+    # p <= q is a nonempty interval
     if p > q:
         return None
     lo, lo_closed = (None, False) if p == _NEG else (p[1], p[2] == 0)
     hi, hi_closed = (None, False) if q == _POS else (q[1], q[2] == 0)
-    if p != _NEG and p[2] not in (0, 1):
-        raise AssertionError("bad start position")
-    if q != _POS and q[2] not in (-1, 0):
-        raise AssertionError("bad end position")
-    if lo is not None and hi is not None:
-        if lo > hi or (lo == hi and not (lo_closed and hi_closed)):
-            return None
     return RatInterval(lo, hi, lo_closed, hi_closed)
 
 
@@ -644,36 +640,20 @@ def union_contains(canonical, x: Rat) -> bool:
     return any(iv.contains(x) for iv in canonical)
 
 
-def _succ(pos):
-    if pos[2] == -1:
-        return (1, pos[1], 0)
-    if pos[2] == 0:
-        return (1, pos[1], 1)
-    raise AssertionError("no adjacent successor")
-
-
-def _pred(pos):
-    if pos[2] == 1:
-        return (1, pos[1], 0)
-    if pos[2] == 0:
-        return (1, pos[1], -1)
-    raise AssertionError("no adjacent predecessor")
-
-
 def union_gaps(canonical) -> tuple:
-    """Complement of a canonical union, as a canonical union."""
+    """Complement of a canonical union, as a canonical union.  Each gap
+    runs between the ends of its neighbours, closed where they are open;
+    canonical neighbours do not touch, so no gap is empty."""
     if not canonical:
         return (FULL_LINE,)
-    gaps = []
     first, last = canonical[0], canonical[-1]
-    if _start_pos(first) != _NEG:
-        gaps.append(_interval_from_positions(_NEG, _pred(_start_pos(first))))
-    for cur, nxt in zip(canonical, canonical[1:]):
-        gaps.append(_interval_from_positions(_succ(_end_pos(cur)),
-                                             _pred(_start_pos(nxt))))
-    if _end_pos(last) != _POS:
-        gaps.append(_interval_from_positions(_succ(_end_pos(last)), _POS))
-    return tuple(g for g in gaps if g is not None)
+    gaps = [RatInterval(cur.hi, nxt.lo, not cur.hi_closed, not nxt.lo_closed)
+            for cur, nxt in zip(canonical, canonical[1:])]
+    if first.lo is not None:
+        gaps.insert(0, RatInterval(None, first.lo, False, not first.lo_closed))
+    if last.hi is not None:
+        gaps.append(RatInterval(last.hi, None, not last.hi_closed, False))
+    return tuple(gaps)
 
 
 def intersect_intervals(a: RatInterval, b: RatInterval) -> Optional[RatInterval]:

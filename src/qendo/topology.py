@@ -57,12 +57,15 @@ _ZERO = Rat(0)
 def axis_index(k: int, p: int, c: int) -> int:
     """The least index of a k-tuple whose p-th coordinate (1-indexed) is
     nth_rational(c).  The tuple there holds 0 at every other coordinate,
-    and the index increases strictly with c."""
-    if p == k:
-        # the pair (0, c): index c(c+1)/2 + c
-        return c if k == 1 else c * (c + 3) // 2
-    i = axis_index(k - 1, p, c)
-    return i * (i + 1) // 2  # the pair (i, 0)
+    and the index increases strictly with c.  ValueError unless
+    1 <= p <= k and c >= 0."""
+    if not 1 <= p <= k or c < 0:
+        raise ValueError(f"no coordinate {p} of a {k}-tuple at index {c}")
+    # the p-tuple (0, ..., 0, c) is the pair (0, c): index c(c+1)/2 + c
+    i = c if p == 1 else c * (c + 3) // 2
+    for _ in range(k - p):
+        i = i * (i + 1) // 2  # the pair (i, 0)
+    return i
 
 
 @dataclass(frozen=True)

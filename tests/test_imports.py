@@ -1,8 +1,16 @@
 """Source hygiene: every name a qendo module, test or demo imports is used
-in it, and every definition a qendo module makes is referenced."""
+in it, every definition a qendo module makes is referenced, and every
+function it defines runs under the CLI's and the demos' traffic."""
 
 import ast
+import inspect
+import json
+import os
+import pstats
 import re
+import subprocess
+import sys
+import types
 from pathlib import Path
 
 import qendo
@@ -149,3 +157,149 @@ def test_every_definition_has_a_caller_in_the_package():
     # definition, is stale
     assert {found.rsplit(" ", 1)[1]
             for found in unreferenced(src, names)} == exempt
+
+
+def functions(source: str, filename: str) -> dict:
+    """(first line, name) -> qualified name for each function a module
+    defines, nested ones too, keyed as a profiler keys its code object: a
+    decorated function's first line is its first decorator's.  Class
+    bodies, lambdas and comprehensions are not listed."""
+    found = {}
+
+    def walk(code, prefix):
+        for const in code.co_consts:
+            if isinstance(const, types.CodeType):
+                is_function = bool(const.co_flags & inspect.CO_NEWLOCALS)
+                name = prefix + const.co_name
+                if is_function and not const.co_name.startswith("<"):
+                    found[const.co_firstlineno, const.co_name] = name
+                walk(const, name + (".<locals>." if is_function else "."))
+
+    walk(compile(source, filename, "exec"), "")
+    return found
+
+
+def test_scanner_keys_functions_as_a_profiler_does():
+    source = ("import functools\n"
+              "class Box:\n    size = 1\n"
+              "    @functools.cache\n    def get(self):\n"
+              "        def inner():\n            return [i for i in ()]\n"
+              "        return inner\n"
+              "f = lambda: None\n")
+    assert functions(source, "box.py") == {
+        (4, "get"): "Box.get", (6, "inner"): "Box.get.<locals>.inner"}
+
+
+MAPS = {
+    "step": "(-inf,0) : 1*x + 0\n[0,+inf) : 1*x + 1\n",
+    "plateau": "(-inf,0) : 1*x\n[0,1] : 0*x\n(1,+inf) : 1*x - 1\n",
+    "shift": "(-inf,+inf) : 1*x + 1\n",
+    "wide plateau": "(-inf,0) : 1*x\n[0,1000000] : 0*x\n"
+                    "(1000000,+inf) : 1*x - 1000000\n",
+}
+FOREST = "root - 0\nmid root 1\ntop mid 2\n"
+
+# the traffic runs in a fresh interpreter: a cache an earlier test warmed
+# (ratcore's _DINV, say) would hide the function that fills it
+PROFILE_TRAFFIC = """\
+import cProfile, contextlib, io, json, runpy, sys
+from qendo.cli import main
+commands, demos = json.loads(sys.argv[2]), sys.argv[3:]
+profile = cProfile.Profile()
+with contextlib.redirect_stdout(io.StringIO()):
+    profile.enable()
+    codes = [main(argv) for argv in commands]
+    for demo in demos:
+        runpy.run_path(demo, run_name="__main__")
+    profile.disable()
+assert codes == [0] * len(commands), codes
+profile.dump_stats(sys.argv[1])
+"""
+
+
+def traffic(tmp: Path) -> list:
+    """qendo command lines: every suite at the default seed, each generic
+    variant, classify and factorize on each of MAPS, and two actions."""
+    paths = {}
+    for name, text in {**MAPS, "forest": FOREST}.items():
+        paths[name] = tmp / f"{name.replace(' ', '_')}.txt"
+        paths[name].write_text(text, encoding="utf-8")
+    return ([["suite", "all"]]
+            + [["generic", variant, "--points", "3"]
+               for variant in ("core", "plus", "minus", "pm")]
+            + [[command, str(paths[name])] for name in MAPS
+               for command in ("classify", "factorize")]
+            + [["act", str(paths["forest"]), str(paths[name]), "top", "0,1"]
+               for name in ("step", "plateau")])
+
+
+def unrun_functions(tmp: Path) -> list:
+    """(module, first line, qualified name) for each function in src/qendo
+    that the traffic and the demos leave unrun."""
+    stats = tmp / "traffic.prof"
+    package = Path(qendo.__path__[0])
+    done = subprocess.run(
+        [sys.executable, "-c", PROFILE_TRAFFIC, str(stats),
+         json.dumps(traffic(tmp)),
+         *map(str, sorted((ROOT / "demos").glob("*.py")))],
+        cwd=tmp, env=dict(os.environ, PYTHONPATH=str(package.parent)),
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    ran = {(Path(filename).name, line, name)
+           for filename, line, name in pstats.Stats(str(stats)).stats
+           if Path(filename).parent == package}
+    return [(path.stem, line, qualname) for path in MODULES
+            for (line, name), qualname in functions(
+                path.read_text(encoding="utf-8"), str(path)).items()
+            if (path.name, line, name) not in ran]
+
+
+# functions the traffic leaves unrun, as "module.qualname", and why each stays
+UNRUN = (
+    *((f"lazyiso.{name}", "the LexSum gap stream: only a forward step into "
+                          "a sum runs it, and no command takes one")
+      for name in ("_cantor", "FullQ.index_of", "ColouredQ.index_of",
+                   "LexSum._lane", "LexSum._merge_lanes",
+                   "LexSum._merge_lanes.<locals>.push",
+                   "LexSum._merge_lanes.<locals>.spawn",
+                   "LexSum.enum_in_gap")),
+    *((f"generic.{name}", "the recovery half of a composite certificate: "
+                          "tests run it, and no command recovers through a "
+                          "composite yet")
+      for name in ("ComposedCert.representative", "ComposedCert.in_image",
+                   "ComposedCert.inverse_image",
+                   "absorb.<locals>.inner_preimage")),
+    ("lazyiso.LazyIso.memo_pairs", "tests compare the engine's memo with "
+                                   "their reference through it"),
+    ("generic.CoordinateIso.eval_bwd", "tests show through it that α is "
+                                       "onto"),
+    ("lazyiso.IntervalQ.contains", "FactorOrder.contains asks it only about "
+                                   "(q, 'pt') over an attained q, which it "
+                                   "rejects"),
+    ("generic.PPairError.__init__", "raised only for an incompatible pair, "
+                                    "and no command builds one"),
+    ("ratcore.SearchExhausted.__init__", "raised only when a search reaches "
+                                         "its cap"),
+    *((f"ratcore.Rat.{name}", "keeps a Rat a Rat with an int or a Fraction "
+                              "on its left, and under abs(); no command "
+                              "computes one")
+      for name in ("__radd__", "__rsub__", "__rmul__", "__abs__")),
+    ("ratcore.Rat.__repr__", "prints a Rat as a Fraction, as the class "
+                             "promises; no command prints a repr"),
+    ("lazyiso.Marker.__str__", "an endpoint class as a message or a memo "
+                               "dump prints it; no command's output holds "
+                               "one"),
+    ("partialmap.FinitePartialMap.__str__", "a partial map as a message "
+                                            "prints it"),
+)
+
+
+def test_every_function_runs_under_traffic(tmp_path):
+    found = unrun_functions(tmp_path)
+    exempt = {name for name, _ in UNRUN}
+    stray = [f"{module}:{line}: {qualname}" for module, line, qualname in found
+             if f"{module}.{qualname}" not in exempt]
+    assert not stray, "functions no traffic runs:\n" + "\n".join(stray)
+    # an exemption that runs, or that names no function, is stale
+    stale = exempt - {f"{module}.{qualname}" for module, _, qualname in found}
+    assert not stale, "exempt, but run or not found: " + ", ".join(sorted(stale))

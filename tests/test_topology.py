@@ -73,6 +73,10 @@ def test_axis_index_is_the_first_tuple_on_its_axis():
                 assert axis_index(k, p, c) == n
                 assert index_tuple(k, n) == tuple(c if q == p else 0
                                                   for q in range(1, k + 1))
+    # no coordinate p outside 1..k, and no negative index c
+    for k, p, c in ((2, 3, 5), (2, 0, 5), (2, 1, -3), (0, 0, 0), (0, 1, 0)):
+        with pytest.raises(ValueError, match="no coordinate"):
+            axis_index(k, p, c)
 
 
 def test_dist_identical():
