@@ -27,7 +27,6 @@ from .ratcore import (
     _reduced,
     content_lines,
     gap_witness_point,
-    merge_intervals,
     parse_rat,
     point_interval,
     simplest_between,
@@ -105,8 +104,27 @@ class Piece:
         return Piece(iv, slope, intercept)
 
 
+def _cut_cmp(p: Piece, q: Piece, b: Rat) -> int:
+    """An integer with the sign of p(b) - q(b), for two pieces p and q and a
+    finite cut b: their values times b's denominator, cross-multiplied over
+    the coefficients' positive denominators.  Exact, with no Rat built and
+    no gcd."""
+    s, c, t, e = p.slope, p.intercept, q.slope, q.intercept
+    bn, bd = b._numerator, b._denominator
+    sd, cd, td, ed = s._denominator, c._denominator, t._denominator, e._denominator
+    # p(b)*bd is (sn*bn*cd + cn*sd*bd) / (sd*cd), and q(b)*bd likewise
+    return ((s._numerator * bn * cd + c._numerator * sd * bd) * td * ed
+            - (t._numerator * bn * ed + e._numerator * td * bd) * sd * cd)
+
+
 @dataclass(frozen=True)
 class PiecewiseEndo:
+    """A weakly monotone map as affine pieces that tile the line in order.
+
+    Construction checks that the pieces tile the line, each cut held by
+    exactly one of its two pieces, and that values do not decrease across
+    a cut, comparing the two formulas there with _cut_cmp in integers: one
+    sweep over the n pieces, with no Rat built."""
     pieces: Tuple[Piece, ...]
 
     def __post_init__(self):
@@ -124,7 +142,7 @@ class PiecewiseEndo:
                 raise ValueError(f"pieces do not tile the line at {left.interval} | {right.interval}")
             if left.interval.hi_closed == right.interval.lo_closed:
                 raise ValueError(f"boundary {b} must belong to exactly one piece")
-            if left.value_at(b) > right.value_at(b):
+            if _cut_cmp(left, right, b) > 0:
                 raise ValueError(f"values decrease across the boundary at {b}")
         # every piece's lower end but the first, in order; a one-point
         # piece repeats its cut
@@ -169,7 +187,21 @@ class PiecewiseEndo:
     # -- structure ---------------------------------------------------------
 
     def image_union(self) -> tuple:
-        return merge_intervals([p.image() for p in self.pieces])
+        """The image as a canonical union: sorted, disjoint, non-touching
+        intervals.  One sweep over the canonical pieces, whose images are
+        disjoint and rise: two neighbours join exactly where their formulas
+        agree at their cut, which _cut_cmp tests in integers, and each
+        interval is built once, when its run of pieces ends.  Cost: O(n)
+        for n canonical pieces, with no sort."""
+        pieces = self.canonical().pieces
+        out = []
+        first = pieces[0]
+        for left, right in zip(pieces, pieces[1:]):
+            if _cut_cmp(left, right, right.interval.lo):
+                out.append(_run_image(first, left))
+                first = right
+        out.append(_run_image(first, pieces[-1]))
+        return tuple(out)
 
     def point_preimage(self, q: Rat) -> Optional[RatInterval]:
         """The solution set of f(x) = q.  In the canonical form at most one
@@ -199,51 +231,74 @@ class PiecewiseEndo:
         return PiecewiseEndo(tuple(pieces))
 
 
+def _run_image(first: Piece, last: Piece) -> RatInterval:
+    # the image of a run of canonical pieces, from first to last, whose
+    # images join into one interval: a plateau's image is its value, held
+    iv, jv = first.interval, last.interval
+    if first.slope._numerator:
+        lo, lo_closed = None if iv.lo is None else first.value_at(iv.lo), iv.lo_closed
+    else:
+        lo, lo_closed = first.intercept, True
+    if last.slope._numerator:
+        hi, hi_closed = None if jv.hi is None else last.value_at(jv.hi), jv.hi_closed
+    else:
+        hi, hi_closed = last.intercept, True
+    return RatInterval(lo, hi, lo_closed, hi_closed)
+
+
 def _tidy_pieces(pieces) -> list:
     """The pieces of a tiling with degenerate pieces absorbed into
     neighbours sharing their value and adjacent pieces with identical
-    formulas merged; a cut point stays with the piece that held it."""
-    work = []
-    for p in pieces:
-        if p.interval.is_degenerate():
-            # normalize a one-point piece to a plateau formula
-            work.append(Piece(p.interval, Rat(0), p.value_at(p.interval.lo)))
-        else:
-            work.append(p)
+    formulas merged; a cut point stays with the piece that held it.  A
+    one-point piece is absorbed where _cut_cmp finds its neighbour's
+    formula agrees with its own there, else it becomes a plateau; each run
+    of identical formulas is built as one piece."""
+    work = list(pieces)
     n = len(work)
     for i, p in enumerate(work):
-        if not p.interval.is_degenerate():
+        iv = p.interval
+        if not iv.is_degenerate():
             continue
-        b = p.interval.lo
-        if i > 0 and work[i - 1].value_at(b) == p.intercept:
+        b = iv.lo
+        if i > 0 and not _cut_cmp(work[i - 1], p, b):
             nb = work[i - 1]
-            work[i] = Piece(p.interval, nb.slope, nb.intercept)
-        elif i + 1 < n and work[i + 1].value_at(b) == p.intercept:
+            work[i] = Piece(iv, nb.slope, nb.intercept)
+        elif i + 1 < n and not _cut_cmp(work[i + 1], p, b):
             nb = work[i + 1]
-            work[i] = Piece(p.interval, nb.slope, nb.intercept)
-    merged = [work[0]]
+            work[i] = Piece(iv, nb.slope, nb.intercept)
+        elif p.slope._numerator:
+            work[i] = Piece(iv, Rat(0), p.value_at(b))
+    merged = []
+    first = last = work[0]
     for p in work[1:]:
-        last = merged[-1]
-        if (p.slope, p.intercept) == (last.slope, last.intercept):
-            iv = RatInterval(last.interval.lo, p.interval.hi,
-                             last.interval.lo_closed, p.interval.hi_closed)
-            merged[-1] = Piece(iv, p.slope, p.intercept)
-        else:
-            merged.append(p)
+        if not (p.slope == last.slope and p.intercept == last.intercept):
+            merged.append(_join(first, last))
+            first = p
+        last = p
+    merged.append(_join(first, last))
     return merged
+
+
+def _join(first: Piece, last: Piece) -> Piece:
+    # one piece for a run of adjacent pieces sharing first's formula
+    if first is last:
+        return first
+    return Piece(RatInterval(first.interval.lo, last.interval.hi,
+                             first.interval.lo_closed, last.interval.hi_closed),
+                 first.slope, first.intercept)
 
 
 def _settle_pieces(pieces: list) -> list:
     """Move, in place, each cut point at which both neighbouring formulas
-    agree to a flat neighbour, else to the left one; returns the list.  A
-    moved piece is built with the two constructors, whose Rat fields pass
-    through unconverted."""
+    agree to a flat neighbour, else to the left one; returns the list.  One
+    sweep over the cuts, comparing the formulas at each with _cut_cmp in
+    integers.  A moved piece is built with the two constructors, whose Rat
+    fields pass through unconverted."""
     for i in range(len(pieces) - 1):
         left, right = pieces[i], pieces[i + 1]
         to_left = left.slope == 0 or right.slope != 0
         b = right.interval.lo
-        if (left.interval.hi_closed == to_left
-                or left.value_at(b) != right.value_at(b)):
+        if left.interval.hi_closed == to_left or _cut_cmp(left, right, b):
             # held as the rule says, or the formulas part at b, as they do
             # beside every one-point piece of tidied pieces
             continue
@@ -275,21 +330,27 @@ def compose(outer: PiecewiseEndo, inner: PiecewiseEndo) -> PiecewiseEndo:
     The region of the outer piece that reaches past the image's top ends
     where the inner piece does.  A cut equal to a closed end of the image
     gives a one-point region, and an empty region is skipped.  The regions
-    come out in order and are tidied as a list, so the only map built and
-    validated is the result.  Each region's formula and each pull-back is
-    built from the coefficients' integer parts with one gcd, as
-    Piece.value_at is, and the Rats that come out pass through Piece and
-    RatInterval unconverted.  Cost: O(n + m + k) piece steps and one
-    division per outer cut inside an image, for n inner, m outer and k
-    result pieces, plus one binary search per inner piece."""
+    come out in order, each recorded by its start and formula, as they tile
+    the line: a region ends where the next one starts.  Consecutive regions
+    that share a formula, neither of them one point, are built as one
+    piece, which is what tidying would make of them; the pieces are then
+    tidied as a list, comparing formulas at one-point pieces with _cut_cmp
+    in integers, so the only map built and validated is the result.
+    Each region's formula and each pull-back is built from the
+    coefficients' integer parts with one gcd, as Piece.value_at is, and
+    the Rats that come out pass through Piece and RatInterval unconverted.
+    Cost: O(n + m + k) piece steps and one division per outer cut inside
+    an image, for n inner, m outer and k result pieces, plus one binary
+    search per inner piece."""
     opieces = outer.pieces
-    pieces = []
+    # (lo, lo_closed, formula, one point) of each region, in order
+    starts = []
     for pi in inner.pieces:
         iv = pi.interval
         s, c = pi.slope, pi.intercept
         if s == 0 or iv.is_degenerate():
             v = pi.value_at(iv.lo) if iv.is_degenerate() else c
-            pieces.append(Piece(iv, Rat(0), outer.eval(v)))
+            starts.append((iv.lo, iv.lo_closed, (Rat(0), outer.eval(v)), iv.is_degenerate()))
             continue
         top = None if iv.hi is None else pi.value_at(iv.hi)
         k = 0 if iv.lo is None else outer.piece_index(pi.value_at(iv.lo))
@@ -309,18 +370,28 @@ def compose(outer: PiecewiseEndo, inner: PiecewiseEndo) -> PiecewiseEndo:
                 # past the image's top: never empty, as lo lies below the
                 # inner piece's top, or is its closed top when the outer
                 # piece before this one left the image's top value open
-                pieces.append(Piece(RatInterval(lo, iv.hi, lo_closed, iv.hi_closed),
-                                    *formula))
+                starts.append((lo, lo_closed, formula, top is not None and lo == iv.hi))
                 break
             # the pull-back (J.hi - c) / s of the cut; s > 0
             h = J.hi
             hd = h._denominator
             x = _reduced((h._numerator * cd - cn * hd) * sd, hd * cd * sn)
-            if lo is None or lo < x or (lo_closed and J.hi_closed):
-                pieces.append(Piece(RatInterval(lo, x, lo_closed, J.hi_closed),
-                                    *formula))
+            if lo is None or lo < x:
+                starts.append((lo, lo_closed, formula, False))
+            elif lo_closed and J.hi_closed:
+                starts.append((lo, True, formula, True))
             lo, lo_closed = x, not J.hi_closed
             k += 1
+    pieces = []
+    n = len(starts)
+    i = 0
+    while i < n:
+        lo, lo_closed, formula, point = starts[i]
+        i += 1
+        while not point and i < n and not starts[i][3] and starts[i][2] == formula:
+            i += 1
+        hi, hi_closed = (starts[i][0], not starts[i][1]) if i < n else (None, False)
+        pieces.append(Piece(RatInterval(lo, hi, lo_closed, hi_closed), *formula))
     return PiecewiseEndo(_tidy_pieces(pieces))
 
 
@@ -360,7 +431,11 @@ def classify(f: PiecewiseEndo) -> Classification:
     calls on f or on its form return the same report:
     cancellability_witness, right_inverse, generic.absorb and `qendo
     classify` reuse the one a caller's classify already made.  It holds no
-    reference to any map, and goes when the canonical form does."""
+    reference to any map, and goes when the canonical form does.  Its image
+    is image_union's one sweep over the canonical pieces, which compares
+    neighbouring formulas at their cut in integers.  The image, its gaps
+    and the plateau search take O(n) steps for n canonical pieces, plus
+    the simplest-rational searches that pick the witnesses."""
     can = f.canonical()
     report = can.__dict__.get("_classification")
     if report is not None:

@@ -399,16 +399,40 @@ def colour_witness(lo: Rat, hi: Rat, want: Colour) -> Rat:
 
     Breadth-first over gaps, each split at its simplest rational; after
     SEARCH_CAP + 1 splits without a witness it raises SearchExhausted.
+    A gap around 0 splits at 0; any other gap is searched on its side of 0,
+    the negative side reflected, as one integer walk: `_descend` finds a
+    gap's simplest rational within the Stern-Brocot subtree it lies in,
+    and each half of the split lies in one of that node's two subtrees.
+    The colour is the parity of the node's integer parts, and the answer
+    is the one Rat built.
     """
-    if lo >= hi:
+    if lo is None or hi is None:
+        raise ValueError("need finite lo and hi")
+    lo, hi = Rat(lo), Rat(hi)
+    ln, ld, hn, hd = lo._numerator, lo._denominator, hi._numerator, hi._denominator
+    if ln * hd >= hn * ld:
         raise ValueError("need lo < hi")
-    queue = deque([(lo, hi)])
-    for _ in range(SEARCH_CAP + 1):  # each pop adds two gaps
-        a, b = queue.popleft()
-        m = simplest_between(a, b)
-        if colour(m) == want:
-            return m
-        queue.extend(((a, m), (m, b)))
+    red = want is Colour.RED  # red iff numerator + denominator is odd
+    zero, inf = (0, 1), (1, 0)
+    splits = SEARCH_CAP + 1
+    if ln < 0 < hn:  # the first split is at 0, which is red
+        if red:
+            return _rat(0, 1)
+        splits -= 1
+        queue = deque([(-1, zero, (-ln, ld), zero, inf), (1, zero, (hn, hd), zero, inf)])
+    elif hn > 0:
+        queue = deque([(1, (ln, ld), (hn, hd), zero, inf)])
+    else:
+        queue = deque([(-1, (-hn, hd), (-ln, ld), zero, inf)])
+    # each entry is a gap (a, b) of the subtree (left, right), times sign
+    for _ in range(splits):  # each pop adds two gaps
+        sign, a, b, left, right = queue.popleft()
+        m, left, right, _ = _descend(a, b, left, right)
+        if (m[0] + m[1]) % 2 == red:
+            return _rat(sign * m[0], m[1])
+        lower, upper = (sign, a, m, left, m), (sign, m, b, m, right)
+        # the line's order: a reflected gap's upper half lies below
+        queue.extend((lower, upper) if sign > 0 else (upper, lower))
     raise SearchExhausted(f"colour witness search for {want}", lo, hi)
 
 

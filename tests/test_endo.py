@@ -12,6 +12,7 @@ from qendo import lazyiso
 from qendo.endo import (
     Piece,
     PiecewiseEndo,
+    _cut_cmp,
     _tidy_pieces,
     cancellability_witness,
     classify,
@@ -189,6 +190,25 @@ def test_image_union():
     assert ONE_JUMP.image_union() == (
         RatInterval(None, F(0)), RatInterval(F(1), None, True, False))
     assert STEP_FLAT.image_union() == (RatInterval(None, None),)
+
+
+def test_image_union_of_non_canonical_maps():
+    # two equal plateaus side by side: one point of image
+    twin = PiecewiseEndo.parse("(-inf,0) : 0*x + 2\n[0,+inf) : 0*x + 2")
+    assert twin.image_union() == (point_interval(F(2)),)
+    # a one-point piece at a jump, valued between the two sides: the
+    # image is the lower ray, the point and the upper ray, apart
+    jump = PiecewiseEndo.parse(
+        "(-inf,0) : 1*x + 0\n[0,0] : 0*x + 1\n(0,+inf) : 1*x + 3")
+    assert jump.image_union() == (RatInterval(None, F(0)), point_interval(F(1)),
+                                  RatInterval(F(3), None))
+    # the one-point piece valued at the upper side's open end joins it
+    joined = PiecewiseEndo.parse(
+        "(-inf,0) : 1*x + 0\n[0,0] : 0*x + 3\n(0,+inf) : 1*x + 3")
+    assert joined.image_union() == (RatInterval(None, F(0)),
+                                    RatInterval(F(3), None, True, False))
+    for f in (twin, jump, joined):
+        assert f.image_union() == merge_intervals([p.image() for p in f.pieces])
 
 
 def test_cancellability_witnesses():
@@ -624,6 +644,51 @@ def test_canonical_images_are_disjoint_and_rise(f):
     for left, right in zip(pieces, pieces[1:]):
         a, b = left.image(), right.image()
         assert a.hi < b.lo or (a.hi == b.lo and a.hi_closed != b.lo_closed)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(wide_endos(), monotone_endos()))
+def test_image_union_matches_the_merged_images(f):
+    # the sort-and-merge image_union used before its one sweep
+    for g in (f, f.canonical()):
+        assert g.image_union() == merge_intervals([p.image() for p in g.pieces])
+
+
+# -- the integer comparison at a cut ------------------------------------------
+
+_BIG = 10 ** 30
+_COEFFICIENT = st.builds(F, st.integers(-_BIG, _BIG), st.integers(1, _BIG))
+_SLOPE_BIG = st.one_of(st.just(F(0)), st.builds(F, st.integers(0, _BIG),
+                                                   st.integers(1, _BIG)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SLOPE_BIG, _COEFFICIENT, _SLOPE_BIG, _COEFFICIENT, _COEFFICIENT)
+def test_cut_cmp_has_the_sign_of_the_difference(s, c, t, e, b):
+    p = Piece(RatInterval(None, None), s, c)
+    q = Piece(RatInterval(None, None), t, e)
+    b = Rat(b)
+    diff = p.value_at(b) - q.value_at(b)
+    got = _cut_cmp(p, q, b)
+    assert (got > 0) - (got < 0) == (diff > 0) - (diff < 0)
+    assert _cut_cmp(p, p, b) == 0
+    # two formulas through one value at b tie there
+    r = Piece(RatInterval(None, None), t, p.value_at(b) - t * b)
+    assert _cut_cmp(p, r, b) == 0
+
+
+def test_a_tie_at_a_cut_is_accepted_and_the_least_drop_is_not():
+    b = Rat(10 ** 18 + 1, 10 ** 18)
+    tie = PiecewiseEndo((
+        Piece(RatInterval(None, b), F(1), F(0)),
+        Piece(RatInterval(b, None, True, False), F(2), -b),
+    ))
+    assert tie.eval(b) == b
+    with pytest.raises(ValueError, match="values decrease across the boundary"):
+        PiecewiseEndo((
+            Piece(RatInterval(None, b), F(1), F(0)),
+            Piece(RatInterval(b, None, True, False), F(2), -b - F(1, 10 ** 18)),
+        ))
 
 
 def _section_point_oracle(iv):

@@ -312,6 +312,7 @@ import itertools  # noqa: E402
 import math  # noqa: E402
 import re  # noqa: E402
 import tracemalloc  # noqa: E402
+from collections import deque  # noqa: E402
 
 from qendo import ratcore  # noqa: E402
 from qendo.ratcore import SearchExhausted  # noqa: E402
@@ -562,6 +563,64 @@ def test_colour_witness_on_a_gap_of_large_denominators():
     gap = (F(0), F(1, 10 ** 6))
     assert colour_witness(*gap, Colour.BLUE) == F(1, 1000001)
     assert colour_witness(*gap, Colour.RED) == F(1, 1000002)
+
+
+def _colour_witness_bfs(lo, hi, want):
+    # the breadth-first search over Rat gaps that colour_witness walks in
+    # integers: each gap split at simplest_between, both halves queued
+    queue = deque([(lo, hi)])
+    for _ in range(ratcore.SEARCH_CAP + 1):
+        a, b = queue.popleft()
+        m = simplest_between(a, b)
+        if colour(m) == want:
+            return m
+        queue.extend(((a, m), (m, b)))
+    raise SearchExhausted(f"colour witness search for {want}", lo, hi)
+
+
+def _witness_outcome(search, lo, hi, want):
+    try:
+        return search(lo, hi, want)
+    except SearchExhausted as exc:
+        return str(exc)
+
+
+def test_colour_witness_matches_the_bfs_on_the_suite_pairs():
+    # every pair of the ratcore suite's first 200 rationals, both colours:
+    # gaps on each side of 0 and around it
+    pts = sorted(nth_rational(i) for i in range(200))
+    for a, b in itertools.combinations(pts, 2):
+        for want in Colour:
+            assert colour_witness(a, b, want) == _colour_witness_bfs(a, b, want), (a, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(fractions_anywhere(1000), fractions_anywhere(1000))
+def test_colour_witness_matches_the_bfs(a, b):
+    if a == b:
+        return
+    lo, hi = min(a, b), max(a, b)
+    for want in Colour:
+        assert colour_witness(lo, hi, want) == _colour_witness_bfs(lo, hi, want)
+
+
+@pytest.mark.parametrize("gap", [(F(-1), F(1)), (F(-2), F(-1)), (F(0), F(1)),
+                                 (F(-1, 3), F(0)), (F(7, 5), F(10, 7))])
+def test_colour_witness_counts_splits_as_the_bfs_does(monkeypatch, gap):
+    # the split at 0 of a gap around it counts as one
+    for cap in range(8):
+        monkeypatch.setattr(ratcore, "SEARCH_CAP", cap)
+        for want in Colour:
+            assert (_witness_outcome(colour_witness, *gap, want)
+                    == _witness_outcome(_colour_witness_bfs, *gap, want)), (cap, want)
+
+
+def test_colour_witness_needs_finite_ordered_bounds():
+    for lo, hi in ((None, F(1)), (F(0), None), (None, None)):
+        with pytest.raises(ValueError, match="need finite lo and hi"):
+            colour_witness(lo, hi, Colour.RED)
+    with pytest.raises(ValueError, match="need lo < hi"):
+        colour_witness(F(1), F(1), Colour.BLUE)
 
 
 # ---------------------------------------------------------------------------
