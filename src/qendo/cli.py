@@ -27,7 +27,7 @@ from .actions import LabelledForest, OrbitPoint, act
 from .endo import PiecewiseEndo, cancellability_witness, classify, epi_mono_factorize
 from .generic import VARIANTS, generic_embedding
 from .ratcore import Rat, SearchExhausted, nth_rational, parse_rat
-from .suites import SUITE_NAMES, RunConfig, run_suite
+from .suites import ORBIT_RANK_LIMIT, SUITE_NAMES, RunConfig, run_suite
 
 __all__ = ["main", "build_parser"]
 
@@ -177,6 +177,11 @@ def cmd_factorize(args, cfg: RunConfig) -> int:
 def cmd_suite(args, cfg: RunConfig) -> int:
     if args.forest is not None:
         forest = LabelledForest.parse(_read(args.forest))
+        for node, label in forest.label.items():
+            if label > ORBIT_RANK_LIMIT:
+                raise ValueError(f"node {node!r} has label {label}; orbit points are "
+                                 f"drawn from {ORBIT_RANK_LIMIT} rationals, so a "
+                                 f"label may be at most {ORBIT_RANK_LIMIT}")
         cfg = dataclasses.replace(cfg, extra_forest=forest)
     names: List[str] = list(SUITE_NAMES) if args.name == "all" else [args.name]
     results = [run_suite(n, cfg) for n in names]

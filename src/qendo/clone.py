@@ -248,15 +248,12 @@ def essential_positions(op: GridOp) -> Tuple[int, ...]:
 def unary_reconstruction(op: GridOp) -> Optional[Tuple[int, Dict[Rat, Rat]]]:
     """Present op as a unary table composed with a projection, if possible.
 
-    Succeeds exactly when at most one position is essential; the unary
-    table is the diagonal v -> op(v, .., v).
+    Succeeds exactly when at most one position j is essential (1 if none);
+    the unary table u is the diagonal v -> op(v, .., v).  Only position j
+    changes the value, so every row agrees with u and none is re-checked.
     """
     ess = essential_positions(op)
     if len(ess) > 1:
         return None
     j = ess[0] if ess else 1
-    u = {v: op.table[(v,) * op.arity] for v in op.grid}
-    for args in itertools.product(op.grid, repeat=op.arity):
-        if op.table[args] != u[args[j - 1]]:
-            return None
-    return j, u
+    return j, {v: op.table[(v,) * op.arity] for v in op.grid}

@@ -71,14 +71,6 @@ class Piece:
         sd_d = s._denominator * d
         return _reduced(s._numerator * n * cd + c._numerator * sd_d, sd_d * cd)
 
-    def image(self) -> RatInterval:
-        if self.slope == 0:
-            return point_interval(self.intercept)
-        iv = self.interval
-        lo = None if iv.lo is None else self.value_at(iv.lo)
-        hi = None if iv.hi is None else self.value_at(iv.hi)
-        return RatInterval(lo, hi, iv.lo_closed, iv.hi_closed)
-
     def __str__(self):
         c = self.intercept
         sign, mag = ("-", -c) if c < 0 else ("+", c)
@@ -525,7 +517,7 @@ def pseudo_section(g: PiecewiseEndo) -> PiecewiseEndo:
     # the value `anchor` just below `end`
     end = covered = anchor = None
     for p in g.pieces:
-        J = p.image()
+        J = _run_image(p, p)
         if p.slope == 0:
             sec = top = _section_point(p.interval)
             part = Piece(J, Rat(0), sec)

@@ -21,6 +21,7 @@ the value of g at u is pinned down by commutation facts alone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterator, List, Optional, Tuple
@@ -251,12 +252,6 @@ def sim_related(A, x: Rat, y: Rat) -> bool:
 # commuting pairs
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PPair:
-    a: FinitePartialMap
-    b: FinitePartialMap
-
-
 class CoordinateIso:
     """An automorphism of the line in a DirectCert's coordinates: with
     (q, b) = idx(x), x goes to idx⁻¹((ι(q), φ_q(b))).  `phi` holds φ_q
@@ -293,22 +288,18 @@ class PPairError(ValueError):
         super().__init__(f"pair fails compatibility: {lines}")
 
 
-def p_check(g, cert: GenericCert, p: PPair) -> List[Tuple[int, str]]:
-    """Check the seven compatibility clauses; empty list means the pair is
-    extendable.  Violations are (clause number, description)."""
-    a, b = p.a, p.b
+def p_check(g, cert: GenericCert, a, b) -> List[Tuple[int, str]]:
+    """Check the seven compatibility clauses of the partial maps a and b;
+    an empty list means the pair is extendable.  Violations are (clause
+    number, description).  Maps and inverses are read as dicts; both maps
+    increase, so an inverse runs in image order."""
     for name, m in (("a", a), ("b", b)):
         if not m.is_partial_automorphism():
             raise ValueError(f"{name} is not a partial automorphism")
     out = []
-    dom_a, im_a = set(a.domain()), set(a.image())
-    cls = {}
-
-    def c(x):
-        if x not in cls:
-            cls[x] = cert.class_of(x)
-        return cls[x]
-
+    a_fwd, b_fwd = dict(a.pairs), dict(b.pairs)
+    a_inv, b_inv = ({y: x for x, y in m.pairs} for m in (a, b))
+    c = functools.cache(cert.class_of)
     # (1) colours, the equivalence, and endpoint classes
     for x, y in a.pairs:
         cx, cy = cert.colour_of_index(c(x)), cert.colour_of_index(c(y))
@@ -321,9 +312,8 @@ def p_check(g, cert: GenericCert, p: PPair) -> List[Tuple[int, str]]:
         if (c(x1) == c(x2)) != (c(y1) == c(y2)):
             out.append((1, f"relatedness of {x1},{x2} not mirrored by their images"))
     # (2)/(3) red classes must bring their image point along
-    for clause, pts, pool, side in ((2, a.domain(), dom_a, "domain"),
-                                    (3, a.image(), im_a, "image")):
-        for x in pts:
+    for clause, pool, side in ((2, a_fwd, "domain"), (3, a_inv, "image")):
+        for x in pool:
             q = c(x)
             if cert.colour_of_index(q) == Colour.RED:
                 rep = cert.representative(q)
@@ -331,42 +321,36 @@ def p_check(g, cert: GenericCert, p: PPair) -> List[Tuple[int, str]]:
                     out.append((clause, f"red class of {x} has image point {rep} "
                                         f"missing from the {side} of a"))
     # (4)/(5) g carries b into a
-    for clause, pts, pool, side in ((4, b.domain(), dom_a, "domain"),
-                                    (5, b.image(), im_a, "image")):
+    for clause, pts, pool, side in ((4, b_fwd, a_fwd, "domain"),
+                                    (5, b_inv, a_inv, "image")):
         for u in pts:
             gu = g.eval(u)
             if gu not in pool:
                 out.append((clause, f"g({u}) = {gu} missing from the {side} of a"))
-    # (6)/(7) a agrees with g·b·g⁻¹ on image points
-    b_inv = b.inverse()
-    a_inv = a.inverse()
-    for x in a.domain():
-        if cert.in_image(x):
-            w = cert.inverse_image(x)
-            if b.apply(w) is None:
-                out.append((6, f"g⁻¹({x}) = {w} missing from the domain of b"))
-            elif g.eval(b.apply(w)) != a.apply(x):
-                out.append((6, f"g·b·g⁻¹ and a disagree at {x}"))
-    for y in a.image():
-        if cert.in_image(y):
-            w = cert.inverse_image(y)
-            if b_inv.apply(w) is None:
-                out.append((7, f"g⁻¹({y}) = {w} missing from the image of b"))
-            elif g.eval(b_inv.apply(w)) != a_inv.apply(y):
-                out.append((7, f"g·b⁻¹·g⁻¹ and a⁻¹ disagree at {y}"))
+    # (6)/(7) a agrees with g·b·g⁻¹ on image points, and a⁻¹ with g·b⁻¹·g⁻¹
+    for clause, fwd, bk, side, text in (
+            (6, a_fwd, b_fwd, "domain", "g·b·g⁻¹ and a"),
+            (7, a_inv, b_inv, "image", "g·b⁻¹·g⁻¹ and a⁻¹")):
+        for x, ax in fwd.items():
+            if cert.in_image(x):
+                w = cert.inverse_image(x)
+                if w not in bk:
+                    out.append((clause, f"g⁻¹({x}) = {w} missing from the {side} of b"))
+                elif g.eval(bk[w]) != ax:
+                    out.append((clause, f"{text} disagree at {x}"))
     return out
 
 
-def extend_pair(g, cert: GenericCert, p: PPair) -> CommutingPair:
-    """Grow a compatible pair (a, b) into commuting automorphisms: α
-    extends a, and β = g⁻¹∘α∘g extends b.
+def extend_pair(g, cert: GenericCert, a, b) -> CommutingPair:
+    """Grow a compatible pair (a, b) of partial maps into commuting
+    automorphisms: α extends a, and β = g⁻¹∘α∘g extends b.
 
     α is built in the coordinates of cert's index iso idx (a ComposedCert
-    shares its outer certificate's), which sends x to (q, b): q is x's
-    class and b its place in the class.  α(x) = idx⁻¹((ι(q), φ_q(b))),
+    shares its outer certificate's), which sends x to (q, s): q is x's
+    class and s its place in the class.  α(x) = idx⁻¹((ι(q), φ_q(s))),
     where ι is a colour-preserving iso of the index order seeded with a's
     class pairs, colours read from cert itself, and φ_q is an iso of the
-    line seeded with the b → c coordinates of a's pairs in class q.  A
+    line seeded with the s → t coordinates of a's pairs in class q.  A
     class whose pairs all keep their coordinate maps by the identity.
     An image point is (q, 0) with q red, and p_check puts 0 → 0 among
     the pairs of every red class that a meets, so α keeps the order, the
@@ -376,22 +360,22 @@ def extend_pair(g, cert: GenericCert, p: PPair) -> CommutingPair:
     back-and-forth on dense orders.  On a ComposedCert, ι runs on the
     recoloured outer index order, which is not homogeneous, so its
     search can still fail."""
-    violations = p_check(g, cert, p)
+    violations = p_check(g, cert, a, b)
     if violations:
         raise PPairError(violations)
 
     idx = cert.index_iso
     classes, moves = {}, {}
-    for x, y in p.a.pairs:
-        (q, b), (r, c) = idx.eval_fwd(x), idx.eval_fwd(y)
+    for x, y in a.pairs:
+        (q, s), (r, t) = idx.eval_fwd(x), idx.eval_fwd(y)
         classes[q] = r
-        moves.setdefault(q, []).append((b, c))
+        moves.setdefault(q, []).append((s, t))
     iota = build(cert.index_order, cert.index_order,
                  seed=sorted(classes.items()),
                  constraint=Constraint("index colour", cert.colour_of_index,
                                        cert.colour_of_index))
     phi = {q: build(FullQ(), FullQ(), seed=pairs)
-           for q, pairs in moves.items() if any(b != c for b, c in pairs)}
+           for q, pairs in moves.items() if any(s != t for s, t in pairs)}
     alpha_iso = CoordinateIso(idx, iota, phi)
 
     def beta_fn(x):
@@ -438,7 +422,7 @@ def recover_witness(g, cert: GenericCert, u: Rat, s: Rat):
             t = next(pt for pt in cert.class_points(q) if pt != s)
             a = FinitePartialMap.from_pairs([(gu, gu), (s, t)])
             b = FinitePartialMap.from_pairs([(u, u)])
-    return extend_pair(g, cert, PPair(a, b))
+    return extend_pair(g, cert, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -25,14 +25,13 @@ from math import inf
 from typing import Callable, Optional, Tuple
 
 from .clone import FinitaryOp
-from .endo import LazyEndo, PiecewiseEndo, constant_map, identity_map
+from .endo import LazyEndo, PiecewiseEndo, _cut_cmp, constant_map, identity_map
 from .lazyiso import FullQ, build
 from .ratcore import (
     Rat,
     least_index_in_interval,
     nth_rational,
     rat_index,
-    simplest_between,
 )
 
 __all__ = [
@@ -128,21 +127,21 @@ def _piecewise_least_difference(f: PiecewiseEndo, g: PiecewiseEndo) -> Optional[
     whatever cannot beat the least index found so far, ``best``:
     - an open region is examined only when the index of its least element
       m is below best.  No element of the region has a lower index than m,
-      so a skipped region holds no better answer.  m is the region's
-      simplest rational when both its ends are finite; on an end region it
-      is the first element of the region's enumeration, since a half-line
-      holding 0 has least element 0, not the integer next to its bound.
-      Each map's formula there is found at m by one binary search.  When
-      they differ, the maps differ everywhere on the region except possibly
-      at one crossing point, so m's index is the region's answer unless m
-      is that point; only then does a witness scan run, and it stops at
-      the region's second element.
+      so a skipped region holds no better answer.  m is the first element
+      of the region's enumeration: on a bounded region its simplest
+      rational, and on a half-line holding 0, 0 itself rather than the
+      integer next to its bound.  Each map's formula there is found at m
+      by one binary search, and the two formulas are compared at a point
+      with _cut_cmp, in integers.  When they differ, the maps differ
+      everywhere on the region except possibly at one crossing point, so
+      m's index is the region's answer unless m is that point; only then
+      does a witness scan run, and it stops at the region's second element.
     - a cut is examined only when its own index is below best.
     - the pass stops once best is 0, the least index there is.
-    A region costs a simplest-rational walk (on an end region, the first
-    step of its enumeration) and an index walk, a cut costs an index walk,
-    and each one examined adds two binary searches, so the pass takes
-    O((n + m) log(n + m)) steps over the n + m pieces of the two maps.
+    A region costs the first step of its enumeration and an index walk, a
+    cut costs an index walk, and each one examined adds two binary
+    searches, so the pass takes O((n + m) log(n + m)) steps over the
+    n + m pieces of the two maps.
     The two maps' cuts are two sorted runs, which one sort merges in
     linear time; a cut that repeats is visited once.
 
@@ -161,23 +160,20 @@ def _piecewise_least_difference(f: PiecewiseEndo, g: PiecewiseEndo) -> Optional[
         if lo is not None and hi == lo:
             continue  # a cut both maps make, or a one-point piece's repeat
         # the open region (lo, hi) lies inside one piece of each map
-        if lo is None or hi is None:
-            m = least_index_in_interval(lo, hi)
-        else:
-            m = simplest_between(lo, hi)
+        m = least_index_in_interval(lo, hi)
         n = rat_index(m)
         if n < best:
             fp, gp = fc.pieces[fc.piece_index(m)], gc.pieces[gc.piece_index(m)]
             if (fp.slope, fp.intercept) != (gp.slope, gp.intercept):
-                if fp.value_at(m) == gp.value_at(m):
+                if not _cut_cmp(fp, gp, m):
                     n = rat_index(least_index_in_interval(
-                        lo, hi, pred=lambda x: fp.value_at(x) != gp.value_at(x)))
+                        lo, hi, pred=lambda x: _cut_cmp(fp, gp, x)))
                 best = min(best, n)
         if hi is not None:
             n = rat_index(hi)
             if n < best:
                 fp, gp = fc.pieces[fc.piece_index(hi)], gc.pieces[gc.piece_index(hi)]
-                if fp.value_at(hi) != gp.value_at(hi):
+                if _cut_cmp(fp, gp, hi):
                     best = n
         if best == 0:
             break

@@ -1,10 +1,11 @@
 """Command-line harness: frozen reports, exit codes, error surfacing."""
 
+import random
 from pathlib import Path
 
 import pytest
 
-from qendo import ratcore
+from qendo import ratcore, suites
 from qendo.actions import LabelledForest
 from qendo.cli import main
 from qendo.endo import PiecewiseEndo
@@ -220,6 +221,25 @@ def test_suite_actions_rejects_bad_forest(files, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "root 'root' must carry label 0" in err
+
+
+def test_suite_rejects_a_label_above_the_orbit_draw(files, capsys):
+    # an orbit point at a node labelled n holds n distinct draws, and the
+    # draw takes ORBIT_RANK_LIMIT values: a larger label is refused before
+    # any suite runs, and a label at the limit runs
+    limit = suites.ORBIT_RANK_LIMIT
+    rng = random.Random(0)
+    drawn = {suites.random_fraction(rng, *suites.ORBIT_DRAW) for _ in range(5000)}
+    assert len(drawn) == limit == 73
+    code = main(["suite", "all",
+                 "--forest", files("big.forest", "r - 0\nbig r 200\n")])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "node 'big' has label 200" in err and f"at most {limit}" in err
+    code = main(["suite", "actions",
+                 "--forest", files("edge.forest", f"r - 0\nedge r {limit}\n")])
+    assert code == 0
+    assert "across 4 forests" in capsys.readouterr().out
 
 
 def test_suite_actions_takes_extra_forest(files, capsys):

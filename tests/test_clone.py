@@ -166,7 +166,8 @@ def test_characterization_on_random_tables():
         assert lhs == rhs
         if lhs:
             agree += 1
-            assert unary_reconstruction(op) is not None
+            j, u = unary_reconstruction(op)
+            assert all(op.table[args] == u[args[j - 1]] for args in op.table)
     assert agree > 0  # unary and constant tables do occur
 
 

@@ -13,6 +13,7 @@ from qendo.endo import (
     Piece,
     PiecewiseEndo,
     _cut_cmp,
+    _run_image,
     _tidy_pieces,
     cancellability_witness,
     classify,
@@ -208,7 +209,7 @@ def test_image_union_of_non_canonical_maps():
     assert joined.image_union() == (RatInterval(None, F(0)),
                                     RatInterval(F(3), None, True, False))
     for f in (twin, jump, joined):
-        assert f.image_union() == merge_intervals([p.image() for p in f.pieces])
+        assert f.image_union() == merge_intervals([_run_image(p, p) for p in f.pieces])
 
 
 def test_cancellability_witnesses():
@@ -642,7 +643,7 @@ def test_canonical_images_are_disjoint_and_rise(f):
         if p.interval.is_degenerate():
             assert p.slope == 0
     for left, right in zip(pieces, pieces[1:]):
-        a, b = left.image(), right.image()
+        a, b = _run_image(left, left), _run_image(right, right)
         assert a.hi < b.lo or (a.hi == b.lo and a.hi_closed != b.lo_closed)
 
 
@@ -651,7 +652,7 @@ def test_canonical_images_are_disjoint_and_rise(f):
 def test_image_union_matches_the_merged_images(f):
     # the sort-and-merge image_union used before its one sweep
     for g in (f, f.canonical()):
-        assert g.image_union() == merge_intervals([p.image() for p in g.pieces])
+        assert g.image_union() == merge_intervals([_run_image(p, p) for p in g.pieces])
 
 
 # -- the integer comparison at a cut ------------------------------------------
@@ -716,7 +717,7 @@ def _pseudo_section_oracle(g):
     frontier = None
     last_anchor = None
     for p in g.pieces:
-        J = p.image()
+        J = _run_image(p, p)
         if p.slope == 0 or p.interval.is_degenerate():
             v = J.lo
             sec = (p.interval.lo if p.interval.is_degenerate()

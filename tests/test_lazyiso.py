@@ -522,7 +522,7 @@ import bisect  # noqa: E402
 from operator import itemgetter  # noqa: E402
 
 from qendo import generic  # noqa: E402
-from qendo.generic import PPair, extend_pair, generic_embedding  # noqa: E402
+from qendo.generic import extend_pair, generic_embedding  # noqa: E402
 from qendo.partialmap import FinitePartialMap  # noqa: E402
 
 
@@ -625,7 +625,7 @@ def _commuting_pair(make, variant="core", blue_move=False):
         a = FinitePartialMap.from_pairs(moves)
         b = FinitePartialMap.from_pairs(
             [(F(0), F(0)), (cert.inverse_image(s), cert.inverse_image(t))])
-        pair = extend_pair(g, cert, PPair(a, b))
+        pair = extend_pair(g, cert, a, b)
     return cert, pair, a
 
 

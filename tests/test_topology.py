@@ -321,8 +321,8 @@ def _staircase(bump=None, held_left=()):
 
 
 def test_dist_at_zero_takes_no_walk(monkeypatch):
-    # two 60-piece maps that differ at 0 answer 0 with no index walk, no
-    # simplest-rational walk and no enumeration
+    # two 60-piece maps that differ at 0 answer 0 with no index walk and
+    # no enumeration
     f = _staircase()
     g = compose(affine_map(F(1), F(1)), f)
     assert len(f.canonical().pieces) == len(g.canonical().pieces) == 60
@@ -330,7 +330,7 @@ def test_dist_at_zero_takes_no_walk(monkeypatch):
     def walked(*args, **kwargs):
         raise AssertionError("dist walked the enumeration")
 
-    for name in ("simplest_between", "least_index_in_interval", "rat_index"):
+    for name in ("least_index_in_interval", "rat_index"):
         monkeypatch.setattr(topology, name, walked)
     for a, b in ((f, g), (g, f)):
         r = dist(CTX, a, b)
