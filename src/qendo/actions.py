@@ -130,17 +130,32 @@ class LabelledForest:
 class OrbitPoint:
     """A forest node together with a finite set of rationals of its rank.
 
-    B is stored sorted; a value given twice raises ValueError, since the
-    set it describes would be smaller than the values given."""
+    B may be any iterable of rationals; it is stored as a sorted tuple of
+    `Rat`s.  A value given twice raises ValueError, since the set it
+    describes would be smaller than the values given; the message names
+    the first value, in the order given, that repeats an earlier one."""
 
     node: str
     B: Tuple[Rat, ...]
 
     def __post_init__(self):
-        dup = next((v for i, v in enumerate(self.B) if v in self.B[:i]), None)
-        if dup is not None:
-            raise ValueError(f"value {dup} is repeated")
-        object.__setattr__(self, "B", tuple(sorted(self.B)))
+        B = tuple(self.B)
+        for v in B:
+            if type(v) is not Rat:
+                B = tuple(map(Rat, B))  # Rat(v) is v for a Rat
+                break
+        # increasing input passes after len(B) - 1 comparisons
+        for i in range(1, len(B)):
+            if B[i] <= B[i - 1]:
+                given, B = B, tuple(sorted(B))
+                if any(a == b for a, b in zip(B, B[1:])):
+                    seen = set()
+                    for v in given:
+                        if v in seen:
+                            raise ValueError(f"value {v} is repeated")
+                        seen.add(v)
+                break
+        object.__setattr__(self, "B", B)
 
     def __str__(self) -> str:
         inner = ", ".join(map(str, self.B))
@@ -159,12 +174,24 @@ def _validate_point(forest: LabelledForest, p: OrbitPoint) -> None:
 def act(forest: LabelledForest, f, p: OrbitPoint) -> OrbitPoint:
     """Push the point's set through ``f`` and cascade down the branch.
 
-    The target node is the deepest ancestor-or-self whose rank is at most
-    the size of the image set; its rank many smallest image elements form
-    the new set.  Total because every root has rank 0.
+    ``f`` must be weakly monotone, as every map qendo builds or reads is:
+    the sorted set goes through it in one pass, equal images are
+    neighbours and are kept once, and an image below the one before it
+    raises ValueError naming the point where ``f`` decreases.  The target
+    node is the deepest ancestor-or-self whose rank is at most the size of
+    the image set; its rank many smallest image elements form the new set.
+    Total because every root has rank 0.
     """
     _validate_point(forest, p)
-    image = sorted({f.eval(b) for b in p.B})
+    image: List[Rat] = []
+    for b in p.B:
+        y = f.eval(b)
+        if not image or image[-1] < y:
+            image.append(y)
+        elif y < image[-1]:
+            raise ValueError(
+                f"the map decreases at {b}: {y} is below the image "
+                f"{image[-1]} of a smaller point")
     for node in forest.ancestry(p.node):
         if forest.label[node] <= len(image):
             return OrbitPoint(node, tuple(image[: forest.label[node]]))

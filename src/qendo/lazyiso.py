@@ -129,6 +129,8 @@ class ColouredQ(OrderSpec):
     def enum_in_gap(self, lo, hi):
         # the markers inside the gap, then the rationals: ratcore's stream
         # itself when no marker is inside
+        if not self._markers:  # then no gap end is a marker either
+            return enumerated_in_interval(lo, hi)
         if lo is Marker.MAX or hi is Marker.MIN:
             # nothing lies above +end or below -end
             if lo is not None and hi is not None:

@@ -19,6 +19,7 @@ from qendo.actions import (
 )
 from qendo.endo import (
     ComposedEndo,
+    LazyEndo,
     Piece,
     PiecewiseEndo,
     compose,
@@ -26,7 +27,8 @@ from qendo.endo import (
     idempotent_with_image,
     identity_map,
 )
-from qendo.ratcore import RatInterval
+from qendo.ratcore import Rat, RatInterval
+from qendo.suites import _forest_corpus
 from qendo.topology import automorphism_near
 
 from util import affine_map, fractions_between, monotone_endos
@@ -127,6 +129,79 @@ def test_orbit_point_canonicalizes():
     assert str(p) == "(top; {0, 1})"
     with pytest.raises(ValueError, match=r"^value 1 is repeated$"):
         OrbitPoint("top", (F(1), F(0), F(1)))
+
+
+@pytest.mark.parametrize("values, stored", [
+    pytest.param((), (), id="empty"),
+    pytest.param((F(0), F(1), F(5, 2)), (F(0), F(1), F(5, 2)), id="increasing"),
+    pytest.param((F(5, 2), F(0), F(1)), (F(0), F(1), F(5, 2)), id="unsorted"),
+    pytest.param([F(1), 0], (F(0), F(1)), id="list"),
+    pytest.param({F(1), F(-2), F(1, 3)}, (F(-2), F(1, 3), F(1)), id="set"),
+    pytest.param(range(3, 0, -1), (F(1), F(2), F(3)), id="range"),
+])
+def test_orbit_point_takes_any_iterable_and_stores_rats(values, stored):
+    p = OrbitPoint("n", values)
+    assert type(p.B) is tuple and p.B == stored
+    assert all(type(v) is Rat for v in p.B)
+
+
+@pytest.mark.parametrize("values, dup", [
+    pytest.param((F(0), F(1), F(1)), "1", id="neighbours-sorted"),
+    pytest.param((F(1), F(1), F(0)), "1", id="neighbours-unsorted"),
+    pytest.param((F(1), F(0), F(1)), "1", id="apart"),
+    pytest.param([F(1), F(2), F(0), 1], "1", id="apart-list-int"),
+    pytest.param((F(3), F(1), F(1), F(3)), "1", id="first-in-order-given"),
+    pytest.param((F(3), F(1), F(3), F(1)), "3", id="not-the-least-repeat"),
+])
+def test_orbit_point_names_the_first_repeated_value(values, dup):
+    # the first value, in the order given, that equals an earlier one
+    with pytest.raises(ValueError, match=rf"^value {dup} is repeated$"):
+        OrbitPoint("n", values)
+
+
+def _act_by_set_and_sort(forest, f, p):
+    # the reference: hash every image, then sort the distinct ones
+    actions._validate_point(forest, p)
+    image = sorted({f.eval(b) for b in p.B})
+    for node in forest.ancestry(p.node):
+        if forest.label[node] <= len(image):
+            return OrbitPoint(node, tuple(image[: forest.label[node]]))
+    raise AssertionError("unreachable: roots have rank 0")
+
+
+_ACT_MAPS = st.one_of(
+    monotone_endos(),
+    st.tuples(monotone_endos(), monotone_endos()).map(ComposedEndo),
+    monotone_endos().map(lambda g: LazyEndo(g.eval)),
+    st.just(LazyEndo(lambda x: Rat(x.numerator // x.denominator))),
+)
+
+
+@st.composite
+def _corpus_points(draw):
+    forest = draw(st.sampled_from(_forest_corpus()))
+    node = draw(st.sampled_from(forest.nodes()))
+    rank = forest.label[node]
+    B = draw(st.sets(fractions_between(-4, 4, 3), min_size=rank, max_size=rank))
+    return forest, OrbitPoint(node, B)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_ACT_MAPS, _corpus_points())
+def test_act_matches_the_set_and_sort_reference(f, case):
+    forest, p = case
+    q = act(forest, f, p)
+    assert q == _act_by_set_and_sort(forest, f, p)
+    assert all(type(v) is Rat for v in q.B)
+
+
+@pytest.mark.parametrize("f, where", [
+    pytest.param(LazyEndo(lambda x: -x), "1", id="negation"),
+    pytest.param(LazyEndo(lambda x: x if x < 1 else x - 5), "1", id="drop"),
+])
+def test_act_raises_where_the_map_decreases(f, where):
+    with pytest.raises(ValueError, match=rf"^the map decreases at {where}: "):
+        act(CHAIN, f, TOP_01)
 
 
 @settings(max_examples=60, deadline=None)

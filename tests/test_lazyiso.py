@@ -190,6 +190,36 @@ def test_red_q_is_the_red_part_of_coloured_q(with_min, with_max, data):
                                     and base.colour_label(el) == Colour.RED)
 
 
+GAPS = [
+    pytest.param(F(-1, 3), F(5, 2), id="bounded"),
+    pytest.param(F(1, 2), None, id="above"),
+    pytest.param(None, F(-3, 4), id="below"),
+    pytest.param(None, None, id="whole-line"),
+]
+
+
+@pytest.mark.parametrize("lo, hi", GAPS)
+def test_marker_free_coloured_q_streams_ratcore(lo, hi):
+    want = list(itertools.islice(enumerated_in_interval(lo, hi), 50))
+    assert list(itertools.islice(ColouredQ().enum_in_gap(lo, hi), 50)) == want
+
+
+@pytest.mark.parametrize("lo, hi", GAPS)
+@pytest.mark.parametrize("with_min, with_max", [
+    pytest.param(True, False, id="minus"), pytest.param(False, True, id="plus"),
+    pytest.param(True, True, id="pm")])
+def test_coloured_q_yields_its_markers_first(with_min, with_max, lo, hi):
+    # the markers inside the gap, then ratcore's stream
+    spec = ColouredQ(with_min, with_max)
+    markers = [m for m, inside in ((Marker.MIN, with_min and lo is None),
+                                   (Marker.MAX, with_max and hi is None))
+               if inside]
+    got = list(itertools.islice(spec.enum_in_gap(lo, hi), 50))
+    assert got[:len(markers)] == markers
+    assert got[len(markers):] == list(
+        itertools.islice(enumerated_in_interval(lo, hi), 50 - len(markers)))
+
+
 def _product():
     line = FullQ()
     return LexSum(line, lambda a: line)
