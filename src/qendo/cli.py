@@ -168,8 +168,6 @@ def cmd_factorize(args, cfg: RunConfig) -> int:
         lines.append("composite not verified (0 points)")
     else:
         lines.append(f"composite verified on {len(probe)} points")
-    lines.append("memo snapshot:")
-    lines += [f"  {ln}" for ln in fac.theta.memo_dump().splitlines()]
     print("\n".join(lines))
     return 0 if (strictly and not bad) else 1
 

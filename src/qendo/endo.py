@@ -9,8 +9,9 @@ classification fact this package needs: plateaus witness failure of
 injectivity, image gaps witness failure of surjectivity, and both kinds
 of witness can be cashed out as cancellation counterexamples.
 
-Beyond the closed-form maps, LazyEndo wraps demand-driven maps (built
-from isomorphism engines) and ComposedEndo chains arbitrary factors.
+Beyond the piecewise maps, LazyEndo wraps a map given by a function (an
+isomorphism engine's, or the epi-mono factorization's closed forms) and
+ComposedEndo chains arbitrary factors.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Tuple
 
-from .lazyiso import FactorOrder, FullQ, LazyIso, build
 from .ratcore import (
     Rat,
     RatInterval,
@@ -574,7 +574,7 @@ def idempotent_with_image(points) -> PiecewiseEndo:
 
 @dataclass
 class LazyEndo:
-    """A self-map evaluated on demand (usually backed by an iso engine)."""
+    """A self-map evaluated on demand, by a function of a Rat."""
     fn: Callable[[Rat], Rat]
 
     def eval(self, x: Rat) -> Rat:
@@ -594,44 +594,104 @@ class ComposedEndo:
 
 
 # ---------------------------------------------------------------------------
-# factorization through the fibre order
+# epi-mono factorization in closed form
 # ---------------------------------------------------------------------------
 
 @dataclass
 class Factorization:
-    """h = epi ∘ mono exactly; preimage(r) finds x with epi(x) = r."""
+    """h = epi ∘ mono exactly; preimage(r) finds x with epi(x) = r.
+
+    All three are closed-form maps over h's canonical pieces, and nothing
+    is built at set-up: for n canonical pieces, mono and epi each cost
+    O(log n) per evaluation (one bisect), and preimage O(n)."""
     epi: LazyEndo
     mono: LazyEndo
     preimage: Callable[[Rat], Rat]
-    order: FactorOrder
-    theta: LazyIso
+
+
+def _flat_end(p: Piece):
+    """The finite end d of a flat end piece of a map, 0 for a constant
+    map's one piece; None when p is sloped or bounded on both sides."""
+    iv = p.interval
+    if p.slope._numerator or iv.lo is not None and iv.hi is not None:
+        return None
+    d = iv.hi if iv.lo is None else iv.lo
+    return Rat(0) if d is None else d
+
+
+def _spread(p: Piece, x: Rat) -> Rat:
+    """x + p(x), that is (s + 1)*x + b for p's formula s*x + b, built from
+    the integer parts with one gcd."""
+    s, b = p.slope, p.intercept
+    sd, xd, bd = s._denominator, x._denominator, b._denominator
+    return _reduced((s._numerator + sd) * x._numerator * bd + b._numerator * sd * xd,
+                    sd * xd * bd)
 
 
 def epi_mono_factorize(h: PiecewiseEndo) -> Factorization:
-    """Split a weakly monotone map into a strictly monotone embedding
-    followed by a surjection.
+    """Split a weakly monotone map h into a strictly increasing embedding
+    mono followed by a surjection epi.
 
-    The intermediate order refines the line by replacing each value q with
-    its solution interval (or a single point when q is never attained);
-    theta identifies that order with the plain line on demand."""
+    mono(x) = x + h(x), except on a flat end of h with value b and finite
+    end d (d = 0 for a constant map): there mono(x) = d + b + t/(1 + |t|)
+    with t = x - d, which squashes the end into an interval of length 1
+    beside d + b.  epi(y) = y - X, where X is the x with x + p(x) = y for
+    the canonical piece p whose part of the line y falls in, clamped to
+    p's interval, and on a flat end to within 1 of d.  So epi is p(x) on
+    mono's image, y - c across the gap mono leaves at a jump of h at c,
+    and b on a squash with slope 1 beyond it: a continuous map onto the
+    line.  p is found by a bisect over mono's values at the cuts, each
+    computed when the bisect asks for it.  preimage(r) is mono at a point
+    of h's fibre over r when h attains r, c + r when r lies in h's jump
+    at c, and r + d - 1 or r + d + 1 past a flat left or right end."""
     hc = h.canonical()
-    order = FactorOrder(hc)
-    theta = build(FullQ(), order)
+    pieces = hc.pieces
+    cuts = hc._cuts
+
+    def mono_at_cut(k):
+        # mono at the k-th cut, from the formula of the piece starting there
+        return _spread(pieces[k + 1], cuts[k])
 
     def mono_fn(x):
-        return theta.eval_bwd((hc.eval(x), x))
+        p = pieces[hc.piece_index(x)]
+        d = _flat_end(p)
+        if d is None:
+            return _spread(p, x)
+        t = x - d
+        return d + p.intercept + t / ((t if t >= 0 else -t) + 1)
 
-    def epi_fn(x):
-        return theta.eval_fwd(x)[0]
+    def epi_fn(y):
+        p = pieces[bisect_right(range(len(cuts)), y, key=mono_at_cut)]
+        # the x with x + p(x) = y: (y - b) / (s + 1), built with one gcd
+        s, b = p.slope, p.intercept
+        sd, yd, bd = s._denominator, y._denominator, b._denominator
+        x = _reduced((y._numerator * bd - b._numerator * yd) * sd,
+                     yd * bd * (s._numerator + sd))
+        iv = p.interval
+        lo, hi = iv.lo, iv.hi
+        d = _flat_end(p)
+        if d is not None:
+            lo = d - 1 if lo is None else lo
+            hi = d + 1 if hi is None else hi
+        if hi is not None and x > hi:
+            x = hi
+        elif lo is not None and x < lo:
+            x = lo
+        return y - x
 
     def preimage(r):
         r = Rat(r)
-        return theta.eval_bwd((r, next(order.fibre(r).enum_in_gap(None, None))))
+        fibre = hc.point_preimage(r)
+        if fibre is not None:
+            return mono_fn(_section_point(fibre))
+        for k, c in enumerate(cuts):
+            if pieces[k].value_at(c) <= r <= pieces[k + 1].value_at(c):
+                return c + r  # inside the jump at c
+        # past a flat end
+        d = _flat_end(pieces[0])
+        if d is not None and r < pieces[0].intercept:
+            return r + d - 1
+        return r + _flat_end(pieces[-1]) + 1
 
-    return Factorization(
-        epi=LazyEndo(epi_fn),
-        mono=LazyEndo(mono_fn),
-        preimage=preimage,
-        order=order,
-        theta=theta,
-    )
+    return Factorization(epi=LazyEndo(epi_fn), mono=LazyEndo(mono_fn),
+                         preimage=preimage)

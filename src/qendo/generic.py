@@ -118,7 +118,7 @@ class DirectCert(GenericCert):
             with_max=variant in ("plus", "pm"),
         )
         line = FullQ()
-        self._product = LexSum(self.index_order, lambda q: line)
+        self._product = LexSum(self.index_order)
         self.index_iso = build(line, self._product)
         self.red_iso = build(line, RedQ())
         self.embedding = LazyEndo(self._embed)

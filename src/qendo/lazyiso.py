@@ -8,14 +8,13 @@ both ends given and lo not below hi is an error: enum_in_gap raises
 ValueError, at the call or at the first next().  A gap with an unbounded
 side is never an error, only possibly empty, as (max, None) is.
 
-An order that serves as a LexSum's index (FullQ, ColouredQ) also has
-`index_of(el)`, el's position in the whole enumeration, from 0; a fibre
-needs none, as a sum orders each fibre's lane by position in the lane.
-`min_el` and `max_el` are the order's least and greatest elements, None
-where there is none.  Elements of one spec compare with Python's `<` in
-the spec's order: rationals are Fractions, the adjoined endpoints are
-Markers that sort below (MIN) or above (MAX) everything else, and a
-LexSum's pairs compare as tuples.
+ColouredQ, the index order of every LexSum, also has `index_of(el)`,
+el's position in its whole enumeration, from 0.  `min_el` and `max_el`
+are the order's least and greatest elements, None where there is none.
+Elements of one spec compare with Python's `<` in the spec's order:
+rationals are Fractions, the adjoined endpoints are Markers that sort
+below (MIN) or above (MAX) everything else, and a LexSum's pairs compare
+as tuples.
 
 FullQ is the rationals in ratcore's enumeration.  ColouredQ adds the
 dense two-colouring and optional blue endpoints; its red elements are
@@ -45,16 +44,14 @@ from bisect import bisect_left
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
-from typing import Callable, Optional
+from typing import Optional
 
 from . import ratcore
 from .ratcore import (
     Colour,
     Rat,
-    RatInterval,
     colour,
     enumerated_in_interval,
-    intersect_intervals,
     rat_index,
 )
 
@@ -106,9 +103,6 @@ class FullQ(OrderSpec):
 
     def enum_in_gap(self, lo, hi):
         return enumerated_in_interval(lo, hi)
-
-    def index_of(self, el):
-        return rat_index(el)
 
 
 class ColouredQ(OrderSpec):
@@ -170,83 +164,51 @@ class RedQ(OrderSpec):
                 if (x._numerator + x._denominator) % 2)
 
 
-class IntervalQ(OrderSpec):
-    """The rationals of one RatInterval, in global enumeration order."""
-
-    def __init__(self, interval: RatInterval):
-        self.interval = interval
-
-    def contains(self, el):
-        return ((type(el) is Rat or isinstance(el, Fraction))
-                and self.interval.contains(el))
-
-    def enum_in_gap(self, lo, hi):
-        w = intersect_intervals(self.interval, RatInterval(lo, hi))
-        if w is None:
-            return iter(())
-        return enumerated_in_interval(w.lo, w.hi, w.lo_closed, w.hi_closed)
-
-
-class PointOrder(OrderSpec):
-    """The one-element order {'pt'}."""
-
-    def contains(self, el):
-        return el == "pt"
-
-    def enum_in_gap(self, lo, hi):
-        if lo is not None and hi is not None:
-            raise ValueError("empty gap (pt, pt)")
-        return iter(("pt",) if lo is None and hi is None else ())
-
-
 class LexSum(OrderSpec):
-    """Lexicographic sum of the orders fibre(a) over an index order.
+    """Lexicographic product of an index order with the rationals: the sum
+    over the index order whose fibre over every a is a copy of FullQ.
 
-    Elements are tuples (a, b) with b in fibre(a), so tuple order compares
-    a first and then b inside fibre(a): a fibre's elements are all of one
-    type.  A gap's stream merges lanes, one per index element a that the
-    gap meets: the lane is fibre(a)'s own stream of the gap's part over a,
-    and its j-th element has the key cantor(index.index_of(a), j).  A
-    whole fibre's lane is its whole enumeration, so enum_in_gap(None,
-    None) runs along the Cantor diagonal of index and fibre positions.
-    A lexicographic product is the sum with the same fibre everywhere.
-    The sum is taken to be endpoint-free: where the index order has a
-    least (greatest) element, the fibre over it must have none.
+    Elements are tuples (a, b) with b rational, so tuple order compares a
+    first and then b.  A gap's stream merges lanes, one per index element
+    a that the gap meets: the lane is FullQ's stream of the gap's part
+    over a, and its j-th element has the key cantor(index.index_of(a), j).
+    A whole fibre's lane is FullQ's whole enumeration, so
+    enum_in_gap(None, None) runs along the Cantor diagonal of index and
+    fibre positions.  Every fibre is endpoint-free, and so is the product.
     """
 
-    def __init__(self, index: OrderSpec, fibre: Callable[[object], OrderSpec]):
+    def __init__(self, index: OrderSpec):
         self.index = index
-        self.fibre = fibre
 
     def contains(self, el):
         return (isinstance(el, tuple) and len(el) == 2
                 and self.index.contains(el[0])
-                and self.fibre(el[0]).contains(el[1]))
+                and (type(el[1]) is Rat or isinstance(el[1], Fraction)))
 
     def _lane(self, a, lo, hi):
-        # (key, element) for the fibre over a, strictly inside (lo, hi)
+        # (key, element) for the rationals over a strictly inside (lo, hi)
         ia = self.index.index_of(a)
-        for j, b in enumerate(self.fibre(a).enum_in_gap(lo, hi)):
+        for j, b in enumerate(enumerated_in_interval(lo, hi)):
             yield _cantor(ia, j), (a, b)
 
     def _merge_lanes(self, index_elements, lanes):
-        # the given lanes and the whole fibres over index_elements, merged
-        # by key.  Every lane starts at place 0 and index_elements come in
-        # index order, so whole-fibre lane heads ascend: the next one is
-        # due only once the newest one's head has been yielded.  Keys are
-        # distinct, so the heap never compares elements.
+        # the given lanes and the whole fibres over index_elements, an
+        # iterator, merged by key.  Every lane starts at place 0 and
+        # index_elements come in index order, so whole-fibre lane heads
+        # ascend: the next one is due only once the newest one's head has
+        # been yielded.  Every lane runs over a half-line or the whole
+        # line, so none ends.  Keys are distinct, so the heap never
+        # compares elements.
         heap = []
 
         def push(lane, is_head):
-            head = next(lane, None)
-            if head is not None:
-                heapq.heappush(heap, (head[0], head[1], is_head, lane))
-            return head is not None
+            key, el = next(lane)
+            heapq.heappush(heap, (key, el, is_head, lane))
 
         def spawn():
-            for a in index_elements:
-                if push(self._lane(a, None, None), True):
-                    return
+            a = next(index_elements, None)  # no order has None as an element
+            if a is not None:
+                push(self._lane(a, None, None), True)
 
         for lane in lanes:
             push(lane, False)
@@ -273,48 +235,7 @@ class LexSum(OrderSpec):
 
     def format_el(self, el):
         a, b = el
-        return f"({self.index.format_el(a)},{self.fibre(a).format_el(b)})"
-
-
-class FactorOrder(LexSum):
-    """The order that factors a weakly monotone map h: the sum over FullQ
-    whose fibre over q is the (convex) solution interval of h(y) = q, with
-    elements (q, y), or the one element (q, 'pt') when q is never attained.
-
-    FactorOrder(h) takes any h with `eval` and `point_preimage`.  A pair
-    (q, y) with y rational is a member exactly when h.eval(y) == q, one
-    evaluation and no fibre; (q, 'pt') and gap enumeration go through the
-    fibres, built once per q from h.point_preimage.  A gap stream draws
-    only from the fibres' own streams of the gap, so each candidate costs
-    a bounded number of enumeration steps at any depth."""
-
-    def __init__(self, h):
-        # fibre is a method, not a callable stored as LexSum stores it: a
-        # bound method stored on its own instance is a reference cycle
-        self.index = FullQ()
-        self.h = h
-        self._fibres = {}
-
-    def contains(self, el):
-        if not (isinstance(el, tuple) and len(el) == 2):
-            return False
-        q, y = el
-        if not (type(q) is Rat or isinstance(q, Fraction)):
-            return False
-        if type(y) is Rat or isinstance(y, Fraction):
-            return self.h.eval(y) == q
-        return self.fibre(q).contains(y)
-
-    def fibre(self, q):
-        fibre = self._fibres.get(q)
-        if fibre is None:
-            iv = self.h.point_preimage(q)
-            fibre = self._fibres[q] = PointOrder() if iv is None else IntervalQ(iv)
-        return fibre
-
-    def format_el(self, el):
-        q, y = el
-        return f"pt:{q}" if y == "pt" else f"im:{q}@{y}"
+        return f"({self.index.format_el(a)},{b})"
 
 
 # ---------------------------------------------------------------------------

@@ -680,11 +680,6 @@ def union_gaps(canonical) -> tuple:
     return tuple(gaps)
 
 
-def intersect_intervals(a: RatInterval, b: RatInterval) -> Optional[RatInterval]:
-    return _interval_from_positions(max(_start_pos(a), _start_pos(b)),
-                                    min(_end_pos(a), _end_pos(b)))
-
-
 def gap_witness_point(iv: RatInterval) -> Rat:
     """Deterministic representative of a nonempty interval: the point itself
     when degenerate, otherwise the simplest rational of the open interior."""

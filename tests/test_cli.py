@@ -115,8 +115,8 @@ def test_factorize_plateau(files, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "spread part strictly monotone: yes" in out
-    assert "composite verified on 300 points" in out
-    assert "memo snapshot:" in out
+    # the factorization is in closed form, so there is no memo to show
+    assert out.splitlines()[-1] == "composite verified on 300 points"
 
 
 def test_factorize_identity_and_constant(files, capsys):

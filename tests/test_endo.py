@@ -5,10 +5,10 @@ import weakref
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qendo import lazyiso
+from qendo import lazyiso, ratcore
 from qendo.endo import (
     Piece,
     PiecewiseEndo,
@@ -25,17 +25,21 @@ from qendo.endo import (
     pseudo_section,
     right_inverse,
 )
-from qendo.lazyiso import FactorOrder
 from qendo.ratcore import (
     Rat,
     RatInterval,
-    intersect_intervals,
     merge_intervals,
     nth_rational,
     point_interval,
 )
 
-from util import affine_map, fractions_between, monotone_endos, wide_endos
+from util import (
+    affine_map,
+    fractions_between,
+    intersect_intervals,
+    monotone_endos,
+    wide_endos,
+)
 
 SAMPLE = [nth_rational(i) for i in range(60)]
 
@@ -285,75 +289,75 @@ def test_epi_mono_on_injective_map():
         assert fact.epi.eval(fact.preimage(r)) == r
 
 
-def test_factor_order_memo_dump_golden():
-    # plateau at 0 (fibre [0,1]), gap (0,2] never attained (pt fibres)
-    h = PiecewiseEndo.parse("(-inf,0) : 1*x\n[0,1] : 0*x\n(1,+inf) : 1*x + 1\n")
-    fact = epi_mono_factorize(h)
-    for r in (F(0), F(1), F(5), F(-1, 2), F(2)):
-        fact.preimage(r)
-    for x in (F(7), F(-1, 3), F(5, 4)):
-        fact.epi.eval(x)
-    for x in (F(1, 2), F(3), F(-2)):
-        fact.mono.eval(x)
-    assert fact.theta.memo_dump() == (
-        "-2 -> im:-2@-2, -1 -> im:-1/2@-1/2, -1/3 -> im:-1/3@-1/3, "
-        "0 -> im:0@0, 1/2 -> im:0@1/2, 1 -> pt:1, 5/4 -> pt:3/2, "
-        "3/2 -> pt:2, 5/3 -> im:4@3, 2 -> im:5@4, 7 -> im:6@5")
+# maps with a flat end, which the factorization squashes: the constant
+# map, one flat end held at its cut or not, and two flat ends, met
+# continuously or across jumps
+FLAT_ENDED = (
+    constant_map(Rat(3, 2)),
+    PiecewiseEndo.parse("(-inf,0] : 0*x + 1\n(0,+inf) : 1*x + 2\n"),
+    PiecewiseEndo.parse("(-inf,0] : 1*x\n(0,+inf) : 0*x + 5\n"),
+    PiecewiseEndo.parse("(-inf,-1] : 0*x - 2\n(-1,1) : 2*x\n[1,+inf) : 0*x + 2\n"),
+    PiecewiseEndo.parse("(-inf,-1) : 0*x - 3\n[-1,1] : 2*x\n(1,+inf) : 0*x + 3\n"),
+)
 
 
-DRAW_LIMIT = 1000
+def _factor_samples(h):
+    """Sorted points x for mono, points y for epi inside mono's gaps, and
+    sorted targets r for preimage, so that each part of the map is met:
+    each cut and its neighbours, points far out, c + r for r inside a
+    jump of h at c, and values beyond a flat end's."""
+    hc = h.canonical()
+    xs = set(SAMPLE) | {Rat(k) for k in (-1000, -50, 50, 1000)}
+    rs = {hc.eval(x) for x in xs} | set(SAMPLE)
+    gap_ys = set()
+    for p, q in zip(hc.pieces, hc.pieces[1:]):
+        c = q.interval.lo
+        xs |= {c, c - Rat(1, 7), c + Rat(1, 7)}
+        low, high = p.value_at(c), q.value_at(c)
+        if low < high:
+            r = (low + high) / 2
+            rs.add(r)
+            gap_ys.add(c + r)
+    for p, side in ((hc.pieces[0], -1), (hc.pieces[-1], 1)):
+        if p.slope == 0:
+            rs |= {p.intercept + side * k for k in (Rat(1, 3), 1, 40)}
+    return sorted(xs), gap_ys, sorted(rs)
 
 
-@pytest.fixture
-def limited_draws(monkeypatch):
-    # lazyiso's rational streams, failing once they have yielded
-    # DRAW_LIMIT rationals in all: an unbounded scan fails fast
-    whole = lazyiso.enumerated_in_interval
-    drawn = [0]
-
-    def counted(*args):
-        for x in whole(*args):
-            drawn[0] += 1
-            if drawn[0] > DRAW_LIMIT:
-                raise AssertionError(f"drew more than {DRAW_LIMIT} rationals")
-            yield x
-
-    monkeypatch.setattr(lazyiso, "enumerated_in_interval", counted)
-
-
-def test_forward_search_beside_a_deep_fibre_point_draws_few(limited_draws):
-    # mono pins 60/61, deep in the plateau's fibre over 1/2, and 1; epi's
-    # search at 1/2 then opens a gap whose lower end lies in that fibre
-    h = PiecewiseEndo.parse("(-inf,0] : 1*x\n(0,1) : 0*x + 1/2\n[1,+inf) : 1*x\n")
-    fact = epi_mono_factorize(h)
-    x1, x2 = fact.mono.eval(F(60, 61)), fact.mono.eval(F(1))
-    assert x1 < F(1, 2) < x2
-    assert F(1, 2) <= fact.epi.eval(F(1, 2)) <= F(1)
+@example(FLAT_ENDED[0])
+@example(FLAT_ENDED[1])
+@example(FLAT_ENDED[2])
+@example(FLAT_ENDED[3])
+@example(FLAT_ENDED[4])
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(monotone_endos(), wide_endos()))
+def test_closed_form_factorization(h):
+    fac = epi_mono_factorize(h)
+    xs, gap_ys, rs = _factor_samples(h)
+    monos = [fac.mono.eval(x) for x in xs]
+    assert [fac.epi.eval(y) for y in monos] == [h.eval(x) for x in xs]
+    assert all(a < b for a, b in zip(monos, monos[1:]))
+    # epi is weakly monotone on mono's image, inside its gaps and past a
+    # squashed flat end, whose image is bounded
+    ys = sorted(set(monos) | gap_ys | {monos[0] - 7, monos[-1] + 7})
+    epis = [fac.epi.eval(y) for y in ys]
+    assert all(a <= b for a, b in zip(epis, epis[1:]))
+    for r in rs:
+        assert fac.epi.eval(fac.preimage(r)) == r
 
 
-def test_gap_inside_one_fibre_draws_few(limited_draws):
-    # both ends deep in STEP_FLAT's fibre [0, 1] over 0
-    order = FactorOrder(STEP_FLAT)
-    lo, hi = (F(0), F(1, 41)), (F(0), F(1, 40))
-    first = next(iter(order.enum_in_gap(lo, hi)))
-    assert lo < first < hi and order.contains(first)
+def test_factorizing_builds_no_iso_and_draws_no_rational(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the factorization asked the back-and-forth engine")
 
-
-def test_factor_order_is_freed_without_the_cyclic_collector():
-    # a FactorOrder holds no reference to itself, so dropping the
-    # factorization frees the order and its fibre cache at once
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        fac = epi_mono_factorize(STEP_FLAT)
-        for x in SAMPLE[:10]:
-            assert fac.epi.eval(fac.mono.eval(x)) == STEP_FLAT.eval(x)
-        order = weakref.ref(fac.order)
-        del fac
-        assert order() is None
-    finally:
-        if enabled:
-            gc.enable()
+    monkeypatch.setattr(lazyiso.LazyIso, "__init__", refuse)
+    monkeypatch.setattr(lazyiso, "enumerated_in_interval", refuse)
+    monkeypatch.setattr(ratcore, "enumerated_in_interval", refuse)
+    for h in (STEP_FLAT, ONE_JUMP, *FLAT_ENDED):
+        fac = epi_mono_factorize(h)
+        for x in SAMPLE:
+            assert fac.epi.eval(fac.mono.eval(x)) == h.eval(x)
+            assert fac.epi.eval(fac.preimage(x)) == x
 
 
 def test_self_canonical_map_is_freed_without_the_cyclic_collector():
@@ -575,29 +579,6 @@ def test_value_at_matches_the_formula(f, q, n):
             got = p.value_at(x)
             assert type(got) is Rat
             assert got == p.slope * x + p.intercept
-
-
-@settings(max_examples=80, deadline=None)
-@given(wide_endos())
-def test_factor_order_membership_matches_the_fibres(f):
-    order, fibres = FactorOrder(f), FactorOrder(f)
-    values = set()
-    for y in _probes(f):
-        q = f.eval(y)
-        values.add(q)
-        for r in (q, q + Rat(1, 7), q - 1):
-            assert order.contains((r, y)) == fibres.fibre(r).contains(y)
-            assert order.contains((r, y)) == (r == q)
-    # a rational pair is decided by one evaluation, with no fibre built
-    assert order._fibres == {}
-    for q in values | {q + Rat(1, 7) for q in values}:
-        attained = f.point_preimage(q) is not None
-        assert order.contains((q, "pt")) == (not attained)
-        assert order.contains((q, "pt")) == fibres.fibre(q).contains("pt")
-    y = _probes(f)[0]
-    q = f.eval(y)
-    for el in (q, (q,), (q, y, y), [q, y], ("q", y), (q, "q"), (None, y)):
-        assert not order.contains(el)
 
 
 def _merged_solutions(f, q):

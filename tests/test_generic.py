@@ -1,6 +1,7 @@
 """Certified generic embedding tests."""
 
 import itertools
+import random
 import re
 from fractions import Fraction as F
 
@@ -35,13 +36,12 @@ from qendo.ratcore import (
     SearchExhausted,
     colour,
     colour_witness,
-    intersect_intervals,
     least_index_in_interval,
     nth_rational,
     point_interval,
 )
 
-from util import affine_map, fractions_between, monotone_endos
+from util import affine_map, fractions_between, intersect_intervals, monotone_endos
 
 SAMPLE = [nth_rational(i) for i in range(40)]
 
@@ -208,6 +208,27 @@ def test_blue_and_red_between_image_classes():
     assert cert.colour_of(rep) == Colour.RED
     assert qa < cert.class_of(rep) < qb
     assert a < rep < b
+
+
+@pytest.mark.parametrize("variant", generic.VARIANTS)
+def test_classes_answer_at_any_rational(variant):
+    # class_of at a fresh rational takes a forward step into the index
+    # iso's product; two neighbours share a class exactly when at most one
+    # image point lies strictly between them
+    g, cert = generic_embedding(variant)
+    for x in SAMPLE:
+        g.eval(x)
+    rng = random.Random(variant)
+    fresh = set()
+    while len(fresh) < 200:
+        fresh.add(Rat(rng.randint(-300, 300), rng.randint(1, 30)))
+    queries = sorted(fresh)
+    rng.shuffle(queries)
+    classes = {x: cert.class_of(x) for x in queries}
+    xs = sorted(classes)
+    for x, y in zip(xs, xs[1:]):
+        few = len(list(itertools.islice(cert.image_points_between(x, y), 2))) <= 1
+        assert (classes[x] == classes[y]) == few, (x, y)
 
 
 def test_image_points_between_inside_one_class_is_empty():

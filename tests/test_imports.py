@@ -53,6 +53,38 @@ def test_no_module_has_an_unused_import():
     assert found == []
 
 
+def package_imports(source: str) -> set:
+    """The qendo modules a module imports, relatively or by full name."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            # the module path below qendo: `from . import x` has none
+            path = node.module.split(".") if node.module else []
+            if not node.level:
+                if path[0] != "qendo":
+                    continue
+                path = path[1:]
+            found |= {path[0]} if path else {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names
+                      if a.name.startswith("qendo.")}
+    return found
+
+
+def test_scanner_finds_package_imports():
+    source = ("from __future__ import annotations\nimport os, qendo.clone\n"
+              "from . import ratcore\nfrom .lazyiso import build\n"
+              "from qendo.generic import absorb\nfrom typing import List\n")
+    assert package_imports(source) == {"clone", "ratcore", "lazyiso", "generic"}
+
+
+def test_endo_imports_only_ratcore():
+    # the piecewise layer, its factorization included, stands on the
+    # rationals alone: no back-and-forth engine below it
+    source = (ROOT / "src" / "qendo" / "endo.py").read_text(encoding="utf-8")
+    assert package_imports(source) == {"ratcore"}
+
+
 SOURCES = sorted(p for d in ("src", "tests", "demos", "perfbench")
                  for p in (ROOT / d).rglob("*.py"))
 
@@ -258,7 +290,7 @@ def unrun_functions(tmp: Path) -> list:
 UNRUN = (
     *((f"lazyiso.{name}", "the LexSum gap stream: only a forward step into "
                           "a sum runs it, and no command takes one")
-      for name in ("_cantor", "FullQ.index_of", "ColouredQ.index_of",
+      for name in ("_cantor", "ColouredQ.index_of",
                    "LexSum._lane", "LexSum._merge_lanes",
                    "LexSum._merge_lanes.<locals>.push",
                    "LexSum._merge_lanes.<locals>.spawn",
@@ -273,13 +305,14 @@ UNRUN = (
                                    "their reference through it"),
     ("generic.CoordinateIso.eval_bwd", "tests show through it that α is "
                                        "onto"),
-    ("lazyiso.IntervalQ.contains", "FactorOrder.contains asks it only about "
-                                   "(q, 'pt') over an attained q, which it "
-                                   "rejects"),
     ("generic.PPairError.__init__", "raised only for an incompatible pair, "
                                     "and no command builds one"),
     ("ratcore.SearchExhausted.__init__", "raised only when a search reaches "
                                          "its cap"),
+    ("ratcore._interval_from_positions", "merge_intervals joins two "
+                                         "intervals with it, and the suites "
+                                         "merge only disjoint, non-touching "
+                                         "ones"),
     *((f"ratcore.Rat.{name}", "keeps a Rat a Rat with an int or a Fraction "
                               "on its left, and under abs(); no command "
                               "computes one")

@@ -14,19 +14,15 @@ from qendo.lazyiso import (
     ColouredQ,
     Constraint,
     ConstraintViolation,
-    FactorOrder,
     FullQ,
-    IntervalQ,
     LazyIso,
     LexSum,
     Marker,
-    PointOrder,
     RedQ,
     build,
 )
 from qendo.ratcore import (
     Colour,
-    RatInterval,
     SearchExhausted,
     colour,
     enumerated_in_interval,
@@ -107,8 +103,7 @@ def test_endpoint_mismatch_rejected():
 
 
 BOUNDED = ColouredQ(True, True)
-CLOSED_02 = IntervalQ(RatInterval(F(0), F(2), True, True))
-LINE_OF_LINES = LexSum(FullQ(), lambda a: FullQ())
+LINE_OF_LINES = LexSum(ColouredQ())
 
 
 @pytest.mark.parametrize("spec, lo, hi", [
@@ -119,9 +114,6 @@ LINE_OF_LINES = LexSum(FullQ(), lambda a: FullQ())
     pytest.param(BOUNDED, Marker.MAX, F(0), id="ColouredQ-max-0"),
     pytest.param(BOUNDED, Marker.MAX, Marker.MIN, id="ColouredQ-max-min"),
     pytest.param(BOUNDED, F(0), Marker.MIN, id="ColouredQ-0-min"),
-    pytest.param(CLOSED_02, F(3, 2), F(1, 2), id="IntervalQ-reversed"),
-    pytest.param(CLOSED_02, F(1), F(1), id="IntervalQ-equal"),
-    pytest.param(PointOrder(), "pt", "pt", id="PointOrder-pt-pt"),
     pytest.param(LINE_OF_LINES, (F(1), F(0)), (F(0), F(0)), id="LexSum-index-reversed"),
     pytest.param(LINE_OF_LINES, (F(0), F(1)), (F(0), F(1)), id="LexSum-fibre-equal"),
     pytest.param(RedQ(), F(1), F(0), id="RedQ-reversed"),
@@ -135,8 +127,6 @@ def test_gap_not_below_is_a_value_error(spec, lo, hi):
 @pytest.mark.parametrize("spec, lo, hi", [
     (BOUNDED, Marker.MAX, None),
     (BOUNDED, None, Marker.MIN),
-    (PointOrder(), "pt", None),
-    (PointOrder(), None, "pt"),
 ])
 def test_gap_with_an_unbounded_side_may_be_empty(spec, lo, hi):
     assert list(spec.enum_in_gap(lo, hi)) == []
@@ -221,8 +211,17 @@ def test_coloured_q_yields_its_markers_first(with_min, with_max, lo, hi):
 
 
 def _product():
-    line = FullQ()
-    return LexSum(line, lambda a: line)
+    return LexSum(ColouredQ())
+
+
+def test_lex_product_membership():
+    # a pair of an index element and a rational, and nothing else
+    prod, bounded = _product(), LexSum(BOUNDED)
+    assert prod.contains((F(0), F(1, 2))) and bounded.contains((Marker.MIN, F(3)))
+    for el in ((F(0), "pt"), (F(0), None), (Marker.MIN, F(0)), (F(0),),
+               (F(0), F(1), F(2)), [F(0), F(1)], F(0)):
+        assert not prod.contains(el)
+    assert not bounded.contains((Marker.MAX, Marker.MIN))
 
 
 def test_lex_product_order():
@@ -253,67 +252,6 @@ def test_lex_product_gap_enum_respects_bounds():
         assert lo < e < hi
 
 
-def _floor_preimage(q):
-    if q.denominator == 1:
-        return RatInterval(q, q + 1, True, False)
-    return None
-
-
-class _FloorMap:
-    """The floor map y |-> floor(y), with the two methods FactorOrder asks
-    of a map: its fibre over an integer q is [q, q+1), and other values
-    are never attained."""
-
-    @staticmethod
-    def eval(y):
-        return F(math.floor(y))
-
-    point_preimage = staticmethod(_floor_preimage)
-
-
-def test_factor_order_membership_and_order():
-    fo = FactorOrder(_FloorMap())
-    assert fo.contains((F(0), F(1, 2)))
-    assert not fo.contains((F(0), F(3, 2)))
-    assert fo.contains((F(1, 2), "pt"))
-    assert not fo.contains((F(0), "pt"))
-    assert (F(0), F(1, 2)) < (F(1, 2), "pt")
-    assert (F(1, 2), "pt") < (F(1), F(1))
-    assert (F(0), F(0)) < (F(0), F(2, 3))
-
-
-def test_factor_order_enum_is_index_sorted():
-    fo = FactorOrder(_FloorMap())
-    brute = [el for _, el in _brute_elements("factor")]
-    els = list(itertools.islice(fo.enum_in_gap(None, None), len(brute)))
-    assert els == brute
-    for e in els:
-        assert fo.contains(e)
-
-
-def test_factor_order_gap_enum():
-    fo = FactorOrder(_FloorMap())
-    import itertools
-    lo = (F(0), F(0))
-    hi = (F(1), F(1))
-    got = list(itertools.islice(fo.enum_in_gap(lo, hi), 30))
-    for e in got:
-        assert lo < e < hi
-    # the whole fibre column over 1/2 sits in this gap
-    assert (F(1, 2), "pt") in got
-
-
-def test_iso_into_factor_order():
-    fo = FactorOrder(_FloorMap())
-    iso = build(FullQ(), fo)
-    imgs = [iso.eval_fwd(x) for x in SAMPLE[:60]]
-    for e in imgs:
-        assert fo.contains(e)
-    pairs = iso.memo_pairs()
-    for (x1, y1), (x2, y2) in zip(pairs, pairs[1:]):
-        assert x1 < x2 and y1 < y2
-
-
 # -- element order against a written-out reference --------------------------
 
 def _ref_less(spec, a, b):
@@ -329,12 +267,10 @@ def _ref_less(spec, a, b):
             return False
         if b is Marker.MAX:
             return True
-    elif isinstance(spec, PointOrder):
-        return False
     elif isinstance(spec, LexSum):
         if a[0] != b[0]:
             return _ref_less(spec.index, a[0], b[0])
-        return _ref_less(spec.fibre(a[0]), a[1], b[1])
+        return _ref_less(FullQ(), a[1], b[1])
     assert isinstance(a, F) and isinstance(b, F)
     return a < b
 
@@ -357,16 +293,11 @@ ORDER_CASES = {
     "ColouredQ-min": lambda: _coloured_case(True, False),
     "ColouredQ-max": lambda: _coloured_case(False, True),
     "ColouredQ-min-max": lambda: _coloured_case(True, True),
-    "IntervalQ": lambda: (CLOSED_02, fractions_between(0, 2, 6)),
-    "PointOrder": lambda: (PointOrder(), st.just("pt")),
     "LexSum-product": lambda: (_product(), st.tuples(FEW_Q, FEW_Q)),
     "LexSum-bounded-index": lambda: (
-        LexSum(BOUNDED, lambda a: FullQ()),
+        LexSum(BOUNDED),
         st.tuples(st.one_of(FEW_Q, st.sampled_from([Marker.MIN, Marker.MAX])),
                   FEW_Q)),
-    "FactorOrder": lambda: (FactorOrder(_FloorMap()),
-                            st.sampled_from([el for _, el in
-                                             _brute_elements("factor")[:80]])),
     "RedQ": lambda: (RedQ(), st.sampled_from(_RED_SAMPLE)),
 }
 
@@ -411,42 +342,21 @@ def _uncantor(n):
     return w - j, j
 
 
-def _product_fibre_element(a, j):
-    return nth_rational(j)
-
-
-def _floor_fibre_element(q, j):
-    iv = _floor_preimage(q)
-    if iv is None:
-        return "pt" if j == 0 else None
-    walk = enumerated_in_interval(iv.lo, iv.hi, iv.lo_closed, iv.hi_closed)
-    return next(itertools.islice(walk, j, None))
-
-
-SUM_CASES = {
-    "product": (_product, _product_fibre_element),
-    "factor": (lambda: FactorOrder(_FloorMap()), _floor_fibre_element),
-}
+SUM_CASES = {"product": _product}
 
 
 @functools.lru_cache(maxsize=None)
 def _brute_elements(case):
-    # (n, (a, b)) for every Cantor index n < BRUTE_N that names an element:
-    # a is the n-th pair's index rational, b the matching fibre element
-    fibre_element = SUM_CASES[case][1]
-    out = []
-    for n in range(BRUTE_N):
-        i, j = _uncantor(n)
-        a = nth_rational(i)
-        b = fibre_element(a, j)
-        if b is not None:
-            out.append((n, (a, b)))
-    return tuple(out)
+    # (n, (a, b)) for every Cantor index n < BRUTE_N, (i, j) = uncantor(n):
+    # a is the i-th rational, the index element, and b the j-th, the
+    # element of a's fibre
+    return tuple((n, tuple(map(nth_rational, _uncantor(n))))
+                 for n in range(BRUTE_N))
 
 
 @st.composite
 def _sum_gaps(draw, case):
-    order = SUM_CASES[case][0]()
+    order = SUM_CASES[case]()
     elements = [el for _, el in _brute_elements(case)[:120]]
     ends = st.one_of(st.none(), st.sampled_from(elements))
     lo, hi = draw(ends), draw(ends)
@@ -475,10 +385,8 @@ def _gap_oracle(case, order, lo, hi):
     # element's Cantor index; over an end's index element a it is
     # cantor(i, j) for a's index position i and the element's place j in
     # the lane of a's fibre that the gap keeps.  None when an end lane
-    # runs deeper than the scan: it has members there, but fewer than the
-    # places needed.  A lane with no member in the scan is taken as empty:
-    # ends come from the first brute-force elements, so a nonempty lane
-    # has a member far inside the scan
+    # runs deeper than the scan: every lane has members, but the scan may
+    # hold fewer than the places needed
     index = {el[0]: _uncantor(n)[0] for n, el in _brute_elements(case)}
     ends = {end[0] for end in (lo, hi) if end is not None}
     want = [(n, el) for n, el in _brute_elements(case) if el[0] not in ends
@@ -489,14 +397,13 @@ def _gap_oracle(case, order, lo, hi):
         places = sum(1 for j in range(BRUTE_N) if _cantor(i, j) < BRUTE_N)
         lo_b = lo[1] if lo is not None and lo[0] == a else None
         hi_b = hi[1] if hi is not None and hi[0] == a else None
-        # the fibre's rationals strictly between lo_b and hi_b (None =
-        # open), in enumeration order, as far as the scan reaches
-        fibre = order.fibre(a)
+        # the rationals strictly between lo_b and hi_b (None = open), in
+        # enumeration order, as far as the scan reaches
         lane = list(itertools.islice(
-            (y for y in _first_rationals() if fibre.contains(y)
-             and (lo_b is None or lo_b < y) and (hi_b is None or y < hi_b)),
+            (y for y in _first_rationals()
+             if (lo_b is None or lo_b < y) and (hi_b is None or y < hi_b)),
             places))
-        if 0 < len(lane) < places:
+        if len(lane) < places:
             return None
         want += [(_cantor(i, j), (a, b)) for j, b in enumerate(lane)]
     return [el for _, el in sorted(want)]
@@ -599,9 +506,6 @@ ENGINE_CASES = {
     "FullQ": lambda: (FullQ(), MID_Q),
     "RedQ": lambda: (RedQ(), st.sampled_from(_RED_SAMPLE)),
     "LexSum": lambda: (_product(), st.tuples(MID_Q, MID_Q)),
-    "FactorOrder": lambda: (FactorOrder(_FloorMap()),
-                            st.sampled_from([el for _, el in
-                                             _brute_elements("factor")])),
 }
 
 

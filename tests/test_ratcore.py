@@ -23,7 +23,7 @@ from qendo.ratcore import (
     simplest_between,
 )
 
-from util import fractions_anywhere, fractions_between
+from util import fractions_anywhere, fractions_between, intersect_intervals
 
 # independently derived via the Newman single-fraction recurrence
 FIRST_16 = [
@@ -225,7 +225,6 @@ def test_parse_rat():
 from qendo.ratcore import (  # noqa: E402
     FULL_LINE,
     gap_witness_point,
-    intersect_intervals,
     merge_intervals,
     union_contains,
     union_gaps,

@@ -7,13 +7,28 @@ from math import ceil, floor, isqrt
 from hypothesis import strategies as st
 
 from qendo.endo import Piece, PiecewiseEndo
-from qendo.ratcore import Rat, RatInterval, nth_rational
+from qendo.ratcore import (
+    Rat,
+    RatInterval,
+    _end_pos,
+    _interval_from_positions,
+    _start_pos,
+    nth_rational,
+)
 
 
 def affine_map(slope, intercept) -> PiecewiseEndo:
     """x -> slope*x + intercept on the whole line."""
     return PiecewiseEndo((Piece(RatInterval(None, None), Rat(slope),
                                 Rat(intercept)),))
+
+
+def intersect_intervals(a: RatInterval, b: RatInterval):
+    """The intersection of two intervals, None when it is empty: the
+    reference the compose and window oracles cut pieces with, built on
+    ratcore's interval positions as merge_intervals is."""
+    return _interval_from_positions(max(_start_pos(a), _start_pos(b)),
+                                    min(_end_pos(a), _end_pos(b)))
 
 
 # The k-tuple enumeration spelled out, one pairing step at a time: the
