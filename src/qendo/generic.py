@@ -68,8 +68,9 @@ class GenericCert:
     queries: `class_of(x)`, the index of x's class; `colour_of_index(q)`;
     `representative(q)`, the image point of a red class q;
     `in_image(x)`; `inverse_image(x)`, the preimage of an image point;
-    and `class_points(q)`, the points of class q without end.  The
-    methods below derive the rest from them."""
+    and `class_points(q)`, the points of class q without end.  The two
+    partial ones raise ValueError outside their domains.  The methods
+    below derive the rest from them."""
 
     def colour_of(self, x: Rat) -> Colour:
         return self.colour_of_index(self.class_of(x))
@@ -124,7 +125,8 @@ class DirectCert(GenericCert):
         self.embedding = LazyEndo(self._embed)
 
     def _embed(self, x: Rat) -> Rat:
-        return self.representative(self.red_iso.eval_fwd(x))
+        # the red iso yields red classes only
+        return self.index_iso.eval_bwd((self.red_iso.eval_fwd(x), _ZERO))
 
     def class_of(self, x: Rat):
         return self.index_iso.eval_fwd(x if type(x) is Rat else Rat(x))[0]
@@ -133,6 +135,8 @@ class DirectCert(GenericCert):
         return self.index_order.colour_label(q)
 
     def representative(self, q) -> Rat:
+        if self.colour_of_index(q) is not Colour.RED:
+            raise ValueError("only red classes carry representatives")
         return self.index_iso.eval_bwd((q, _ZERO))
 
     def in_image(self, x: Rat) -> bool:
@@ -201,7 +205,10 @@ class ComposedCert(GenericCert):
             self.outer.inverse_image(x))
 
     def inverse_image(self, x: Rat) -> Rat:
-        return self.inner_preimage(self.outer.inverse_image(x))
+        w = self.outer.inverse_image(x)
+        if not self.inner_member(w):
+            raise ValueError(f"{Rat(x)} is not an image point")
+        return self.inner_preimage(w)
 
     def class_points(self, q) -> Iterator[Rat]:
         return self.outer.class_points(q)

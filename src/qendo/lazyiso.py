@@ -9,8 +9,10 @@ ValueError, at the call or at the first next().  A gap with an unbounded
 side is never an error, only possibly empty, as (max, None) is.
 
 ColouredQ, the index order of every LexSum, also has `index_of(el)`,
-el's position in its whole enumeration, from 0.  `min_el` and `max_el`
-are the order's least and greatest elements, None where there is none.
+el's position in its whole enumeration, from 0.  LexSum walks a gap as
+ratcore walks an interval, so that its stream, too, is its whole
+enumeration restricted to the gap.  `min_el` and `max_el` are the
+order's least and greatest elements, None where there is none.
 Elements of one spec compare with Python's `<` in the spec's order:
 rationals are Fractions, the adjoined endpoints are Markers that sort
 below (MIN) or above (MAX) everything else, and a LexSum's pairs compare
@@ -58,6 +60,7 @@ from .ratcore import (
 # memo pair -> its source / target element, the bisect keys of the memo
 _SOURCE = itemgetter(0)
 _TARGET = itemgetter(1)
+_ZERO = Rat(0)  # the first rational of every fibre
 
 
 @functools.total_ordering
@@ -107,8 +110,8 @@ class FullQ(OrderSpec):
 
 class ColouredQ(OrderSpec):
     """The rationals with the dense two-colouring, optionally with adjoined
-    blue endpoints.  Endpoints enumerate first, so any constrained iso pins
-    them immediately."""
+    blue endpoints.  MIN and MAX enumerate first, at positions 0 and 1,
+    so every gap streams in the index_of order that LexSum's key reads."""
 
     def __init__(self, with_min=False, with_max=False):
         self.min_el = Marker.MIN if with_min else None
@@ -169,12 +172,11 @@ class LexSum(OrderSpec):
     over the index order whose fibre over every a is a copy of FullQ.
 
     Elements are tuples (a, b) with b rational, so tuple order compares a
-    first and then b.  A gap's stream merges lanes, one per index element
-    a that the gap meets: the lane is FullQ's stream of the gap's part
-    over a, and its j-th element has the key cantor(index.index_of(a), j).
-    A whole fibre's lane is FullQ's whole enumeration, so
-    enum_in_gap(None, None) runs along the Cantor diagonal of index and
-    fibre positions.  Every fibre is endpoint-free, and so is the product.
+    first and then b.  The whole enumeration runs along the Cantor
+    diagonal: (a, b) has the key cantor(index.index_of(a), rat_index(b)).
+    A gap's stream is a heap of disjoint gaps keyed by their least
+    elements; popping one yields its element and splits its gap there.
+    Every fibre is endpoint-free, so every gap is nonempty.
     """
 
     def __init__(self, index: OrderSpec):
@@ -185,53 +187,36 @@ class LexSum(OrderSpec):
                 and self.index.contains(el[0])
                 and (type(el[1]) is Rat or isinstance(el[1], Fraction)))
 
-    def _lane(self, a, lo, hi):
-        # (key, element) for the rationals over a strictly inside (lo, hi)
-        ia = self.index.index_of(a)
-        for j, b in enumerate(enumerated_in_interval(lo, hi)):
-            yield _cantor(ia, j), (a, b)
-
-    def _merge_lanes(self, index_elements, lanes):
-        # the given lanes and the whole fibres over index_elements, an
-        # iterator, merged by key.  Every lane starts at place 0 and
-        # index_elements come in index order, so whole-fibre lane heads
-        # ascend: the next one is due only once the newest one's head has
-        # been yielded.  Every lane runs over a half-line or the whole
-        # line, so none ends.  Keys are distinct, so the heap never
-        # compares elements.
-        heap = []
-
-        def push(lane, is_head):
-            key, el = next(lane)
-            heapq.heappush(heap, (key, el, is_head, lane))
-
-        def spawn():
-            a = next(index_elements, None)  # no order has None as an element
-            if a is not None:
-                push(self._lane(a, None, None), True)
-
-        for lane in lanes:
-            push(lane, False)
-        spawn()
-        while heap:
-            _, el, is_head, lane = heapq.heappop(heap)
-            yield el
-            if is_head:
-                spawn()
-            push(lane, False)
-
-    def enum_in_gap(self, lo, hi):
+    def _least(self, lo, hi):
+        # (key, element, lo, hi) for the gap's least element: the first
+        # rational kept in an end's fibre, or (a, 0) for the first index
+        # element a strictly inside, as cantor grows with each position.
+        # A gap with both ends in one fibre lies inside that fibre
+        index = self.index
         a1 = None if lo is None else lo[0]
         a2 = None if hi is None else hi[0]
         if lo is not None and hi is not None and a1 == a2:
-            # both ends in one fibre
-            return (el for _, el in self._lane(a1, lo[1], hi[1]))
-        lanes = []
-        if lo is not None:
-            lanes.append(self._lane(a1, lo[1], None))
-        if hi is not None:
-            lanes.append(self._lane(a2, None, hi[1]))
-        return self._merge_lanes(self.index.enum_in_gap(a1, a2), lanes)
+            cands = [(a1, next(enumerated_in_interval(lo[1], hi[1])))]
+        else:
+            cands = []
+            if lo is not None:
+                cands.append((a1, next(enumerated_in_interval(lo[1], None))))
+            if hi is not None:
+                cands.append((a2, next(enumerated_in_interval(None, hi[1]))))
+            a = next(index.enum_in_gap(a1, a2), None)  # no order has None as an element
+            if a is not None:
+                cands.append((a, _ZERO))
+        key, el = min((_cantor(index.index_of(a), rat_index(b)), (a, b))
+                      for a, b in cands)
+        return key, el, lo, hi
+
+    def enum_in_gap(self, lo, hi):
+        heap = [self._least(lo, hi)]  # distinct keys: no element compared
+        while True:
+            _, el, lo, hi = heapq.heappop(heap)
+            yield el
+            heapq.heappush(heap, self._least(lo, el))
+            heapq.heappush(heap, self._least(el, hi))
 
     def format_el(self, el):
         a, b = el

@@ -627,6 +627,33 @@ def test_recover_through_composite_cert_past_recoloured_classes(monkeypatch):
     _check_recovery(cert.embedding, cert, F(2), cert.embedding.eval(F(0)))
 
 
+def test_composite_inverse_image_rejects_a_point_outside_its_image():
+    # an image point of the outer embedding whose outer preimage is not in
+    # the inner image is no image point of the composite
+    _, cert = absorb(PiecewiseEndo.parse(STEP))
+    s = cert.outer.embedding.eval(F(1, 2))  # 1/2 is not in f's image
+    with pytest.raises(ValueError, match=re.escape(f"{s} is not an image point")):
+        cert.inverse_image(s)
+    g1, cert1 = generic_embedding("plus")
+    g2, cert2 = generic_embedding("plus")
+    _, cert = compose_certified(g2, cert2, g1, cert1)
+    assert not cert1.in_image(F(1))
+    s = g2.eval(F(1))
+    with pytest.raises(ValueError, match=re.escape(f"{s} is not an image point")):
+        cert.inverse_image(s)
+
+
+@pytest.mark.parametrize("variant", generic.VARIANTS)
+def test_representative_answers_red_classes_only(variant):
+    g, cert = generic_embedding(variant)
+    g.eval(F(0))
+    order = cert.index_order
+    for q in [F(1, 3)] + [m for m in (order.min_el, order.max_el) if m is not None]:
+        assert cert.colour_of_index(q) == Colour.BLUE
+        with pytest.raises(ValueError, match="only red classes"):
+            cert.representative(q)
+
+
 # -- certificate queries on non-Rat arguments ----------------------------------
 
 @pytest.mark.parametrize("variant", generic.VARIANTS)

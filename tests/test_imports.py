@@ -290,10 +290,7 @@ def unrun_functions(tmp: Path) -> list:
 UNRUN = (
     *((f"lazyiso.{name}", "the LexSum gap stream: only a forward step into "
                           "a sum runs it, and no command takes one")
-      for name in ("_cantor", "ColouredQ.index_of",
-                   "LexSum._lane", "LexSum._merge_lanes",
-                   "LexSum._merge_lanes.<locals>.push",
-                   "LexSum._merge_lanes.<locals>.spawn",
+      for name in ("_cantor", "ColouredQ.index_of", "LexSum._least",
                    "LexSum.enum_in_gap")),
     *((f"generic.{name}", "the recovery half of a composite certificate: "
                           "tests run it, and no command recovers through a "

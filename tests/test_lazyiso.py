@@ -2,7 +2,6 @@
 
 import functools
 import itertools
-import math
 from fractions import Fraction as F
 
 import pytest
@@ -237,10 +236,11 @@ def test_lex_product_order():
 
 def test_lex_product_enum_matches_index():
     # the whole enumeration runs along the Cantor diagonal of index and
-    # fibre positions
-    brute = [el for _, el in _brute_elements("product")]
-    els = list(itertools.islice(_product().enum_in_gap(None, None), len(brute)))
-    assert els == brute
+    # fibre positions: (i, j) comes at (i + j)(i + j + 1)/2 + j
+    diagonal = [(nth_rational(w - j), nth_rational(j))
+                for w in range(30) for j in range(w + 1)]
+    els = list(itertools.islice(_product().enum_in_gap(None, None), len(diagonal)))
+    assert els == diagonal
 
 
 def test_lex_product_gap_enum_respects_bounds():
@@ -327,96 +327,31 @@ def test_sorted_puts_min_first_and_max_last(rationals, rnd):
     assert got[1:-1] == sorted(rationals)
 
 
-# -- LexSum gap enumeration against brute force ------------------------------
+# -- every gap stream is the whole enumeration restricted to the gap --------
 
-BRUTE_N = 300  # Cantor indices covered by the brute force
-
-
-def _cantor(i, j):
-    return (i + j) * (i + j + 1) // 2 + j
-
-
-def _uncantor(n):
-    w = (math.isqrt(8 * n + 1) - 1) // 2
-    j = n - w * (w + 1) // 2
-    return w - j, j
-
-
-SUM_CASES = {"product": _product}
+PREFIX = 400  # elements of each whole enumeration the contract is read on
 
 
 @functools.lru_cache(maxsize=None)
-def _brute_elements(case):
-    # (n, (a, b)) for every Cantor index n < BRUTE_N, (i, j) = uncantor(n):
-    # a is the i-th rational, the index element, and b the j-th, the
-    # element of a's fibre
-    return tuple((n, tuple(map(nth_rational, _uncantor(n))))
-                 for n in range(BRUTE_N))
+def _whole(case):
+    spec, _ = ORDER_CASES[case]()
+    return spec, tuple(itertools.islice(spec.enum_in_gap(None, None), PREFIX))
 
 
-@st.composite
-def _sum_gaps(draw, case):
-    order = SUM_CASES[case]()
-    elements = [el for _, el in _brute_elements(case)[:120]]
-    ends = st.one_of(st.none(), st.sampled_from(elements))
-    lo, hi = draw(ends), draw(ends)
-    if lo is not None and draw(st.booleans()):
-        # both ends over the same index element
-        siblings = [el for el in elements if el[0] == lo[0] and el != lo]
-        assume(siblings)
-        hi = draw(st.sampled_from(siblings))
-    assume(lo is None or hi is None or lo != hi)
-    if lo is not None and hi is not None and _ref_less(order, hi, lo):
-        lo, hi = hi, lo
-    return order, lo, hi
-
-
-LANE_SCAN = 20_000  # enumeration positions the oracle scans for an end lane
-
-
-@functools.lru_cache(maxsize=None)
-def _first_rationals():
-    return tuple(nth_rational(k) for k in range(LANE_SCAN))
-
-
-def _gap_oracle(case, order, lo, hi):
-    # every element of the gap (lo, hi) whose key is below BRUTE_N, in key
-    # order.  Over an index element strictly inside the gap the key is the
-    # element's Cantor index; over an end's index element a it is
-    # cantor(i, j) for a's index position i and the element's place j in
-    # the lane of a's fibre that the gap keeps.  None when an end lane
-    # runs deeper than the scan: every lane has members, but the scan may
-    # hold fewer than the places needed
-    index = {el[0]: _uncantor(n)[0] for n, el in _brute_elements(case)}
-    ends = {end[0] for end in (lo, hi) if end is not None}
-    want = [(n, el) for n, el in _brute_elements(case) if el[0] not in ends
-            and (lo is None or _ref_less(order, lo, el))
-            and (hi is None or _ref_less(order, el, hi))]
-    for a in ends:
-        i = index[a]
-        places = sum(1 for j in range(BRUTE_N) if _cantor(i, j) < BRUTE_N)
-        lo_b = lo[1] if lo is not None and lo[0] == a else None
-        hi_b = hi[1] if hi is not None and hi[0] == a else None
-        # the rationals strictly between lo_b and hi_b (None = open), in
-        # enumeration order, as far as the scan reaches
-        lane = list(itertools.islice(
-            (y for y in _first_rationals()
-             if (lo_b is None or lo_b < y) and (hi_b is None or y < hi_b)),
-            places))
-        if len(lane) < places:
-            return None
-        want += [(_cantor(i, j), (a, b)) for j, b in enumerate(lane)]
-    return [el for _, el in sorted(want)]
-
-
-@pytest.mark.parametrize("case", sorted(SUM_CASES))
+@pytest.mark.parametrize("case", sorted(ORDER_CASES))
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_lex_sum_gap_enum_matches_brute_force(case, data):
-    order, lo, hi = data.draw(_sum_gaps(case))
-    want = _gap_oracle(case, order, lo, hi)
-    assume(want is not None)
-    assert list(itertools.islice(order.enum_in_gap(lo, hi), len(want))) == want
+def test_gap_stream_is_the_whole_enumeration_restricted(case, data):
+    # the module's contract: a gap's stream begins with W, the elements of
+    # the gap among the first PREFIX of enum_in_gap(None, None), in order
+    spec, whole = _whole(case)
+    ends = st.one_of(st.none(), st.sampled_from(whole), ORDER_CASES[case]()[1])
+    lo, hi = data.draw(ends), data.draw(ends)
+    assume(lo is None or hi is None or lo != hi)
+    if lo is not None and hi is not None and hi < lo:
+        lo, hi = hi, lo
+    want = [x for x in whole if (lo is None or lo < x) and (hi is None or x < hi)]
+    assert list(itertools.islice(spec.enum_in_gap(lo, hi), len(want))) == want
 
 
 def test_determinism_across_sessions():
