@@ -36,7 +36,7 @@ print("-- recovering 'is s the image of u?' from commuting pairs")
 u = F(0)
 for s, label in ((g.eval(F(0)), "s = g(u)"),
                  (g.eval(F(1)), "s = an image point, not g(u)")):
-    out = recover_witness(g, cert, u, s)
+    out = recover_witness(cert, u, s)
     if isinstance(out, str):
         print(f"   {label}: {out}")
     else:

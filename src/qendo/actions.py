@@ -204,7 +204,7 @@ MAX_FAILURE_MESSAGES = 10
 @dataclass(frozen=True)
 class ActionReport:
     """``failed`` counts every failed check; ``failures`` keeps the first
-    ``MAX_FAILURE_MESSAGES`` messages."""
+    ``MAX_FAILURE_MESSAGES`` messages.  A report of no checks is not ok."""
 
     checks: int
     failed: int
@@ -212,11 +212,12 @@ class ActionReport:
 
     @property
     def ok(self) -> bool:
-        return self.failed == 0
+        return self.checks > 0 and self.failed == 0
 
     def __str__(self) -> str:
         head = f"{self.checks} action-law checks: " + (
-            "all hold" if self.ok else f"{self.failed} failures")
+            "nothing was checked" if not self.checks
+            else "all hold" if self.ok else f"{self.failed} failures")
         return "\n".join([head, *self.failures])
 
 

@@ -11,12 +11,14 @@ structure: the classes are indexed by a dense two-coloured order (with
 blue endpoint classes adjoined for the bounded variants), every class is
 itself a copy of the line, and each red class carries exactly one image
 point.  Such embeddings cannot be recognized from a bare map, so they
-are built together with a certificate — a pair of demand-driven
-isomorphisms exposing the class structure as decidable queries.
+are built together with a certificate that carries the map as
+`cert.embedding` and exposes its classes as decidable queries: a
+`GenericCert` subclass answers class, colour and inverse image, and the
+base class derives the rest.
 
-The payoff is `recover_witness`: for a certified g and any s ≠ g(u) it
-produces automorphisms (α, β) with α∘g = g∘β, β(u) = u and α(s) ≠ s, so
-the value of g at u is pinned down by commutation facts alone.
+The payoff is `recover_witness`: for the certificate of g and s ≠ g(u)
+it produces automorphisms (α, β) with α∘g = g∘β, β(u) = u and α(s) ≠ s,
+so the value of g at u is pinned down by commutation facts alone.
 """
 
 from __future__ import annotations
@@ -63,14 +65,26 @@ class GenericCert:
     its representative.  `index_iso` sends the line onto index_order ×
     line, x to (its class, its place in the class).
 
-    Each certificate sets four attributes, `variant`, `index_order`,
-    `index_iso` and `embedding` (the certified map), and defines six
-    queries: `class_of(x)`, the index of x's class; `colour_of_index(q)`;
-    `representative(q)`, the image point of a red class q;
-    `in_image(x)`; `inverse_image(x)`, the preimage of an image point;
-    and `class_points(q)`, the points of class q without end.  The two
-    partial ones raise ValueError outside their domains.  The methods
-    below derive the rest from them."""
+    A subclass sets `variant`, `index_order`, `index_iso` and `embedding`
+    (the certified map), and defines `class_of(x)`, `colour_of_index(q)`
+    and `inverse_image(x)`, the preimage of an image point (ValueError
+    elsewhere).  The methods below derive the rest, with the image point
+    of red class q at index pair (q, 0): `representative(q)` (ValueError
+    for a blue q), `in_image(x)`, `class_points(q)`, the points of class
+    q without end, and the searches between classes."""
+
+    def representative(self, q) -> Rat:
+        if self.colour_of_index(q) is not Colour.RED:
+            raise ValueError("only red classes carry representatives")
+        return self.index_iso.eval_bwd((q, _ZERO))
+
+    def in_image(self, x: Rat) -> bool:
+        q, c = self.index_iso.eval_fwd(x if type(x) is Rat else Rat(x))
+        return c == 0 and self.colour_of_index(q) is Colour.RED
+
+    def class_points(self, q) -> Iterator[Rat]:
+        return (self.index_iso.eval_bwd((q, nth_rational(i)))
+                for i in itertools.count())
 
     def colour_of(self, x: Rat) -> Colour:
         return self.colour_of_index(self.class_of(x))
@@ -107,8 +121,7 @@ class DirectCert(GenericCert):
     """Certificate built from scratch: an index iso spreads the line over
     (coloured index) × (line), and a red iso from the line onto the red
     rationals, which are the red classes of the index order, enumerates
-    where the image points go.  The image point of red class q sits at
-    index pair (q, 0)."""
+    where the image points go."""
 
     def __init__(self, variant: str):
         if variant not in VARIANTS:
@@ -134,24 +147,11 @@ class DirectCert(GenericCert):
     def colour_of_index(self, q) -> Colour:
         return self.index_order.colour_label(q)
 
-    def representative(self, q) -> Rat:
-        if self.colour_of_index(q) is not Colour.RED:
-            raise ValueError("only red classes carry representatives")
-        return self.index_iso.eval_bwd((q, _ZERO))
-
-    def in_image(self, x: Rat) -> bool:
-        q, c = self.index_iso.eval_fwd(x if type(x) is Rat else Rat(x))
-        return c == 0 and self.colour_of_index(q) is Colour.RED
-
     def inverse_image(self, x: Rat) -> Rat:
         q, c = self.index_iso.eval_fwd(x if type(x) is Rat else Rat(x))
         if c != 0 or self.colour_of_index(q) is not Colour.RED:
             raise ValueError(f"{Rat(x)} is not an image point")
         return self.red_iso.eval_bwd(q)
-
-    def class_points(self, q) -> Iterator[Rat]:
-        return (self.index_iso.eval_bwd((q, nth_rational(i)))
-                for i in itertools.count())
 
     def memo_snapshot(self) -> str:
         return (f"variant: {self.variant}\n"
@@ -160,7 +160,8 @@ class DirectCert(GenericCert):
 
 
 class ComposedCert(GenericCert):
-    """Certificate for (outer embedding) ∘ (inner embedding).
+    """Certificate for outer.embedding ∘ inner; `inner_member` decides the
+    inner image and `inner_preimage` inverts inner there.
 
     The composite's image points are the outer representatives whose
     outer-preimage lies in the inner image, so the outer index order is
@@ -174,14 +175,13 @@ class ComposedCert(GenericCert):
     way acceptance sampling uses these certificates.
     """
 
-    def __init__(self, outer: GenericCert,
+    def __init__(self, outer: GenericCert, inner,
                  inner_member: Callable[[Rat], bool],
-                 inner_preimage: Callable[[Rat], Rat],
-                 embedding):
+                 inner_preimage: Callable[[Rat], Rat]):
         self.outer = outer
         self.inner_member = inner_member
         self.inner_preimage = inner_preimage
-        self.embedding = embedding
+        self.embedding = ComposedEndo((outer.embedding, inner))
         self.variant = outer.variant
         self.index_order = outer.index_order
         self.index_iso = outer.index_iso
@@ -195,23 +195,11 @@ class ComposedCert(GenericCert):
         w = self.outer.inverse_image(self.outer.representative(q))
         return Colour.RED if self.inner_member(w) else Colour.BLUE
 
-    def representative(self, q) -> Rat:
-        if self.colour_of_index(q) != Colour.RED:
-            raise ValueError("only red classes carry representatives")
-        return self.outer.representative(q)
-
-    def in_image(self, x: Rat) -> bool:
-        return self.outer.in_image(x) and self.inner_member(
-            self.outer.inverse_image(x))
-
     def inverse_image(self, x: Rat) -> Rat:
         w = self.outer.inverse_image(x)
         if not self.inner_member(w):
             raise ValueError(f"{Rat(x)} is not an image point")
         return self.inner_preimage(w)
-
-    def class_points(self, q) -> Iterator[Rat]:
-        return self.outer.class_points(q)
 
 
 def generic_embedding(variant: str = "core"):
@@ -295,14 +283,15 @@ class PPairError(ValueError):
         super().__init__(f"pair fails compatibility: {lines}")
 
 
-def p_check(g, cert: GenericCert, a, b) -> List[Tuple[int, str]]:
-    """Check the seven compatibility clauses of the partial maps a and b;
-    an empty list means the pair is extendable.  Violations are (clause
-    number, description).  Maps and inverses are read as dicts; both maps
-    increase, so an inverse runs in image order."""
+def p_check(cert: GenericCert, a, b) -> List[Tuple[int, str]]:
+    """Check the seven compatibility clauses of the partial maps a and b
+    for g = cert.embedding; an empty list means the pair is extendable.
+    Violations are (clause number, description).  Maps and inverses are
+    read as dicts; both maps increase, so an inverse runs in image order."""
     for name, m in (("a", a), ("b", b)):
         if not m.is_partial_automorphism():
             raise ValueError(f"{name} is not a partial automorphism")
+    g = cert.embedding
     out = []
     a_fwd, b_fwd = dict(a.pairs), dict(b.pairs)
     a_inv, b_inv = ({y: x for x, y in m.pairs} for m in (a, b))
@@ -348,9 +337,10 @@ def p_check(g, cert: GenericCert, a, b) -> List[Tuple[int, str]]:
     return out
 
 
-def extend_pair(g, cert: GenericCert, a, b) -> CommutingPair:
+def extend_pair(cert: GenericCert, a, b) -> CommutingPair:
     """Grow a compatible pair (a, b) of partial maps into commuting
-    automorphisms: α extends a, and β = g⁻¹∘α∘g extends b.
+    automorphisms: α extends a, and β = g⁻¹∘α∘g extends b, where g is
+    cert.embedding.
 
     α is built in the coordinates of cert's index iso idx (a ComposedCert
     shares its outer certificate's), which sends x to (q, s): q is x's
@@ -358,16 +348,17 @@ def extend_pair(g, cert: GenericCert, a, b) -> CommutingPair:
     where ι is a colour-preserving iso of the index order seeded with a's
     class pairs, colours read from cert itself, and φ_q is an iso of the
     line seeded with the s → t coordinates of a's pairs in class q.  A
-    class whose pairs all keep their coordinate maps by the identity.
-    An image point is (q, 0) with q red, and p_check puts 0 → 0 among
-    the pairs of every red class that a meets, so α keeps the order, the
-    classes and the image of g by construction.
+    class that a misses, or whose pairs all keep their coordinate, has no
+    φ_q and keeps its coordinates.  An image point is (q, 0) with q red,
+    and p_check puts 0 → 0 among the pairs of every red class that a
+    meets, so α keeps the order, the classes and the image of g by
+    construction.
 
     On a DirectCert nothing here can get stuck: ι and each φ_q are plain
     back-and-forth on dense orders.  On a ComposedCert, ι runs on the
     recoloured outer index order, which is not homogeneous, so its
     search can still fail."""
-    violations = p_check(g, cert, a, b)
+    violations = p_check(cert, a, b)
     if violations:
         raise PPairError(violations)
 
@@ -386,7 +377,7 @@ def extend_pair(g, cert: GenericCert, a, b) -> CommutingPair:
     alpha_iso = CoordinateIso(idx, iota, phi)
 
     def beta_fn(x):
-        return cert.inverse_image(alpha_iso.eval_fwd(g.eval(x)))
+        return cert.inverse_image(alpha_iso.eval_fwd(cert.embedding.eval(x)))
 
     return CommutingPair(
         alpha=LazyEndo(alpha_iso.eval_fwd),
@@ -398,12 +389,12 @@ def extend_pair(g, cert: GenericCert, a, b) -> CommutingPair:
 EQUAL_VERDICT = "s equals g(u)"
 
 
-def recover_witness(g, cert: GenericCert, u: Rat, s: Rat):
-    """Either the verdict that s = g(u), or a commuting pair (α, β) with
-    β(u) = u and α(s) ≠ s.  Existence of such a pair for every s ≠ g(u)
-    is what lets g's values be read off from commutation alone."""
+def recover_witness(cert: GenericCert, u: Rat, s: Rat):
+    """Either the verdict that s = g(u), where g is cert.embedding, or a
+    commuting pair (α, β) with β(u) = u and α(s) ≠ s.  Such a pair for
+    every s ≠ g(u) lets g's values be read off from commutation alone."""
     u, s = Rat(u), Rat(s)
-    gu = g.eval(u)
+    gu = cert.embedding.eval(u)
     if s == gu:
         return EQUAL_VERDICT
     if cert.in_image(s):
@@ -429,32 +420,26 @@ def recover_witness(g, cert: GenericCert, u: Rat, s: Rat):
             t = next(pt for pt in cert.class_points(q) if pt != s)
             a = FinitePartialMap.from_pairs([(gu, gu), (s, t)])
             b = FinitePartialMap.from_pairs([(u, u)])
-    return extend_pair(g, cert, a, b)
+    return extend_pair(cert, a, b)
 
 
 # ---------------------------------------------------------------------------
 # closure under composition
 # ---------------------------------------------------------------------------
 
-def compose_certified(g2, cert2: GenericCert, g1, cert1: GenericCert):
-    """Certified composite g2∘g1; the certificate recolours cert2's index
-    order to the classes whose image point survives composition."""
-    if cert2.variant != cert1.variant:
+def compose_certified(outer: GenericCert, inner: GenericCert) -> ComposedCert:
+    """The certificate of outer.embedding ∘ inner.embedding: outer's index
+    order recoloured to the classes whose image point survives."""
+    if outer.variant != inner.variant:
         raise ValueError(
-            f"variant mismatch: {cert2.variant} composed with {cert1.variant}")
-    embedding = ComposedEndo((g2, g1))
-    cert = ComposedCert(
-        outer=cert2,
-        inner_member=cert1.in_image,
-        inner_preimage=cert1.inverse_image,
-        embedding=embedding,
-    )
-    return embedding, cert
+            f"variant mismatch: {outer.variant} composed with {inner.variant}")
+    return ComposedCert(outer, inner.embedding, inner.in_image,
+                        inner.inverse_image)
 
 
-def absorb(f: PiecewiseEndo):
-    """A certified generic g whose composite with the closed-form embedding
-    f is again certified-generic.
+def absorb(f: PiecewiseEndo) -> ComposedCert:
+    """The certificate of g∘f, certified-generic again, for the closed-form
+    embedding f and a fresh certified generic g (`cert.outer.embedding`).
 
     g is always the core variant.  An injective f has sloped end pieces
     on its two unbounded intervals, and their images keep the unbounded
@@ -466,17 +451,12 @@ def absorb(f: PiecewiseEndo):
         raise ValueError(
             f"map is not injective: f({x1}) = f({x2})")
     image = report.image
-    g, cert2 = generic_embedding("core")
+    outer = DirectCert("core")
     fc = f.canonical()
 
     def inner_preimage(w):
         fibre = fc.point_preimage(w)
         return fibre.lo  # injective, so the fibre is a single point
 
-    cert = ComposedCert(
-        outer=cert2,
-        inner_member=lambda w: union_contains(image, w),
-        inner_preimage=inner_preimage,
-        embedding=ComposedEndo((g, fc)),
-    )
-    return g, cert
+    return ComposedCert(outer, fc,
+                        lambda w: union_contains(image, w), inner_preimage)

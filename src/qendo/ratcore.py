@@ -416,6 +416,8 @@ def colour_witness(lo: Rat, hi: Rat, want: Colour) -> Rat:
     if ln * hd >= hn * ld:
         raise ValueError("need lo < hi")
     red = want is Colour.RED  # red iff numerator + denominator is odd
+    if not red and want is not Colour.BLUE:
+        raise ValueError(f"want must be a Colour, not {want!r}")
     zero, inf = (0, 1), (1, 0)
     splits = SEARCH_CAP + 1
     if ln < 0 < hn:  # the first split is at 0, which is red

@@ -333,7 +333,7 @@ def suite_generic(rng: random.Random, cfg: RunConfig) -> List[PropertyResult]:
     nmaps = 20
     for _ in range(nmaps):
         f = random_monotone_endo(rng, injective=True)
-        _, cert = absorb(f)
+        cert = absorb(f)
         absorbed(cert.variant == "core")
         xs, imgs = _certificate_sample(absorbed, cert, rng, 60, 40, npairs)
         top = cert.embedding.eval(max(xs) + 1)
@@ -343,9 +343,9 @@ def suite_generic(rng: random.Random, cfg: RunConfig) -> List[PropertyResult]:
     composed = _Check("composed-bounded-certificates")
     bounded_variants = [("plus", "minus", "pm")[i % 3] for i in range(10)]
     for variant in bounded_variants:
-        g1, cert1 = generic_embedding(variant)
-        g2, cert2 = generic_embedding(variant)
-        _, cert = compose_certified(g2, cert2, g1, cert1)
+        _, inner = generic_embedding(variant)
+        _, outer = generic_embedding(variant)
+        cert = compose_certified(outer, inner)
         composed(cert.variant == variant)
         _, imgs = _certificate_sample(composed, cert, rng, 40, 25, npairs)
         composed(_marker_bounds_ok(cert, imgs))
@@ -364,8 +364,9 @@ def suite_generic(rng: random.Random, cfg: RunConfig) -> List[PropertyResult]:
 # suite: recover (commuting extensions and recovery)
 # ---------------------------------------------------------------------------
 
-def _sample_witness_point(rng, g, cert):
+def _sample_witness_point(rng, cert):
     """An image, blue, or red non-image point near the embedding."""
+    g = cert.embedding
     mode = rng.randrange(3)
     v = nth_rational(rng.randrange(40))
     y = g.eval(v)
@@ -379,7 +380,8 @@ def _sample_witness_point(rng, g, cert):
     return next(p for p in cert.class_points(q) if p != y)
 
 
-def _random_valid_pair(rng, g, cert) -> Tuple[FinitePartialMap, FinitePartialMap]:
+def _random_valid_pair(rng, cert) -> Tuple[FinitePartialMap, FinitePartialMap]:
+    g = cert.embedding
     kind = rng.randrange(3)
     if kind == 0:
         us = sorted({nth_rational(rng.randrange(40))
@@ -410,10 +412,10 @@ def suite_recover(rng: random.Random, cfg: RunConfig) -> List[PropertyResult]:
 
     extend = _Check("commuting-extension")
     for _ in range(samples):
-        a, b = _random_valid_pair(rng, g, cert)
-        if not extend(not p_check(g, cert, a, b)):
+        a, b = _random_valid_pair(rng, cert)
+        if not extend(not p_check(cert, a, b)):
             continue
-        cp = extend_pair(g, cert, a, b)
+        cp = extend_pair(cert, a, b)
         for x, y in a.pairs:
             extend(cp.alpha.eval(x) == y)
         for x, y in b.pairs:
@@ -425,20 +427,20 @@ def suite_recover(rng: random.Random, cfg: RunConfig) -> List[PropertyResult]:
     kinds = {"image": 0, "blue": 0, "red": 0}
     while recover.checks < samples:
         u = nth_rational(rng.randrange(30))
-        s = _sample_witness_point(rng, g, cert)
+        s = _sample_witness_point(rng, cert)
         if s == g.eval(u):
             continue
         kinds["image" if cert.in_image(s) else str(cert.colour_of(s))] += 1
-        cp = recover_witness(g, cert, u, s)
+        cp = recover_witness(cert, u, s)
         recover(cp.beta.eval(u) == u and cp.alpha.eval(s) != s)
 
     fixes = _Check("alpha-fixes-image-of-fixed-points")
     for _ in range(samples):
         u = nth_rational(rng.randrange(30))
-        s = _sample_witness_point(rng, g, cert)
+        s = _sample_witness_point(rng, cert)
         if s == g.eval(u):
             continue
-        cp = recover_witness(g, cert, u, s)
+        cp = recover_witness(cert, u, s)
         fixes(cp.beta.eval(u) != u or cp.alpha.eval(g.eval(u)) == g.eval(u))
     return [
         extend.result(

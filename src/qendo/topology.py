@@ -294,7 +294,10 @@ def lift_convergence(fs: Callable[[int], object], f, j: int, k: int,
     least tuple index whose j-th coordinate lies outside the first n
     enumerated rationals.  fs(n) is called once per n, so both distances
     are about one map even when fs builds a fresh one on each call.
+    N < 0 raises ValueError: a report with no rows would hold vacuously.
     """
+    if N < 0:
+        raise ValueError(f"need N >= 0, got {N}")
     ctx1 = UltraMetricContext(k=1)
     ctxk = UltraMetricContext(k=k)
     rows = []

@@ -265,6 +265,13 @@ def test_verify_action_on_safe_chain():
     assert "all hold" in str(report)
 
 
+def test_verify_action_with_no_points_checks_nothing_and_is_not_ok():
+    report = verify_action(CHAIN, SMALL_CORPUS, [])
+    assert report.checks == 0 and report.failed == 0
+    assert not report.ok
+    assert str(report) == "0 action-law checks: nothing was checked"
+
+
 def test_verify_action_on_branching_forest():
     points = [OrbitPoint("r", ()), OrbitPoint("a", (F(3),)),
               OrbitPoint("b", (F(0), F(4)))]

@@ -299,6 +299,13 @@ def test_lift_hypothesis_failure():
     assert "2^-1" in rep.hypothesis_note or "n=1" in rep.hypothesis_note
 
 
+def test_lift_rejects_a_negative_depth():
+    # N = -1 would give a report with no rows that reads as a pass
+    with pytest.raises(ValueError, match="N >= 0"):
+        lift_convergence(_prefix_approx, identity_map(), 2, 2, -1)
+    assert len(lift_convergence(_prefix_approx, identity_map(), 2, 2, 0).rows) == 1
+
+
 def test_lift_calls_the_sequence_once_per_term():
     calls = []
 

@@ -320,8 +320,8 @@ def test_variant_rejected():
 
 
 def test_p_check_empty_pair_ok():
-    g, cert = generic_embedding("core")
-    assert p_check(g, cert, EMPTY_MAP, EMPTY_MAP) == []
+    _, cert = generic_embedding("core")
+    assert p_check(cert, EMPTY_MAP, EMPTY_MAP) == []
 
 
 # One incompatible pair per clause, each checked against the full list of
@@ -332,8 +332,9 @@ def _pm(*pairs):
     return FinitePartialMap.from_pairs(pairs)
 
 
-def _blue_point(g, cert):
+def _blue_point(cert):
     # the least of the first two points of a blue class between g(0) and g(1)
+    g = cert.embedding
     q0, q1 = cert.class_of(g.eval(F(0))), cert.class_of(g.eval(F(1)))
     blue = cert.blue_index_between(q0, q1)
     return min(itertools.islice(cert.class_points(blue), 2))
@@ -348,14 +349,14 @@ def test_p_check_clause_1():
     # a blue endpoint class left, and relatedness not mirrored
     g, cert = generic_embedding("pm")
     m1, m2 = sorted(itertools.islice(cert.class_points(Marker.MIN), 2))
-    a = _pm((m1, m1), (m2, _blue_point(g, cert)))
-    assert p_check(g, cert, a, EMPTY_MAP) == [
+    a = _pm((m1, m1), (m2, _blue_point(cert)))
+    assert p_check(cert, a, EMPTY_MAP) == [
         (1, "1 does not preserve the -end endpoint class"),
         (1, "relatedness of 0,1 not mirrored by their images")]
     # a blue class sent to a red one
     g, cert = generic_embedding("core")
-    a = _pm((_blue_point(g, cert), _red_non_image_point(cert, g.eval(F(0)))))
-    assert p_check(g, cert, a, EMPTY_MAP) == [
+    a = _pm((_blue_point(cert), _red_non_image_point(cert, g.eval(F(0)))))
+    assert p_check(cert, a, EMPTY_MAP) == [
         (1, "1/2 maps blue class to red class"),
         (3, "red class of 1/3 has image point 0 missing from the image of a")]
 
@@ -364,7 +365,7 @@ def test_p_check_clause_2():
     # a red-class point that is not the image point leaves 2 and 3 broken
     g, cert = generic_embedding("core")
     x = _red_non_image_point(cert, g.eval(F(0)))
-    assert p_check(g, cert, _pm((x, x)), EMPTY_MAP) == [
+    assert p_check(cert, _pm((x, x)), EMPTY_MAP) == [
         (2, "red class of 1 has image point 0 missing from the domain of a"),
         (3, "red class of 1 has image point 0 missing from the image of a")]
 
@@ -373,14 +374,14 @@ def test_p_check_clause_3():
     g, cert = generic_embedding("core")
     y = g.eval(F(0))
     a = _pm((y, _red_non_image_point(cert, y)))
-    assert p_check(g, cert, a, EMPTY_MAP) == [
+    assert p_check(cert, a, EMPTY_MAP) == [
         (3, "red class of 1 has image point 0 missing from the image of a"),
         (6, "g⁻¹(0) = 0 missing from the domain of b")]
 
 
 def test_p_check_clause_4():
-    g, cert = generic_embedding("core")
-    assert p_check(g, cert, EMPTY_MAP, _pm((F(0), F(0)))) == [
+    _, cert = generic_embedding("core")
+    assert p_check(cert, EMPTY_MAP, _pm((F(0), F(0)))) == [
         (4, "g(0) = 0 missing from the domain of a"),
         (5, "g(0) = 0 missing from the image of a")]
 
@@ -388,7 +389,7 @@ def test_p_check_clause_4():
 def test_p_check_clause_5():
     g, cert = generic_embedding("core")
     y = g.eval(F(0))
-    assert p_check(g, cert, _pm((y, y)), _pm((F(0), F(1)))) == [
+    assert p_check(cert, _pm((y, y)), _pm((F(0), F(1)))) == [
         (5, "g(1) = 1 missing from the image of a"),
         (6, "g·b·g⁻¹ and a disagree at 0"),
         (7, "g⁻¹(0) = 0 missing from the image of b")]
@@ -399,7 +400,7 @@ def test_p_check_clause_6():
     # clauses 6 and 7 demand the matching b entry
     g, cert = generic_embedding("core")
     y = g.eval(F(0))
-    assert p_check(g, cert, _pm((y, y)), EMPTY_MAP) == [
+    assert p_check(cert, _pm((y, y)), EMPTY_MAP) == [
         (6, "g⁻¹(0) = 0 missing from the domain of b"),
         (7, "g⁻¹(0) = 0 missing from the image of b")]
 
@@ -407,14 +408,14 @@ def test_p_check_clause_6():
 def test_p_check_clause_7():
     g, cert = generic_embedding("core")
     y = g.eval(F(1))
-    assert p_check(g, cert, _pm((y, y)), _pm((F(0), F(1)))) == [
+    assert p_check(cert, _pm((y, y)), _pm((F(0), F(1)))) == [
         (4, "g(0) = -1 missing from the domain of a"),
         (6, "g⁻¹(0) = 1 missing from the domain of b"),
         (7, "g·b⁻¹·g⁻¹ and a⁻¹ disagree at 0")]
 
 
-def _case1_pair(g, cert, u):
-    gu = g.eval(u)
+def _case1_pair(cert, u):
+    gu = cert.embedding.eval(u)
     t = next(iter(cert.image_points_between(gu, None)))
     s = t
     t2 = next(iter(cert.image_points_between(s, None)))
@@ -425,14 +426,14 @@ def _case1_pair(g, cert, u):
 
 
 def test_p_check_case1_recipe_ok():
-    g, cert = generic_embedding("core")
-    pair, _, _ = _case1_pair(g, cert, F(0))
-    assert p_check(g, cert, *pair) == []
+    _, cert = generic_embedding("core")
+    pair, _, _ = _case1_pair(cert, F(0))
+    assert p_check(cert, *pair) == []
 
 
 def test_extend_pair_empty():
     g, cert = generic_embedding("core")
-    pair = extend_pair(g, cert, EMPTY_MAP, EMPTY_MAP)
+    pair = extend_pair(cert, EMPTY_MAP, EMPTY_MAP)
     for x in SAMPLE[:20]:
         assert pair.alpha.eval(g.eval(x)) == g.eval(pair.beta.eval(x))
     # alpha strictly monotone
@@ -443,8 +444,8 @@ def test_extend_pair_empty():
 def test_extend_pair_contains_seed():
     g, cert = generic_embedding("core")
     u = F(0)
-    (a, b), s, t = _case1_pair(g, cert, u)
-    cp = extend_pair(g, cert, a, b)
+    (a, b), s, t = _case1_pair(cert, u)
+    cp = extend_pair(cert, a, b)
     assert cp.alpha.eval(s) == t
     assert cp.beta.eval(u) == u
     for x, y in b.pairs:
@@ -454,23 +455,23 @@ def test_extend_pair_contains_seed():
 
 
 def test_extend_pair_rejects_bad_pair():
-    g, cert = generic_embedding("core")
+    _, cert = generic_embedding("core")
     b = FinitePartialMap.from_pairs([(F(0), F(0))])
     with pytest.raises(PPairError) as exc:
-        extend_pair(g, cert, EMPTY_MAP, b)
+        extend_pair(cert, EMPTY_MAP, b)
     assert any(n == 4 for n, _ in exc.value.violations)
 
 
 def test_recover_equal_verdict():
     g, cert = generic_embedding("core")
-    assert recover_witness(g, cert, F(2), g.eval(F(2))) == EQUAL_VERDICT
+    assert recover_witness(cert, F(2), g.eval(F(2))) == EQUAL_VERDICT
 
 
 def test_recover_image_point():
     g, cert = generic_embedding("core")
     u = F(0)
     s = g.eval(F(3))
-    cp = recover_witness(g, cert, u, s)
+    cp = recover_witness(cert, u, s)
     assert cp.beta.eval(u) == u
     assert cp.alpha.eval(s) != s
     assert cp.alpha.eval(g.eval(u)) == g.eval(u)
@@ -482,7 +483,7 @@ def test_recover_blue_point():
     qa, qb = cert.class_of(g.eval(u)), cert.class_of(g.eval(F(2)))
     blue = cert.blue_index_between(qa, qb)
     s = next(iter(cert.class_points(blue)))
-    cp = recover_witness(g, cert, u, s)
+    cp = recover_witness(cert, u, s)
     assert cp.beta.eval(u) == u
     assert cp.alpha.eval(s) != s
     # the moved point stays in its own (blue) class
@@ -495,7 +496,7 @@ def test_recover_red_non_image_point():
     y = g.eval(F(5))
     q = cert.class_of(y)
     s = next(pt for pt in cert.class_points(q) if pt != y)
-    cp = recover_witness(g, cert, u, s)
+    cp = recover_witness(cert, u, s)
     assert cp.beta.eval(u) == u
     assert cp.alpha.eval(s) != s
     # the class's image point is pinned
@@ -506,14 +507,15 @@ def test_recover_direction_of_movement():
     g, cert = generic_embedding("core")
     u = F(0)
     s = g.eval(F(-4))  # below g(u)
-    cp = recover_witness(g, cert, u, s)
+    cp = recover_witness(cert, u, s)
     assert cp.alpha.eval(s) < s
 
 
 def test_compose_certified():
     g1, cert1 = generic_embedding("core")
     g2, cert2 = generic_embedding("core")
-    gg, cert = compose_certified(g2, cert2, g1, cert1)
+    cert = compose_certified(cert2, cert1)
+    gg = cert.embedding
     for x in SAMPLE[:12]:
         y = gg.eval(x)
         assert y == g2.eval(g1.eval(x))
@@ -531,15 +533,16 @@ def test_compose_certified():
 
 
 def test_compose_variant_mismatch():
-    g1, cert1 = generic_embedding("core")
-    g2, cert2 = generic_embedding("plus")
+    _, cert1 = generic_embedding("core")
+    _, cert2 = generic_embedding("plus")
     with pytest.raises(ValueError, match="variant"):
-        compose_certified(g2, cert2, g1, cert1)
+        compose_certified(cert2, cert1)
 
 
 def test_absorb_doubling():
     f = affine_map(F(2), F(0))
-    g, cert = absorb(f)
+    cert = absorb(f)
+    g = cert.outer.embedding
     assert cert.variant == "core"
     comp = cert.embedding
     for x in SAMPLE[:10]:
@@ -557,7 +560,8 @@ def test_absorb_doubling():
 
 
 def test_absorb_identity():
-    g, cert = absorb(identity_map())
+    cert = absorb(identity_map())
+    g = cert.outer.embedding
     comp = cert.embedding
     for x in SAMPLE[:8]:
         assert comp.eval(x) == g.eval(x)
@@ -576,16 +580,19 @@ def test_absorb_needs_only_the_core_variant(f):
     # bounded variant is ever needed
     image = f.image_union()
     assert image[0].lo is None and image[-1].hi is None
-    assert absorb(f)[1].variant == "core"
+    assert absorb(f).variant == "core"
 
 
 def test_recover_through_composite_cert():
+    # absorb hands out one object, the certificate of g∘f, so the map the
+    # recovery reads is g∘f: (g∘f)(0) is its value at 0, not g's
     f = affine_map(F(2), F(1))
-    g, cert = absorb(f)
+    cert = absorb(f)
     comp = cert.embedding
     u = F(0)
+    assert recover_witness(cert, u, comp.eval(u)) == EQUAL_VERDICT
     s = comp.eval(F(2))
-    cp = recover_witness(comp, cert, u, s)
+    cp = recover_witness(cert, u, s)
     assert cp.beta.eval(u) == u
     assert cp.alpha.eval(s) != s
     for x in SAMPLE[:8]:
@@ -595,8 +602,9 @@ def test_recover_through_composite_cert():
 STEP = "(-inf,0) : 1*x + 0\n[0,+inf) : 1*x + 1\n"
 
 
-def _check_recovery(comp, cert, u, s):
-    cp = recover_witness(comp, cert, u, s)
+def _check_recovery(cert, u, s):
+    comp = cert.embedding
+    cp = recover_witness(cert, u, s)
     assert cp.beta.eval(u) == u
     assert cp.alpha.eval(s) != s
     for x in (nth_rational(i) for i in range(60)):
@@ -607,13 +615,13 @@ def test_recover_through_composite_cert_at_recoloured_class():
     # 1/2 is not in f's image, so the class of s = g(1/2) is red for g but
     # blue for the composite g∘f
     f = PiecewiseEndo.parse(STEP)
-    g, cert = absorb(f)
+    cert = absorb(f)
     s = cert.outer.embedding.eval(F(1, 2))
     q = cert.class_of(s)
     assert cert.outer.colour_of_index(q) == Colour.RED
     assert cert.colour_of_index(q) == Colour.BLUE
     for u in (F(0), F(2), F(-1)):
-        _check_recovery(cert.embedding, cert, u, s)
+        _check_recovery(cert, u, s)
 
 
 def test_recover_through_composite_cert_past_recoloured_classes(monkeypatch):
@@ -623,20 +631,62 @@ def test_recover_through_composite_cert_past_recoloured_classes(monkeypatch):
     # image point of g∘f out of the image (a small cap makes a failing
     # index search end fast)
     monkeypatch.setattr(ratcore, "SEARCH_CAP", 2000)
-    g, cert = absorb(PiecewiseEndo.parse(STEP))
-    _check_recovery(cert.embedding, cert, F(2), cert.embedding.eval(F(0)))
+    cert = absorb(PiecewiseEndo.parse(STEP))
+    _check_recovery(cert, F(2), cert.embedding.eval(F(0)))
+
+
+@pytest.mark.parametrize("builder", ["absorb", "compose_certified"])
+def test_composite_queries_match_their_outer_formulas(builder):
+    # the representative, image membership and class points a composite
+    # certificate inherits agree with those read through its outer
+    # certificate: an image point is an outer one whose outer preimage is in
+    # the inner image, and a composite-red class has the outer
+    # representative and class points.  The sample holds image points of
+    # the composite, outer image points it drops (1/2 is not in STEP's
+    # image; the inner generic image is sparse), points beside them, and
+    # the "pm" end classes
+    if builder == "absorb":
+        cert = absorb(PiecewiseEndo.parse(STEP))
+    else:
+        _, inner = generic_embedding("pm")
+        cert = compose_certified(generic_embedding("pm")[1], inner)
+    outer = cert.outer
+    images = [cert.embedding.eval(x) for x in SAMPLE[:10]]
+    dropped = [outer.embedding.eval(x) for x in SAMPLE[:20]]
+    points = images + dropped + [y + F(1, 7) for y in images + dropped] + SAMPLE
+    classes = {cert.class_of(x) for x in points}
+    classes.update(m for m in (outer.index_order.min_el, outer.index_order.max_el)
+                   if m is not None)
+    seen = set()
+    for x in points:
+        member = outer.in_image(x) and cert.inner_member(outer.inverse_image(x))
+        assert cert.in_image(x) is member, x
+        seen.add(member)
+    assert seen == {True, False}
+    colours = set()
+    for q in classes:
+        colour_q = cert.colour_of_index(q)
+        colours.add((outer.colour_of_index(q), colour_q))
+        if colour_q is Colour.RED:
+            assert cert.representative(q) == outer.representative(q)
+        else:
+            with pytest.raises(ValueError, match="only red classes"):
+                cert.representative(q)
+        assert (list(itertools.islice(cert.class_points(q), 5))
+                == list(itertools.islice(outer.class_points(q), 5)))
+    assert (Colour.RED, Colour.BLUE) in colours and (Colour.RED, Colour.RED) in colours
 
 
 def test_composite_inverse_image_rejects_a_point_outside_its_image():
     # an image point of the outer embedding whose outer preimage is not in
     # the inner image is no image point of the composite
-    _, cert = absorb(PiecewiseEndo.parse(STEP))
+    cert = absorb(PiecewiseEndo.parse(STEP))
     s = cert.outer.embedding.eval(F(1, 2))  # 1/2 is not in f's image
     with pytest.raises(ValueError, match=re.escape(f"{s} is not an image point")):
         cert.inverse_image(s)
-    g1, cert1 = generic_embedding("plus")
+    _, cert1 = generic_embedding("plus")
     g2, cert2 = generic_embedding("plus")
-    _, cert = compose_certified(g2, cert2, g1, cert1)
+    cert = compose_certified(cert2, cert1)
     assert not cert1.in_image(F(1))
     s = g2.eval(F(1))
     with pytest.raises(ValueError, match=re.escape(f"{s} is not an image point")):

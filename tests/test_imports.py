@@ -295,8 +295,7 @@ UNRUN = (
     *((f"generic.{name}", "the recovery half of a composite certificate: "
                           "tests run it, and no command recovers through a "
                           "composite yet")
-      for name in ("ComposedCert.representative", "ComposedCert.in_image",
-                   "ComposedCert.inverse_image",
+      for name in ("ComposedCert.inverse_image",
                    "absorb.<locals>.inner_preimage")),
     ("lazyiso.LazyIso.memo_pairs", "tests compare the engine's memo with "
                                    "their reference through it"),

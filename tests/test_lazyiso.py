@@ -494,7 +494,7 @@ def _commuting_pair(make, variant="core", blue_move=False):
         a = FinitePartialMap.from_pairs(moves)
         b = FinitePartialMap.from_pairs(
             [(F(0), F(0)), (cert.inverse_image(s), cert.inverse_image(t))])
-        pair = extend_pair(g, cert, a, b)
+        pair = extend_pair(cert, a, b)
     return cert, pair, a
 
 

@@ -615,6 +615,13 @@ def test_colour_witness_needs_finite_ordered_bounds():
         colour_witness(F(1), F(1), Colour.BLUE)
 
 
+def test_colour_witness_wants_a_colour():
+    # a colour's name is not a colour: "red" must not be searched for as blue
+    for want in ("red", "blue", None, 0, 1):
+        with pytest.raises(ValueError, match="want must be a Colour"):
+            colour_witness(F(0), F(1), want)
+
+
 # ---------------------------------------------------------------------------
 # the walk against the raw enumeration, 0 and the infinities among the ends
 # ---------------------------------------------------------------------------
